@@ -34,7 +34,7 @@ from .evaluation import (
     utility_relevance,
 )
 from .synth import GeneratorConfig, generate_markov_stream, generate_stream
-from .model_io import ModelBundle, read_model, write_model
+from .model_io import ModelBundle, fit_model, read_model, write_model
 from .config import RunConfig, load_config
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     "RankingSnapshot", "RunConfig", "StateSpace", "TransitionModel",
     "active_set", "attention_relevance", "build_model", "build_state_space",
     "build_timelines", "classify_minute", "compute_indices", "constants_a",
-    "derive_p0", "estimate_p1", "evaluate_run", "fit_popularity_bins",
+    "derive_p0", "estimate_p1", "evaluate_run", "fit_model", "fit_popularity_bins",
     "fit_rewards", "format_rank_grid", "generate_markov_stream",
     "generate_stream", "load_config", "load_event_log", "ndcg", "occupancy",
     "parse_event_log", "pearson", "rank_items", "rank_states", "read_model",

@@ -11,75 +11,35 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config, parse_hours, parse_window_flag
+from .config import RunConfig, load_config, with_overrides
 from .errors import ConfigError, DataError, FeedrankError
 from .evaluation import (
     evaluate_run, write_header_text, write_series_csv, write_summary_csv,
 )
 from .events import build_timelines, load_event_log, serialize_event_log
 from .indices import compute_indices, format_rank_grid
-from .model_io import ModelBundle, read_model, write_model
+from .model_io import fit_model, read_model, write_model
 from .ranking import rank_items
-from .states import BinSpec, build_state_space, fit_popularity_bins, fit_rewards
 from .synth import GeneratorConfig, generate_stream
-from .transitions import build_model, estimate_p1
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for key in ("events", "model", "report_dir"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, {"events": "events_path", "model": "model_path",
-                          "report_dir": "report_dir"}[key], value)
-    if getattr(args, "train_window", None) is not None:
-        cfg.train_window = parse_window_flag(args.train_window, "train window")
-    if getattr(args, "eval_window", None) is not None:
-        cfg.eval_window = parse_window_flag(args.eval_window, "eval window")
-    for key in ("beta", "epsilon", "horizon", "relevance_cap", "smoothing"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "interval", None) is not None:
-        cfg.decision_interval = args.interval
-    if getattr(args, "peak_hours", None) is not None:
-        cfg.peak_hours = parse_hours(args.peak_hours)
-    if getattr(args, "novelty_limits", None) is not None:
-        cfg.novelty_limits = tuple(int(v) for v in args.novelty_limits.split(","))
-    if getattr(args, "n_popularity_bins", None) is not None:
-        cfg.n_popularity_bins = args.n_popularity_bins
-    if getattr(args, "policies", None) is not None:
-        cfg.policies = tuple(args.policies.split(","))
-    if getattr(args, "signals", None) is not None:
-        cfg.signals = tuple(args.signals.split(","))
-    if getattr(args, "dump_snapshots", False):
-        cfg.dump_snapshots = True
-    cfg.validate()
-    return cfg
+    return with_overrides(cfg, vars(args))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
-    gen = cfg.generator
-    if gen is None:
-        gen = GeneratorConfig()
-    overrides = {}
-    for key in ("seed", "days"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "accounts", None) is not None:
-        overrides["n_accounts"] = args.accounts
-    if getattr(args, "posts_per_day", None) is not None:
-        overrides["posts_per_day"] = args.posts_per_day
-    if overrides:
-        gen = GeneratorConfig(**{**gen.__dict__, **overrides})
+    flags = {key: getattr(args, key) for key in ("seed", "days", "n_accounts", "posts_per_day")
+             if getattr(args, key) is not None}
+    gen = dataclasses.replace(cfg.generator or GeneratorConfig(), **flags)
     gen.validate()
     if cfg.events_path is None:
         raise ConfigError("simulate needs an events path (--events or config)")
@@ -91,63 +51,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _peak_filter_items(timelines, peak_hours):
-    """Keep only items posted during the given UTC hours."""
-    hour_set = frozenset(peak_hours)
-    return {
-        iid: tl for iid, tl in timelines.items()
-        if ((tl.post_minute % 1440) // 60) in hour_set
-    }
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     if cfg.events_path is None or cfg.model_path is None:
         raise ConfigError("fit needs --events and --model")
-    if cfg.train_window is None:
-        raise ConfigError("fit needs a train window")
-    start, end = cfg.train_window
-    timelines = build_timelines(load_event_log(cfg.events_path))
-    total_items = len(timelines)
-    if cfg.peak_hours is not None:
-        timelines = _peak_filter_items(timelines, cfg.peak_hours)
-    train = {
-        iid: tl for iid, tl in timelines.items()
-        if start <= tl.post_minute < end
-    }
-    if not train:
-        raise DataError(f"no posts inside the train window [{start}, {end})")
-
-    final_counts = [tl.final_retweet_count for tl in train.values()]
-    bins = BinSpec(
-        novelty_limits=cfg.novelty_limits,
-        popularity_limits=fit_popularity_bins(final_counts, cfg.n_popularity_bins),
-    )
-    r_n, r_p = fit_rewards(train, bins)
-    space = build_state_space(bins, r_n, r_p)
-    p1 = estimate_p1(train, space, cfg.train_window, smoothing=cfg.smoothing)
-    model = build_model(p1, cfg.epsilon, cfg.beta)
-
-    events_used = sum(
-        1 + sum(sum(c) for c in tl.per_minute_counts.values())
-        for tl in train.values()
-    )
-    meta = {
-        "train_window": f"[{start}, {end})",
-        "items_total": str(total_items),
-        "items_used": str(len(train)),
-        "events_used": str(events_used),
-        "peak_hours": (",".join(str(h) for h in cfg.peak_hours)
-                       if cfg.peak_hours else "none"),
-        "smoothing": format(cfg.smoothing, ".17g"),
-    }
-    bundle = ModelBundle(
-        bins=bins, r_n=r_n, r_p=r_p, epsilon=model.epsilon, beta=cfg.beta,
-        p1=model.p1, p0=model.p0, meta=meta,
-    )
+    bundle = fit_model(build_timelines(load_event_log(cfg.events_path)), cfg)
     write_model(bundle, cfg.model_path)
-    print(f"fitted model on {len(train)} items "
-          f"({events_used} events) -> {cfg.model_path}")
+    print(f"fitted model on {bundle.meta['items_used']} items "
+          f"({bundle.meta['events_used']} events) -> {cfg.model_path}")
     return 0
 
 
@@ -156,11 +67,9 @@ def cmd_indices(args: argparse.Namespace) -> int:
     if cfg.model_path is None:
         raise ConfigError("indices needs --model")
     bundle = read_model(cfg.model_path)
-    space = bundle.state_space()
-    table = compute_indices(bundle.transition_model(), space.reward)
-    bundle.index = table
+    bundle.index = compute_indices(bundle.transition_model(), bundle.state_space().reward)
     write_model(bundle, cfg.model_path)
-    print(format_rank_grid(table, bundle.bins))
+    print(format_rank_grid(bundle.index, bundle.bins))
     print(f"index table written to {cfg.model_path}")
     return 0
 
@@ -174,15 +83,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     bundle = read_model(cfg.model_path)
     if "index" in cfg.policies and bundle.index is None:
         raise ConfigError("model has no index table; run the indices subcommand first")
+    train_window = cfg.train_window
+    if train_window is None:
+        train_window = bundle.train_window()
     space = bundle.state_space()
     timelines = build_timelines(load_event_log(cfg.events_path))
-
-    train_window = cfg.train_window
-    if train_window is None and bundle.meta.get("train_window"):
-        text = bundle.meta["train_window"].strip("[)")
-        parts = text.split(",")
-        if len(parts) == 2:
-            train_window = (int(parts[0]), int(parts[1]))
 
     report = evaluate_run(
         timelines, space, bundle.index, cfg.policies, cfg.signals,
@@ -273,16 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="write a synthetic event stream")
     add_common(p_sim)
-    p_sim.add_argument("--events", help="output event log path")
+    p_sim.add_argument("--events", dest="events_path", help="output event log path")
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--days", type=int)
-    p_sim.add_argument("--accounts", type=int)
+    p_sim.add_argument("--accounts", dest="n_accounts", type=int)
     p_sim.add_argument("--posts-per-day", dest="posts_per_day", type=float)
 
     p_fit = sub.add_parser("fit", help="fit bins, rewards, and transitions")
     add_common(p_fit)
-    p_fit.add_argument("--events")
-    p_fit.add_argument("--model", help="output model path")
+    p_fit.add_argument("--events", dest="events_path")
+    p_fit.add_argument("--model", dest="model_path", help="output model path")
     p_fit.add_argument("--train-window", dest="train_window", help="START:END minutes or dates")
     p_fit.add_argument("--beta", type=float)
     p_fit.add_argument("--epsilon", type=float)
@@ -293,22 +198,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_idx = sub.add_parser("indices", help="compute priority indices into the model")
     add_common(p_idx)
-    p_idx.add_argument("--model")
+    p_idx.add_argument("--model", dest="model_path")
 
     p_eval = sub.add_parser("evaluate", help="score policies against signals")
     add_common(p_eval)
-    p_eval.add_argument("--events")
-    p_eval.add_argument("--model")
+    p_eval.add_argument("--events", dest="events_path")
+    p_eval.add_argument("--model", dest="model_path")
     p_eval.add_argument("--report-dir", dest="report_dir")
     p_eval.add_argument("--eval-window", dest="eval_window", help="START:END minutes or dates")
     p_eval.add_argument("--train-window", dest="train_window", help="for the overlap warning")
     p_eval.add_argument("--policies", help="comma-separated policy names")
     p_eval.add_argument("--signals", help="comma-separated signal names")
     p_eval.add_argument("--peak-hours", dest="peak_hours")
-    p_eval.add_argument("--interval", type=int)
+    p_eval.add_argument("--interval", dest="decision_interval", type=int)
     p_eval.add_argument("--horizon", type=int)
     p_eval.add_argument("--relevance-cap", dest="relevance_cap", type=int)
-    p_eval.add_argument("--dump-snapshots", dest="dump_snapshots", action="store_true")
+    p_eval.add_argument("--dump-snapshots", dest="dump_snapshots", action="store_true",
+                        default=None)
 
     p_rep = sub.add_parser("report", help="pretty-print a written report")
     add_common(p_rep)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Sequence
+from numbers import Integral, Real
+from typing import Mapping
 
 from .errors import ConfigError
 from .evaluation import DEFAULT_RELEVANCE_CAP, SIGNALS
@@ -20,27 +22,45 @@ _EPOCH = date(1970, 1, 1)
 MINUTES_PER_DAY = 1440
 
 
-def parse_minute(value) -> int:
-    """A window endpoint: a minute index or an ISO date (UTC midnight)."""
-    if isinstance(value, bool):
-        raise ConfigError(f"invalid window endpoint {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
+def _parse_int(value, name: str) -> int:
+    """An integer given as a JSON number (not a bool) or as flag text."""
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
         try:
             return int(value)
         except ValueError:
             pass
-        try:
-            return (date.fromisoformat(value) - _EPOCH).days * MINUTES_PER_DAY
-        except ValueError:
-            raise ConfigError(
-                f"window endpoint {value!r} is neither a minute index nor an ISO date"
-            ) from None
-    raise ConfigError(f"invalid window endpoint {value!r}")
+    raise ConfigError(f"{name} must hold integers, got {value!r}")
+
+
+def parse_minute(value) -> int:
+    """A window endpoint: a minute index or an ISO date (UTC midnight)."""
+    try:
+        return _parse_int(value, "window endpoint")
+    except ConfigError:
+        if isinstance(value, str):
+            try:
+                return (date.fromisoformat(value) - _EPOCH).days * MINUTES_PER_DAY
+            except ValueError:
+                pass
+        raise ConfigError(f"window endpoint {value!r} is neither a minute "
+                          "index nor an ISO date") from None
+
+
+def _split(value, name: str) -> list:
+    """A JSON list, or flag text split on commas."""
+    if isinstance(value, str):
+        return value.split(",")
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    raise ConfigError(f"{name} must be a list or a comma-separated string")
 
 
 def parse_window(value, name: str) -> tuple[int, int]:
+    """A half-open minute window: a [start, end) pair or 'START:END' text."""
+    if isinstance(value, str):
+        value = value.split(":")
+        if len(value) != 2:
+            raise ConfigError(f"{name} must look like START:END")
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{name} must be a [start, end) pair")
     start, end = (parse_minute(v) for v in value)
@@ -49,41 +69,44 @@ def parse_window(value, name: str) -> tuple[int, int]:
     return start, end
 
 
-def parse_window_flag(text: str, name: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"{name} must look like START:END")
-    return parse_window(parts, name)
-
-
 def parse_hours(value) -> tuple[int, ...]:
     """Hour set from a list of ints or a string like '12-1' or '12,13,0'.
 
     Ranges wrap past midnight, so '12-1' covers 12:00 through 01:59.
     """
-    if isinstance(value, (list, tuple)):
-        hours = [int(h) for h in value]
-    elif isinstance(value, str):
-        hours = []
-        for token in value.split(","):
-            token = token.strip()
-            if "-" in token:
-                a_text, _, b_text = token.partition("-")
-                a, b = int(a_text), int(b_text)
-                h = a
+    hours = []
+    for token in _split(value, "peak_hours"):
+        if isinstance(token, str) and "-" in token:
+            a_text, _, b_text = token.partition("-")
+            h, end = _parse_int(a_text, "peak_hours"), _parse_int(b_text, "peak_hours")
+            if not (0 <= h <= 23 and 0 <= end <= 23):
+                raise ConfigError("hours must lie in 0..23")
+            hours.append(h)
+            while h != end:
+                h = (h + 1) % 24
                 hours.append(h)
-                while h != b:
-                    h = (h + 1) % 24
-                    hours.append(h)
-            elif token:
-                hours.append(int(token))
-    else:
-        raise ConfigError(f"invalid hour set {value!r}")
+        elif not isinstance(token, str) or token.strip():
+            hours.append(_parse_int(token, "peak_hours"))
     if not hours:
         raise ConfigError("hour set is empty")
     if any(h < 0 or h > 23 for h in hours):
         raise ConfigError("hours must lie in 0..23")
     return tuple(sorted(set(hours)))
+
+
+def parse_field(name: str, value):
+    """One RunConfig value, parsed the same way from JSON and from a flag."""
+    if name in ("train_window", "eval_window"):
+        return parse_window(value, name)
+    if name == "peak_hours":
+        return parse_hours(value)
+    if name == "novelty_limits":
+        return tuple(_parse_int(v, name) for v in _split(value, name))
+    if name in ("policies", "signals"):
+        return tuple(_split(value, name))
+    if name == "generator":
+        return generator_from_dict(value)
+    return value
 
 
 @dataclass
@@ -110,18 +133,27 @@ class RunConfig:
     generator: GeneratorConfig | None = None
 
     def validate(self) -> None:
-        if not 0 < self.beta <= 1:
-            raise ConfigError("beta must lie in (0, 1]")
+        for name in ("events_path", "model_path", "report_dir"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path")
+        for name in ("beta", "epsilon", "smoothing"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        # occupancy() needs beta < 1; reject it before a model is written.
+        if not 0 < self.beta < 1:
+            raise ConfigError("beta must lie in (0, 1)")
         if not 0 <= self.epsilon <= 1:
             raise ConfigError("epsilon must lie in [0, 1]")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
-        if self.decision_interval < 1:
-            raise ConfigError("decision_interval must be >= 1")
-        if self.relevance_cap < 1:
-            raise ConfigError("relevance_cap must be >= 1")
-        if self.smoothing < 0:
-            raise ConfigError("smoothing must be >= 0")
+        if not 0 <= self.smoothing < math.inf:
+            raise ConfigError("smoothing must be finite and >= 0")
+        for name, low in (("horizon", 1), ("decision_interval", 1),
+                          ("relevance_cap", 1), ("n_popularity_bins", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.dump_snapshots, bool):
+            raise ConfigError("dump_snapshots must be true or false")
         for p in self.policies:
             if p not in POLICIES:
                 raise ConfigError(f"unknown policy {p!r}")
@@ -132,6 +164,7 @@ class RunConfig:
             self.generator.validate()
 
 
+_RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 _GENERATOR_FIELDS = {f.name for f in dataclasses.fields(GeneratorConfig)}
 _TUPLE_GENERATOR_FIELDS = {
     "weekday_factors", "diurnal_weights", "early_weights", "boost_hours",
@@ -163,26 +196,20 @@ def load_config(path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
 
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - known
+    unknown = set(data) - _RUN_FIELDS
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    return with_overrides(RunConfig(), data)
 
-    cfg = RunConfig()
-    for key, value in data.items():
-        if value is None:
-            continue
-        if key in ("train_window", "eval_window"):
-            setattr(cfg, key, parse_window(value, key))
-        elif key == "peak_hours":
-            cfg.peak_hours = parse_hours(value)
-        elif key == "novelty_limits":
-            cfg.novelty_limits = tuple(int(v) for v in value)
-        elif key in ("policies", "signals"):
-            setattr(cfg, key, tuple(str(v) for v in value))
-        elif key == "generator":
-            cfg.generator = generator_from_dict(value)
-        else:
-            setattr(cfg, key, value)
+
+def with_overrides(cfg: RunConfig, values: Mapping[str, object]) -> RunConfig:
+    """A validated copy of ``cfg`` with the fields named in ``values`` set.
+
+    Keys that are not RunConfig fields and None values are skipped; every
+    other value goes through ``parse_field``, as in a config file."""
+    cfg = dataclasses.replace(cfg, **{
+        key: parse_field(key, value) for key, value in values.items()
+        if key in _RUN_FIELDS and value is not None
+    })
     cfg.validate()
     return cfg

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import ConfigError, DataError
-from .events import DEFAULT_HORIZON, ItemTimeline
+from .events import DEFAULT_HORIZON, ItemTimeline, hour_of_minute
 from .indices import IndexTable
 from .ranking import POLICIES, RankingSnapshot, rank_items
 from .states import StateSpace
@@ -157,11 +157,6 @@ class _ActiveWindow:
         lo = bisect_left(self._minutes, t - horizon)
         hi = bisect_right(self._minutes, t - 1)
         return sorted(self._ids[lo:hi])
-
-
-def hour_of_minute(t: int) -> int:
-    """UTC hour of day for a minute index."""
-    return (t % 1440) // 60
 
 
 def evaluate_run(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,

@@ -244,6 +244,11 @@ def build_timelines(events: Iterable[Event]) -> dict[str, ItemTimeline]:
     }
 
 
+def hour_of_minute(t: int) -> int:
+    """UTC hour of day for a minute index."""
+    return (t % 1440) // 60
+
+
 def active_set(timelines: Mapping[str, ItemTimeline], t: int,
                horizon: int = DEFAULT_HORIZON) -> list[str]:
     """Item ids rankable at decision minute ``t``: posted before ``t``

@@ -1,33 +1,40 @@
-"""Reading and writing the fitted model as one text artifact.
+"""Fitting a model, and reading and writing it as one text artifact.
 
-The file is self-describing: sections hold the bin limits, reward
-factors, both transition matrices, the optional index table, and a
-fingerprint of how the model was fitted. Floats are written with 17
-significant digits so every value round-trips exactly.
+The file is self-describing and holds only what cannot be derived: the
+bin limits, reward factors, displayed chain ``p1``, optional index
+table, and a fingerprint of how the model was fitted. Floats are
+written with 17 significant digits so every value round-trips exactly.
 
-    # feedrank model, format v1
+    # feedrank model, format v2
     [meta]      fit fingerprint (windows, counts, filters)
     [config]    beta, per-state epsilon
     [bins]      novelty_limits, popularity_limits
-    [rewards]   r_n, r_p, flat reward vector
+    [rewards]   r_n, r_p
     [p1]        row_<i> = comma-joined probabilities
-    [p0]        row_<i> = comma-joined probabilities
     [indices]   g, pi_order, y_values (present once computed)
+
+Format v1 also stored ``reward =`` (from ``r_n``, ``r_p``) and ``[p0]``
+(from ``p1``, ``epsilon``); a v1 file loads if both equal those values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError
+from .config import RunConfig, parse_window
+from .errors import ConfigError, DataError
+from .events import ItemTimeline, hour_of_minute
 from .indices import IndexTable
-from .states import BinSpec, StateSpace, build_state_space
-from .transitions import TransitionModel
+from .states import (
+    BinSpec, StateSpace, build_state_space, fit_popularity_bins, fit_rewards,
+)
+from .transitions import TransitionModel, build_model, derive_p0, estimate_p1
 
-FORMAT_HEADER = "# feedrank model, format v1"
+FORMAT_HEADER = "# feedrank model, format v2"
 
 
 def _fmt(x: float) -> str:
@@ -52,7 +59,6 @@ class ModelBundle:
     epsilon: np.ndarray
     beta: float
     p1: np.ndarray
-    p0: np.ndarray
     meta: dict[str, str] = field(default_factory=dict)
     index: IndexTable | None = None
 
@@ -60,13 +66,63 @@ class ModelBundle:
         return build_state_space(self.bins, self.r_n, self.r_p)
 
     def transition_model(self) -> TransitionModel:
-        return TransitionModel(p1=self.p1, p0=self.p0, epsilon=self.epsilon,
-                               beta=self.beta)
+        return build_model(self.p1, self.epsilon, self.beta)
+
+    def train_window(self) -> tuple[int, int] | None:
+        """The window ``fit_model`` recorded in ``meta``, if any."""
+        text = self.meta.get("train_window")
+        if text is None:
+            return None
+        try:
+            return parse_window(text.strip("[)").split(","), "train_window")
+        except ConfigError as exc:
+            raise DataError(f"model [meta] {exc}") from exc
+
+
+def fit_model(timelines: Mapping[str, ItemTimeline], cfg: RunConfig) -> ModelBundle:
+    """Fit bins, rewards and ``p1`` on the items posted inside
+    ``cfg.train_window`` (and, when set, during ``cfg.peak_hours``)."""
+    if cfg.train_window is None:
+        raise ConfigError("fit needs a train window")
+    start, end = cfg.train_window
+    train = {
+        iid: tl for iid, tl in timelines.items()
+        if start <= tl.post_minute < end and (
+            cfg.peak_hours is None or hour_of_minute(tl.post_minute) in cfg.peak_hours)
+    }
+    if not train:
+        raise DataError(f"no posts inside the train window [{start}, {end})")
+
+    bins = BinSpec(
+        novelty_limits=cfg.novelty_limits,
+        popularity_limits=fit_popularity_bins(
+            [tl.final_retweet_count for tl in train.values()],
+            cfg.n_popularity_bins),
+    )
+    r_n, r_p = fit_rewards(train, bins)
+    p1 = estimate_p1(train, build_state_space(bins, r_n, r_p), cfg.train_window,
+                     smoothing=cfg.smoothing)
+    model = build_model(p1, cfg.epsilon, cfg.beta)
+
+    events_used = sum(
+        1 + sum(sum(c) for c in tl.per_minute_counts.values())
+        for tl in train.values()
+    )
+    meta = {
+        "train_window": f"[{start}, {end})",
+        "items_total": str(len(timelines)),
+        "items_used": str(len(train)),
+        "events_used": str(events_used),
+        "peak_hours": (",".join(str(h) for h in cfg.peak_hours)
+                       if cfg.peak_hours else "none"),
+        "smoothing": format(cfg.smoothing, ".17g"),
+    }
+    return ModelBundle(bins=bins, r_n=r_n, r_p=r_p, epsilon=model.epsilon,
+                       beta=model.beta, p1=model.p1, meta=meta)
 
 
 def write_model(bundle: ModelBundle, path) -> None:
-    space = bundle.state_space()
-    n = space.n_states
+    n = bundle.state_space().n_states
     lines = [FORMAT_HEADER, "[meta]"]
     for key, value in bundle.meta.items():
         lines.append(f"{key} = {value}")
@@ -81,11 +137,9 @@ def write_model(bundle: ModelBundle, path) -> None:
     lines.append("[rewards]")
     lines.append(f"r_n = {_fmt_list(bundle.r_n)}")
     lines.append(f"r_p = {_fmt_list(bundle.r_p)}")
-    lines.append(f"reward = {_fmt_list(space.reward)}")
-    for name, mat in (("p1", bundle.p1), ("p0", bundle.p0)):
-        lines.append(f"[{name}]")
-        for i in range(n):
-            lines.append(f"row_{i} = {_fmt_list(mat[i])}")
+    lines.append("[p1]")
+    for i in range(n):
+        lines.append(f"row_{i} = {_fmt_list(bundle.p1[i])}")
     if bundle.index is not None:
         lines.append("[indices]")
         lines.append(f"g = {_fmt_list(bundle.index.g)}")
@@ -121,9 +175,19 @@ def _read_sections(path) -> dict[str, dict[str, str]]:
     return sections
 
 
+def _parse_matrix(rows: dict[str, str], name: str, n: int) -> np.ndarray:
+    if len(rows) != n:
+        raise DataError(f"[{name}] holds {len(rows)} rows, expected {n}")
+    mat = np.empty((n, n))
+    for i in range(n):
+        mat[i] = _parse_floats(rows[f"row_{i}"])
+    return mat
+
+
 def read_model(path) -> ModelBundle:
+    """Load a format v2 or v1 model file."""
     sections = _read_sections(path)
-    for required in ("config", "bins", "rewards", "p1", "p0"):
+    for required in ("config", "bins", "rewards", "p1"):
         if required not in sections:
             raise DataError(f"model file is missing the [{required}] section")
     try:
@@ -139,14 +203,11 @@ def read_model(path) -> ModelBundle:
         r_n = tuple(_parse_floats(sections["rewards"]["r_n"]))
         r_p = tuple(_parse_floats(sections["rewards"]["r_p"]))
         n = bins.n_states
-        p1 = np.empty((n, n))
-        p0 = np.empty((n, n))
-        for name, mat in (("p1", p1), ("p0", p0)):
-            rows = sections[name]
-            if len(rows) != n:
-                raise DataError(f"[{name}] holds {len(rows)} rows, expected {n}")
-            for i in range(n):
-                mat[i] = _parse_floats(rows[f"row_{i}"])
+        p1 = _parse_matrix(sections["p1"], "p1", n)
+        # Derived values that format v1 stored as well.
+        reward_text = sections["rewards"].get("reward")
+        stored_reward = None if reward_text is None else _parse_floats(reward_text)
+        stored_p0 = _parse_matrix(sections["p0"], "p0", n) if "p0" in sections else None
     except KeyError as exc:
         raise DataError(f"model file is missing key {exc}") from exc
     except ValueError as exc:
@@ -168,10 +229,11 @@ def read_model(path) -> ModelBundle:
 
     bundle = ModelBundle(
         bins=bins, r_n=r_n, r_p=r_p, epsilon=epsilon, beta=beta,
-        p1=p1, p0=p0, meta=dict(sections.get("meta", {})), index=index,
+        p1=p1, meta=dict(sections.get("meta", {})), index=index,
     )
-    stored = _parse_floats(sections["rewards"]["reward"])
-    recomputed = bundle.state_space().reward
-    if list(recomputed) != stored:
+    reward = bundle.state_space().reward
+    if stored_reward is not None and list(reward) != stored_reward:
         raise DataError("stored reward vector disagrees with r_n and r_p")
+    if stored_p0 is not None and not np.array_equal(stored_p0, derive_p0(p1, epsilon)):
+        raise DataError("stored p0 disagrees with p1 and epsilon")
     return bundle

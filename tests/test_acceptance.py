@@ -14,13 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from feedrank.config import RunConfig
 from feedrank.errors import DataError
 from feedrank.events import build_timelines
 from feedrank.evaluation import evaluate_run, ndcg, write_header_text
 from feedrank.indices import compute_indices, occupancy
-from feedrank.model_io import ModelBundle, write_model
-from feedrank.states import BinSpec, DEFAULT_NOVELTY_LIMITS, build_state_space, \
-    fit_popularity_bins, fit_rewards
+from feedrank.model_io import fit_model
+from feedrank.states import BinSpec, build_state_space
 from feedrank.synth import GeneratorConfig, PEAK_HOURS, generate_markov_stream, \
     generate_stream
 from feedrank.transitions import build_model, derive_p0, estimate_p1
@@ -214,28 +214,6 @@ TRAIN_WINDOW = (0, 15 * 1440)
 EVAL_WINDOW = (15 * 1440, 30 * 1440)
 
 
-def _fit_pipeline(timelines, train_window, peak_hours=None):
-    start, end = train_window
-    selected = {
-        iid: tl for iid, tl in timelines.items()
-        if start <= tl.post_minute < end
-    }
-    if peak_hours is not None:
-        hour_set = frozenset(peak_hours)
-        selected = {
-            iid: tl for iid, tl in selected.items()
-            if (tl.post_minute % 1440) // 60 in hour_set
-        }
-    limits = fit_popularity_bins(
-        [tl.final_retweet_count for tl in selected.values()])
-    bins = BinSpec(DEFAULT_NOVELTY_LIMITS, limits)
-    r_n, r_p = fit_rewards(selected, bins)
-    space = build_state_space(bins, r_n, r_p)
-    p1 = estimate_p1(selected, space, train_window)
-    model = build_model(p1, epsilon=0.1, beta=0.9)
-    return space, model
-
-
 @pytest.fixture(scope="module")
 def month():
     data = {}
@@ -244,7 +222,8 @@ def month():
     data["n_posts"] = len(timelines)
 
     t0 = time.perf_counter()
-    space, model = _fit_pipeline(timelines, TRAIN_WINDOW)
+    bundle = fit_model(timelines, RunConfig(train_window=TRAIN_WINDOW))
+    space, model = bundle.state_space(), bundle.transition_model()
     data["fit_seconds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -305,9 +284,10 @@ def test_criterion_07_correlation_reported(month, tmp_path):
 def test_criterion_08_peak_hours_changes_fit(month):
     timelines = month["timelines"]
     full_space = month["space"]
-    peak_space, peak_model = _fit_pipeline(timelines, TRAIN_WINDOW,
-                                           peak_hours=PEAK_HOURS)
-    peak_table = compute_indices(peak_model, peak_space.reward)
+    peak = fit_model(timelines, RunConfig(train_window=TRAIN_WINDOW,
+                                          peak_hours=PEAK_HOURS))
+    peak_space = peak.state_space()
+    peak_table = compute_indices(peak.transition_model(), peak_space.reward)
     peak_report = evaluate_run(
         timelines, peak_space, peak_table,
         ("index", "novelty", "popularity"),

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -167,3 +169,45 @@ def test_dump_snapshots(tmp_path, pipeline):
     lines = open(f"{report}/snapshots.csv").read().splitlines()
     assert lines[0] == "minute,policy,rank,item_id,state_index"
     assert len(lines) > 1
+
+
+def _meta_window_model(pipeline, tmp_path, value):
+    text = open(pipeline["model"]).read()
+    path = tmp_path / "meta.txt"
+    path.write_text(text.replace("train_window = [0, 2880)",
+                                 f"train_window = {value}"))
+    return str(path)
+
+
+@pytest.mark.parametrize("case,expected", [
+    ({"config": {"beta": "0.9"}}, 1),
+    ({"config": {"beta": True}}, 1),
+    ({"config": {"novelty_limits": [1, "x"]}}, 1),
+    ({"flags": ["--novelty-limits", "1,x"]}, 1),
+    ({"flags": ["--peak-hours", "a-b"]}, 1),
+    ({"flags": ["--peak-hours", "12-30"]}, 1),
+    ({"flags": ["--beta", "1"]}, 1),
+    ({"meta_window": "[a, b)"}, 2),
+    ({"meta_window": "5"}, 2),
+], ids=["config-beta-string", "config-beta-bool", "config-novelty-limits",
+        "flag-novelty-limits", "flag-peak-hours", "flag-peak-hours-range",
+        "flag-beta-1", "meta-window-letters", "meta-window-no-comma"])
+def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline):
+    if "meta_window" in case:
+        args = ["evaluate", "--events", pipeline["events"],
+                "--model", _meta_window_model(pipeline, tmp_path, case["meta_window"]),
+                "--report-dir", str(tmp_path / "r"), "--eval-window", "2880:2940"]
+    else:
+        args = ["fit", "--events", pipeline["events"],
+                "--model", str(tmp_path / "m.txt"), "--train-window", "0:2880",
+                *case.get("flags", [])]
+        if "config" in case:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps(case["config"]))
+            args += ["--config", str(cfg_path)]
+    proc = subprocess.run([sys.executable, "-m", "feedrank.cli", *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == expected
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from feedrank.errors import ConfigError, DataError
-from feedrank.events import Event, build_timelines
+from feedrank.events import Event, build_timelines, hour_of_minute
 from feedrank.evaluation import (
-    attention_relevance, evaluate_run, hour_of_minute, ndcg, pearson,
+    attention_relevance, evaluate_run, ndcg, pearson,
     utility_relevance, write_header_text, write_series_csv, write_summary_csv,
 )
 from feedrank.indices import IndexTable

@@ -7,7 +7,7 @@ from feedrank.errors import DataError
 from feedrank.indices import compute_indices
 from feedrank.model_io import ModelBundle, read_model, write_model
 from feedrank.states import BinSpec
-from feedrank.transitions import build_model
+from feedrank.transitions import build_model, derive_p0
 
 
 def make_bundle(with_index=False):
@@ -23,7 +23,6 @@ def make_bundle(with_index=False):
         epsilon=model.epsilon,
         beta=0.9,
         p1=model.p1,
-        p0=model.p0,
         meta={"train_window": "[0, 100)", "items_used": "42"},
     )
     if with_index:
@@ -43,7 +42,8 @@ def test_round_trip_preserves_everything(tmp_path):
     assert back.beta == bundle.beta
     assert np.array_equal(back.epsilon, bundle.epsilon)
     assert np.array_equal(back.p1, bundle.p1)
-    assert np.array_equal(back.p0, bundle.p0)
+    assert np.array_equal(back.transition_model().p0,
+                          bundle.transition_model().p0)
     assert back.meta == bundle.meta
     assert np.array_equal(back.index.g, bundle.index.g)
     assert np.array_equal(back.index.pi_order, bundle.index.pi_order)
@@ -70,11 +70,11 @@ def test_missing_section_rejected(tmp_path):
     path = tmp_path / "model.txt"
     write_model(make_bundle(), path)
     text = path.read_text()
-    mutilated = text[:text.index("[p0]")]
+    mutilated = text[:text.index("[p1]")]
     path.write_text(mutilated)
     with pytest.raises(DataError) as exc_info:
         read_model(path)
-    assert "[p0]" in str(exc_info.value)
+    assert "[p1]" in str(exc_info.value)
 
 
 def test_garbage_line_rejected(tmp_path):
@@ -86,23 +86,73 @@ def test_garbage_line_rejected(tmp_path):
     assert "line" in str(exc_info.value)
 
 
-def test_tampered_reward_vector_rejected(tmp_path):
+def v1_text(bundle):
+    """The bundle in format v1, which also stored the reward vector and p0."""
+    lines = [
+        "# feedrank model, format v1", "[meta]",
+        *(f"{k} = {v}" for k, v in bundle.meta.items()),
+        "[config]", f"beta = {bundle.beta!r}",
+        "epsilon = " + ",".join(repr(float(e)) for e in bundle.epsilon),
+        "[bins]", "novelty_limits = 1,2,3", "popularity_limits = 0,2,inf",
+        "[rewards]",
+        "r_n = " + ",".join(repr(v) for v in bundle.r_n),
+        "r_p = " + ",".join(repr(v) for v in bundle.r_p),
+        "reward = " + ",".join(repr(float(v)) for v in bundle.state_space().reward),
+    ]
+    p0 = derive_p0(bundle.p1, bundle.epsilon)
+    for name, mat in (("p1", bundle.p1), ("p0", p0)):
+        lines.append(f"[{name}]")
+        lines.extend(f"row_{i} = " + ",".join(repr(float(x)) for x in row)
+                     for i, row in enumerate(mat))
+    return "\n".join(lines) + "\n"
+
+
+def test_v1_file_loads_to_the_same_bundle(tmp_path):
+    bundle = make_bundle()
+    v1 = tmp_path / "v1.txt"
+    v1.write_text(v1_text(bundle))
+    back = read_model(v1)
+    assert back.meta == bundle.meta
+    assert np.array_equal(back.p1, bundle.p1)
+    assert np.array_equal(back.transition_model().p0,
+                          bundle.transition_model().p0)
+    v2 = tmp_path / "v2.txt"
+    write_model(bundle, v2)
+    rewritten = tmp_path / "rewritten.txt"
+    write_model(back, rewritten)
+    assert rewritten.read_bytes() == v2.read_bytes()
+
+
+def tampered_v1(tmp_path, prefix, replacement):
+    """A v1 file whose last line starting with ``prefix`` is replaced."""
+    lines = v1_text(make_bundle()).splitlines()
+    i = max(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = replacement
     path = tmp_path / "model.txt"
-    write_model(make_bundle(), path)
-    lines = path.read_text().splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith("reward = "):
-            lines[i] = "reward = " + ",".join(["0.5"] * 5)
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_tampered_reward_vector_rejected(tmp_path):
+    path = tampered_v1(tmp_path, "reward = ", "reward = " + ",".join(["0.5"] * 5))
     with pytest.raises(DataError) as exc_info:
         read_model(path)
     assert "reward" in str(exc_info.value)
 
 
+def test_tampered_p0_rejected(tmp_path):
+    # [p0] follows [p1], so the last row_0 is p0's; its replacement is a
+    # valid probability row, just not the one p1 and epsilon give.
+    path = tampered_v1(tmp_path, "row_0 = ", "row_0 = 1,0,0,0,0")
+    with pytest.raises(DataError) as exc_info:
+        read_model(path)
+    assert "p0" in str(exc_info.value)
+
+
 def test_wrong_row_count_rejected(tmp_path):
     path = tmp_path / "model.txt"
     write_model(make_bundle(), path)
-    # Remove row_4 from both matrices.
+    # Remove row_4 from p1.
     lines = [l for l in path.read_text().splitlines()
              if not l.startswith("row_4 = ")]
     path.write_text("\n".join(lines) + "\n")
