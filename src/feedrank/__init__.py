@@ -14,21 +14,21 @@ from .errors import (
     NumericalError,
 )
 from .events import (
-    Event, ItemTimeline, active_set, build_timelines, load_event_log,
-    parse_event_log, serialize_event_log,
+    Event, ItemTimeline, build_timelines, load_event_log, parse_event_log,
+    serialize_event_log,
 )
 from .states import (
     BinSpec, DEFAULT_NOVELTY_LIMITS, StateSpace, build_state_space,
-    fit_popularity_bins, fit_rewards,
+    classify_minute, fit_popularity_bins, fit_rewards,
 )
 from .transitions import (
-    TransitionModel, build_model, classify_minute, derive_p0, estimate_p1,
+    TransitionModel, build_model, derive_p0, estimate_p1,
 )
 from .indices import (
     IndexTable, compute_indices, constants_a, format_rank_grid, occupancy,
     rank_states,
 )
-from .ranking import RankingSnapshot, rank_items, top_k
+from .ranking import RankingSnapshot, rank_items, rank_minutes
 from .evaluation import (
     EvaluationReport, attention_relevance, evaluate_run, ndcg, pearson,
     utility_relevance,
@@ -45,11 +45,11 @@ __all__ = [
     "EventLogError", "FeedrankError", "GeneratorConfig", "IndexTable",
     "IndexabilityError", "ItemTimeline", "ModelBundle", "NumericalError",
     "RankingSnapshot", "RunConfig", "StateSpace", "TransitionModel",
-    "active_set", "attention_relevance", "build_model", "build_state_space",
+    "attention_relevance", "build_model", "build_state_space",
     "build_timelines", "classify_minute", "compute_indices", "constants_a",
     "derive_p0", "estimate_p1", "evaluate_run", "fit_model", "fit_popularity_bins",
     "fit_rewards", "format_rank_grid", "generate_markov_stream",
     "generate_stream", "load_config", "load_event_log", "ndcg", "occupancy",
-    "parse_event_log", "pearson", "rank_items", "rank_states", "read_model",
-    "serialize_event_log", "top_k", "utility_relevance", "write_model",
+    "parse_event_log", "pearson", "rank_items", "rank_minutes", "rank_states",
+    "read_model", "serialize_event_log", "utility_relevance", "write_model",
 ]

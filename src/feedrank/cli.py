@@ -26,7 +26,7 @@ from .evaluation import (
 from .events import build_timelines, load_event_log, serialize_event_log
 from .indices import compute_indices, format_rank_grid
 from .model_io import fit_model, read_model, write_model
-from .ranking import rank_items
+from .ranking import rank_minutes, write_snapshots_csv
 from .synth import GeneratorConfig, generate_stream
 
 
@@ -109,7 +109,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     write_summary_csv(report, os.path.join(cfg.report_dir, "summary.csv"))
     write_header_text(report, os.path.join(cfg.report_dir, "header.txt"), extra)
     if cfg.dump_snapshots:
-        _dump_snapshots(report, timelines, space, bundle, cfg)
+        write_snapshots_csv(
+            rank_minutes(timelines, space, bundle.index, cfg.policies, report.minutes,
+                         cfg.horizon),
+            os.path.join(cfg.report_dir, "snapshots.csv"))
     print(f"evaluated {len(report.minutes)} minutes "
           f"({report.skipped_empty} empty skipped) -> {cfg.report_dir}")
     return 0
@@ -120,18 +123,6 @@ def _describe_epsilon(epsilon: np.ndarray) -> str:
     if len(values) == 1:
         return format(values.pop(), ".17g")
     return "per-state"
-
-
-def _dump_snapshots(report, timelines, space, bundle, cfg: RunConfig) -> None:
-    from .ranking import write_snapshots_csv
-
-    def snapshots():
-        for t in report.minutes:
-            for p in cfg.policies:
-                yield rank_items(t, timelines, space, bundle.index, p,
-                                 horizon=cfg.horizon)
-
-    write_snapshots_csv(snapshots(), os.path.join(cfg.report_dir, "snapshots.csv"))
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -12,8 +12,7 @@ from typing import Mapping
 
 from .errors import ConfigError
 from .evaluation import DEFAULT_RELEVANCE_CAP, SIGNALS
-from .events import DEFAULT_HORIZON
-from .ranking import POLICIES
+from .ranking import DEFAULT_HORIZON, POLICIES
 from .states import DEFAULT_NOVELTY_LIMITS, DEFAULT_POPULARITY_BINS
 from .synth import GeneratorConfig
 from .transitions import DEFAULT_BETA, DEFAULT_EPSILON
@@ -166,9 +165,6 @@ class RunConfig:
 
 _RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 _GENERATOR_FIELDS = {f.name for f in dataclasses.fields(GeneratorConfig)}
-_TUPLE_GENERATOR_FIELDS = {
-    "weekday_factors", "diurnal_weights", "early_weights", "boost_hours",
-}
 
 
 def generator_from_dict(data: dict) -> GeneratorConfig:
@@ -177,10 +173,8 @@ def generator_from_dict(data: dict) -> GeneratorConfig:
     unknown = set(data) - _GENERATOR_FIELDS
     if unknown:
         raise ConfigError(f"unknown generator key(s): {', '.join(sorted(unknown))}")
-    kwargs = dict(data)
-    for key in _TUPLE_GENERATOR_FIELDS & set(kwargs):
-        kwargs[key] = tuple(kwargs[key])
-    cfg = GeneratorConfig(**kwargs)
+    cfg = GeneratorConfig(**{key: tuple(value) if isinstance(value, list) else value
+                             for key, value in data.items()})
     cfg.validate()
     return cfg
 

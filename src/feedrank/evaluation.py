@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import ConfigError, DataError
-from .events import DEFAULT_HORIZON, ItemTimeline, hour_of_minute
+from .events import ItemTimeline, hour_of_minute
 from .indices import IndexTable
-from .ranking import POLICIES, RankingSnapshot, rank_items
-from .states import StateSpace
-from .transitions import classify_minute
+from .ranking import DEFAULT_HORIZON, POLICIES, rank_minutes
+from .states import StateSpace, classify_minute
 
 SIGNALS = ("utility", "rt", "rt_replies", "rt_replies_favs")
 DEFAULT_RELEVANCE_CAP = 30
@@ -42,30 +40,20 @@ _SIGNAL_SLOTS = {
 }
 
 
-@dataclass(frozen=True)
-class RelevanceAssignment:
-    """Non-negative relevance score per item for one minute and signal."""
-
-    minute: int
-    signal: str
-    scores: Mapping[str, float]
-
-
 def utility_relevance(t: int, item_ids: Sequence[str],
                       timelines: Mapping[str, ItemTimeline],
-                      state_space: StateSpace) -> RelevanceAssignment:
+                      state_space: StateSpace) -> dict[str, float]:
     """Reward of each item's state at minute ``t + 1``."""
     reward = state_space.reward
-    scores = {
+    return {
         iid: float(reward[classify_minute(timelines[iid], t + 1, state_space)])
         for iid in item_ids
     }
-    return RelevanceAssignment(minute=t, signal="utility", scores=scores)
 
 
 def attention_relevance(t: int, item_ids: Sequence[str],
                         timelines: Mapping[str, ItemTimeline], signal: str,
-                        cap: int = DEFAULT_RELEVANCE_CAP) -> RelevanceAssignment:
+                        cap: int = DEFAULT_RELEVANCE_CAP) -> dict[str, float]:
     """Engagement received during minute ``t``, capped at ``cap``."""
     if signal not in _SIGNAL_SLOTS:
         raise ConfigError(f"unknown attention signal {signal!r}")
@@ -76,7 +64,7 @@ def attention_relevance(t: int, item_ids: Sequence[str],
     for iid in item_ids:
         counts = timelines[iid].counts_in_minute(t)
         scores[iid] = float(min(sum(counts[s] for s in slots), cap))
-    return RelevanceAssignment(minute=t, signal=signal, scores=scores)
+    return scores
 
 
 def ndcg(ranked_ids: Sequence[str], relevance: Mapping[str, float]) -> float:
@@ -145,20 +133,6 @@ class EvaluationReport:
         }
 
 
-class _ActiveWindow:
-    """Active-set queries via post minutes sorted once up front."""
-
-    def __init__(self, timelines: Mapping[str, ItemTimeline]):
-        pairs = sorted((tl.post_minute, iid) for iid, tl in timelines.items())
-        self._minutes = [p[0] for p in pairs]
-        self._ids = [p[1] for p in pairs]
-
-    def active_ids(self, t: int, horizon: int) -> list[str]:
-        lo = bisect_left(self._minutes, t - horizon)
-        hi = bisect_right(self._minutes, t - 1)
-        return sorted(self._ids[lo:hi])
-
-
 def evaluate_run(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,
                  index_table: IndexTable | None,
                  policies: Sequence[str], signals: Sequence[str],
@@ -206,32 +180,23 @@ def evaluate_run(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,
                 f"train window [{t0}, {t1}) overlaps evaluation window [{start}, {end})"
             )
 
-    window = _ActiveWindow(timelines)
+    decision_minutes = [t for t in range(start, end, interval)
+                        if hour_set is None or hour_of_minute(t) in hour_set]
     minutes: list[int] = []
     active_counts: list[int] = []
     series: dict[tuple[str, str], list[float]] = {
         (p, s): [] for p in policies for s in signals
     }
-    skipped = 0
-
-    for t in range(start, end, interval):
-        if hour_set is not None and hour_of_minute(t) not in hour_set:
-            continue
-        ids = window.active_ids(t, horizon)
-        if not ids:
-            skipped += 1
-            continue
-        relevances = {}
-        for s in signals:
-            if s == "utility":
-                relevances[s] = utility_relevance(t, ids, timelines, state_space)
-            else:
-                relevances[s] = attention_relevance(t, ids, timelines, s, cap=relevance_cap)
-        for p in policies:
-            snap = rank_items(t, timelines, state_space, index_table, p,
-                              horizon=horizon, active_ids=ids)
+    for t, ids, snapshots in rank_minutes(timelines, state_space, index_table,
+                                          policies, decision_minutes, horizon):
+        relevances = {
+            s: utility_relevance(t, ids, timelines, state_space) if s == "utility"
+            else attention_relevance(t, ids, timelines, s, cap=relevance_cap)
+            for s in signals
+        }
+        for snap in snapshots:
             for s in signals:
-                series[(p, s)].append(ndcg(snap.item_ids, relevances[s].scores))
+                series[(snap.policy, s)].append(ndcg(snap.item_ids, relevances[s]))
         minutes.append(t)
         active_counts.append(len(ids))
 
@@ -253,7 +218,7 @@ def evaluate_run(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,
         minutes=minutes,
         active_counts=active_counts,
         series=series,
-        skipped_empty=skipped,
+        skipped_empty=len(decision_minutes) - len(minutes),
         warnings=warnings,
         fingerprint=fingerprint,
     )

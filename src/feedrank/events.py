@@ -23,7 +23,6 @@ from .errors import DataError, EventLogError
 EVENT_KINDS = ("post", "retweet", "reply", "favorite")
 ENGAGEMENT_KINDS = ("retweet", "reply", "favorite")
 SECONDS_PER_MINUTE = 60
-DEFAULT_HORIZON = 60
 
 _REQUIRED_KEYS = ("kind", "item_id", "event_id", "ts", "account")
 
@@ -180,9 +179,6 @@ class ItemTimeline:
     def final_retweet_count(self) -> int:
         return self._rt_cumulative[-1]
 
-    def age_at(self, minute: int) -> int:
-        return minute - self.post_minute
-
 
 def _make_timeline(item_id: str, post_ts: int, account: str,
                    counts: dict[int, list[int]]) -> ItemTimeline:
@@ -247,15 +243,3 @@ def build_timelines(events: Iterable[Event]) -> dict[str, ItemTimeline]:
 def hour_of_minute(t: int) -> int:
     """UTC hour of day for a minute index."""
     return (t % 1440) // 60
-
-
-def active_set(timelines: Mapping[str, ItemTimeline], t: int,
-               horizon: int = DEFAULT_HORIZON) -> list[str]:
-    """Item ids rankable at decision minute ``t``: posted before ``t``
-    and no more than ``horizon`` minutes old. Returned sorted by id."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return sorted(
-        iid for iid, tl in timelines.items()
-        if 0 < t - tl.post_minute <= horizon
-    )

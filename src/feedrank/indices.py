@@ -133,11 +133,9 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
     pi_order = np.empty(n, dtype=int)
     y_values = np.empty(n)
     running = 0.0
-    diff = model.p1 - model.p0
 
     for step in range(n):
-        v_comp = occupancy(~remaining, model)
-        a = 1.0 + model.beta * (diff @ v_comp)
+        a = constants_a(remaining, model)
         members = np.flatnonzero(remaining)
         a_members = a[members]
         bad = np.flatnonzero(a_members <= 0)

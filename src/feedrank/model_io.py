@@ -180,7 +180,10 @@ def _parse_matrix(rows: dict[str, str], name: str, n: int) -> np.ndarray:
         raise DataError(f"[{name}] holds {len(rows)} rows, expected {n}")
     mat = np.empty((n, n))
     for i in range(n):
-        mat[i] = _parse_floats(rows[f"row_{i}"])
+        row = _parse_floats(rows[f"row_{i}"])
+        if len(row) != n:
+            raise DataError(f"[{name}] row_{i} holds {len(row)} values, expected {n}")
+        mat[i] = row
     return mat
 
 
@@ -226,6 +229,13 @@ def read_model(path) -> ModelBundle:
             raise DataError(f"model file [indices] section is invalid: {exc}") from exc
         if len(index.g) != n:
             raise DataError("index table size does not match the state space")
+        if len(index.y_values) != n:
+            raise DataError(f"[indices] y_values holds {len(index.y_values)} values, "
+                            f"expected {n}")
+        if sorted(index.pi_order.tolist()) != list(range(n)):
+            raise DataError("[indices] pi_order is not a permutation of the states")
+        if not np.array_equal(index.replay(), index.g):
+            raise DataError("[indices] g disagrees with pi_order and y_values")
 
     bundle = ModelBundle(
         bins=bins, r_n=r_n, r_p=r_p, epsilon=epsilon, beta=beta,

@@ -109,6 +109,17 @@ def classify(age: int, count: int, bins: BinSpec) -> int:
     return (nb - 1) * bins.n_popularity_bins + bins.popularity_bin(count)
 
 
+def classify_minute(tl: ItemTimeline, t: int, state_space: StateSpace) -> int:
+    """State of an item at decision minute ``t`` (0 when out of window).
+
+    The item's age is ``t`` minus its post minute and its count the
+    retweets strictly before ``t``."""
+    age = t - tl.post_minute
+    if age < 0:
+        return 0
+    return classify(age, tl.retweets_before(t), state_space.bins)
+
+
 def state_bins(index: int, bins: BinSpec) -> tuple[int, int]:
     """Invert the state index to a (novelty, popularity) bin pair."""
     if index <= 0 or index >= bins.n_states:
@@ -212,9 +223,6 @@ class StateSpace:
     @property
     def n_states(self) -> int:
         return self.bins.n_states
-
-    def classify(self, age: int, count: int) -> int:
-        return classify(age, count, self.bins)
 
     def label(self, index: int) -> str:
         return state_label(index, self.bins)

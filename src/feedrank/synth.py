@@ -10,7 +10,9 @@ truth for the transition estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +68,22 @@ class GeneratorConfig:
     magnitude_cap: int = 1_000_000
 
     def validate(self) -> None:
+        # Each field holds the number type of its default (tuple fields:
+        # of their entries); bools are not numbers here.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            is_tuple = isinstance(f.default, tuple)
+            sample = f.default[0] if is_tuple else f.default
+            if is_tuple and not isinstance(value, tuple):
+                raise ConfigError(f"{f.name} must be a list of numbers, got {value!r}")
+            for v in value if is_tuple else (value,):
+                if isinstance(sample, int):
+                    if isinstance(v, bool) or not isinstance(v, Integral):
+                        raise ConfigError(f"{f.name} must hold integers, got {v!r}")
+                elif isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must hold finite numbers, got {v!r}")
+        if self.seed < 0 or self.start_day < 0:
+            raise ConfigError("seed and start_day must be >= 0")
         if self.n_accounts < 1 or self.days < 1:
             raise ConfigError("need at least one account and one day")
         if self.posts_per_day < 0:

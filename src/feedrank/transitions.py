@@ -14,14 +14,14 @@ identical and ``epsilon = 0`` freezes non-displayed items.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DataError
 from .events import ItemTimeline
-from .states import StateSpace
+from .states import StateSpace, classify_minute
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_EPSILON = 0.1
@@ -83,14 +83,6 @@ def estimate_p1(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,
     for i in np.flatnonzero(~observed):
         p1[i, i] = 1.0
     return p1
-
-
-def classify_minute(tl: ItemTimeline, t: int, state_space: StateSpace) -> int:
-    """State of an item at decision minute ``t`` (0 when out of window)."""
-    age = t - tl.post_minute
-    if age < 0:
-        return 0
-    return state_space.classify(age, tl.retweets_before(t))
 
 
 def derive_p0(p1: np.ndarray, epsilon) -> np.ndarray:

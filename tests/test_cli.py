@@ -1,3 +1,5 @@
+import collections
+import csv
 import json
 import subprocess
 import sys
@@ -169,6 +171,14 @@ def test_dump_snapshots(tmp_path, pipeline):
     lines = open(f"{report}/snapshots.csv").read().splitlines()
     assert lines[0] == "minute,policy,rank,item_id,state_index"
     assert len(lines) > 1
+    # One row per active item, for every evaluated minute and policy.
+    with open(f"{report}/series.csv") as fh:
+        expected = {(row["minute"], row["policy"]): int(row["active_count"])
+                    for row in csv.DictReader(fh)}
+    with open(f"{report}/snapshots.csv") as fh:
+        got = collections.Counter((row["minute"], row["policy"])
+                                  for row in csv.DictReader(fh))
+    assert dict(got) == expected
 
 
 def _meta_window_model(pipeline, tmp_path, value):
@@ -189,22 +199,28 @@ def _meta_window_model(pipeline, tmp_path, value):
     ({"flags": ["--beta", "1"]}, 1),
     ({"meta_window": "[a, b)"}, 2),
     ({"meta_window": "5"}, 2),
+    ({"simulate": True, "config": {"generator": {"days": "x"}}}, 1),
+    ({"simulate": True, "flags": ["--posts-per-day", "nan"]}, 1),
+    ({"simulate": True, "flags": ["--seed", "-1"]}, 1),
 ], ids=["config-beta-string", "config-beta-bool", "config-novelty-limits",
         "flag-novelty-limits", "flag-peak-hours", "flag-peak-hours-range",
-        "flag-beta-1", "meta-window-letters", "meta-window-no-comma"])
+        "flag-beta-1", "meta-window-letters", "meta-window-no-comma",
+        "config-generator-days", "flag-posts-per-day-nan", "flag-seed-negative"])
 def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline):
     if "meta_window" in case:
         args = ["evaluate", "--events", pipeline["events"],
                 "--model", _meta_window_model(pipeline, tmp_path, case["meta_window"]),
                 "--report-dir", str(tmp_path / "r"), "--eval-window", "2880:2940"]
+    elif "simulate" in case:
+        args = ["simulate", "--events", str(tmp_path / "e.jsonl"), *case.get("flags", [])]
     else:
         args = ["fit", "--events", pipeline["events"],
                 "--model", str(tmp_path / "m.txt"), "--train-window", "0:2880",
                 *case.get("flags", [])]
-        if "config" in case:
-            cfg_path = tmp_path / "run.json"
-            cfg_path.write_text(json.dumps(case["config"]))
-            args += ["--config", str(cfg_path)]
+    if "config" in case:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(case["config"]))
+        args += ["--config", str(cfg_path)]
     proc = subprocess.run([sys.executable, "-m", "feedrank.cli", *args],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == expected

@@ -84,11 +84,11 @@ def test_attention_relevance_slots_and_cap():
     events += [Event("reply", "a", f"a-p{k}", 65) for k in range(3)]
     events += [Event("favorite", "a", f"a-f{k}", 65) for k in range(2)]
     timelines = build_timelines(events)
-    assert attention_relevance(1, ["a"], timelines, "rt").scores["a"] == 30.0
-    assert attention_relevance(1, ["a"], timelines, "rt", cap=100).scores["a"] == 40.0
-    assert attention_relevance(1, ["a"], timelines, "rt_replies", cap=100).scores["a"] == 43.0
-    assert attention_relevance(1, ["a"], timelines, "rt_replies_favs", cap=100).scores["a"] == 45.0
-    assert attention_relevance(2, ["a"], timelines, "rt").scores["a"] == 0.0
+    assert attention_relevance(1, ["a"], timelines, "rt")["a"] == 30.0
+    assert attention_relevance(1, ["a"], timelines, "rt", cap=100)["a"] == 40.0
+    assert attention_relevance(1, ["a"], timelines, "rt_replies", cap=100)["a"] == 43.0
+    assert attention_relevance(1, ["a"], timelines, "rt_replies_favs", cap=100)["a"] == 45.0
+    assert attention_relevance(2, ["a"], timelines, "rt")["a"] == 0.0
     with pytest.raises(ConfigError):
         attention_relevance(1, ["a"], timelines, "views")
     with pytest.raises(ConfigError):
@@ -102,10 +102,10 @@ def test_utility_relevance_uses_next_minute_state():
     timelines = build_timelines(events)
     # At t = 1 the item is age 1 / 0 visible retweets; at t + 1 = 2 it is
     # age 2 with 1 visible retweet, i.e. state (2,2) = 4.
-    scores = utility_relevance(1, ["a"], timelines, space).scores
+    scores = utility_relevance(1, ["a"], timelines, space)
     assert scores["a"] == pytest.approx(float(space.reward[4]))
     # At t = 2 the next-minute state is out of window (age 3): reward 0.
-    assert utility_relevance(2, ["a"], timelines, space).scores["a"] == 0.0
+    assert utility_relevance(2, ["a"], timelines, space)["a"] == 0.0
 
 
 def test_hour_of_minute_wraps_days():

@@ -4,7 +4,7 @@ import pytest
 
 from feedrank.errors import DataError, EventLogError
 from feedrank.events import (
-    Event, active_set, build_timelines, parse_event_log, serialize_event_log,
+    Event, build_timelines, parse_event_log, serialize_event_log,
 )
 
 
@@ -116,18 +116,6 @@ def test_engagement_in_post_minute_is_allowed():
     ]
     tl = build_timelines(events)["t1"]
     assert tl.counts_in_minute(10) == (1, 0, 0)
-
-
-def test_active_set_window_boundaries():
-    events = [Event("post", f"t{k}", f"t{k}", 60 * k) for k in range(5)]
-    timelines = build_timelines(events)
-    # Age must satisfy 0 < t - post <= horizon.
-    assert active_set(timelines, 3, horizon=2) == ["t1", "t2"]
-    assert active_set(timelines, 0, horizon=60) == []
-    assert active_set(timelines, 64, horizon=60) == ["t4"]
-    assert active_set(timelines, 65, horizon=60) == []
-    with pytest.raises(ValueError):
-        active_set(timelines, 3, horizon=0)
 
 
 def test_serialize_is_compact_single_lines():

@@ -160,6 +160,53 @@ def test_wrong_row_count_rejected(tmp_path):
         read_model(path)
 
 
+def tampered_v2(tmp_path, prefix, replacement):
+    """A v2 file with an index table whose line starting with ``prefix``
+    is replaced."""
+    path = tmp_path / "model.txt"
+    write_model(make_bundle(with_index=True), path)
+    lines = [replacement if line.startswith(prefix) else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_short_p1_row_rejected(tmp_path):
+    # One value would broadcast over the whole row if it were accepted.
+    path = tampered_v2(tmp_path, "row_3 = ", "row_3 = 0.5")
+    with pytest.raises(DataError) as exc_info:
+        read_model(path)
+    assert "row_3" in str(exc_info.value)
+
+
+def test_pi_order_that_is_not_a_permutation_rejected(tmp_path):
+    order = make_bundle(with_index=True).index.pi_order.tolist()
+    order[1] = order[0]
+    path = tampered_v2(tmp_path, "pi_order = ",
+                       "pi_order = " + ",".join(str(v) for v in order))
+    with pytest.raises(DataError) as exc_info:
+        read_model(path)
+    assert "permutation" in str(exc_info.value)
+
+
+def test_y_values_of_wrong_length_rejected(tmp_path):
+    y = make_bundle(with_index=True).index.y_values
+    path = tampered_v2(tmp_path, "y_values = ",
+                       "y_values = " + ",".join(repr(float(v)) for v in y[:-1]))
+    with pytest.raises(DataError) as exc_info:
+        read_model(path)
+    assert "y_values" in str(exc_info.value)
+
+
+def test_g_that_disagrees_with_the_trace_rejected(tmp_path):
+    g = make_bundle(with_index=True).index.g.copy()
+    g[2] = np.nextafter(g[2], np.inf)
+    path = tampered_v2(tmp_path, "g = ", "g = " + ",".join(repr(float(v)) for v in g))
+    with pytest.raises(DataError) as exc_info:
+        read_model(path)
+    assert "disagrees" in str(exc_info.value)
+
+
 def test_duplicate_section_rejected(tmp_path):
     path = tmp_path / "model.txt"
     write_model(make_bundle(), path)

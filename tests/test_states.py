@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from feedrank.errors import DataError
 from feedrank.events import Event, build_timelines
 from feedrank.states import (
-    DEFAULT_NOVELTY_LIMITS, BinSpec, build_state_space, classify,
+    DEFAULT_NOVELTY_LIMITS, BinSpec, build_state_space, classify, classify_minute,
     fit_popularity_bins, fit_rewards, state_bins, state_label,
 )
 from oracles import quantile_limits_bruteforce
@@ -60,6 +60,17 @@ def test_classify_documented_states():
     # Age 10 sits in novelty bin 9; 150 retweets in popularity bin 10.
     assert classify(10, 150, bins) == 90
     assert classify(2, 131, bins) == 20
+
+
+def test_classify_minute_counts_retweets_before_the_minute():
+    space = build_state_space(month_bins(), MONTH_R_N, MONTH_R_P)
+    events = [Event("post", "a", "a", 600)]
+    events += [Event("retweet", "a", f"a-r{k}", 660) for k in range(19)]
+    tl = build_timelines(events)["a"]
+    # Post minute 10; the 19 retweets land in minute 11 and count from 12.
+    assert classify_minute(tl, 11, space) == classify(1, 0, space.bins) == 1
+    assert classify_minute(tl, 12, space) == classify(2, 19, space.bins) == 13
+    assert classify_minute(tl, 70, space) == 0
 
 
 def test_reward_peaks_at_state_20():

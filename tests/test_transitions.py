@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from feedrank.errors import DataError
 from feedrank.events import Event, build_timelines
-from feedrank.states import BinSpec, build_state_space
+from feedrank.states import BinSpec, build_state_space, classify_minute
 from feedrank.transitions import (
-    TransitionModel, build_model, classify_minute, derive_p0, estimate_p1,
+    TransitionModel, build_model, derive_p0, estimate_p1,
 )
 from oracles import count_transitions_bruteforce, rows_to_probabilities
 
