@@ -14,12 +14,12 @@ from .errors import (
     NumericalError,
 )
 from .events import (
-    Event, ItemTimeline, build_timelines, load_event_log, parse_event_log,
+    Event, ItemTable, build_timelines, load_event_log, parse_event_log,
     serialize_event_log,
 )
 from .states import (
     BinSpec, DEFAULT_NOVELTY_LIMITS, StateSpace, build_state_space,
-    classify_minute, fit_popularity_bins, fit_rewards,
+    classify, fit_popularity_bins, fit_rewards,
 )
 from .transitions import (
     TransitionModel, build_model, derive_p0, estimate_p1,
@@ -28,7 +28,7 @@ from .indices import (
     IndexTable, compute_indices, constants_a, format_rank_grid, occupancy,
     rank_states,
 )
-from .ranking import RankingSnapshot, rank_items, rank_minutes
+from .ranking import MinuteRanking, rank_items, rank_minutes
 from .evaluation import (
     EvaluationReport, attention_relevance, evaluate_run, ndcg, pearson,
     utility_relevance,
@@ -43,10 +43,10 @@ __all__ = [
     "BinSpec", "ConfigError", "DEFAULT_NOVELTY_LIMITS", "DataError",
     "EvaluationReport", "Event",
     "EventLogError", "FeedrankError", "GeneratorConfig", "IndexTable",
-    "IndexabilityError", "ItemTimeline", "ModelBundle", "NumericalError",
-    "RankingSnapshot", "RunConfig", "StateSpace", "TransitionModel",
+    "IndexabilityError", "ItemTable", "MinuteRanking", "ModelBundle",
+    "NumericalError", "RunConfig", "StateSpace", "TransitionModel",
     "attention_relevance", "build_model", "build_state_space",
-    "build_timelines", "classify_minute", "compute_indices", "constants_a",
+    "build_timelines", "classify", "compute_indices", "constants_a",
     "derive_p0", "estimate_p1", "evaluate_run", "fit_model", "fit_popularity_bins",
     "fit_rewards", "format_rank_grid", "generate_markov_stream",
     "generate_stream", "load_config", "load_event_log", "ndcg", "occupancy",

@@ -26,7 +26,7 @@ from .evaluation import (
 from .events import build_timelines, load_event_log, serialize_event_log
 from .indices import compute_indices, format_rank_grid
 from .model_io import fit_model, read_model, write_model
-from .ranking import rank_minutes, write_snapshots_csv
+from .ranking import write_snapshots_csv
 from .synth import GeneratorConfig, generate_stream
 
 
@@ -86,11 +86,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     train_window = cfg.train_window
     if train_window is None:
         train_window = bundle.train_window()
-    space = bundle.state_space()
-    timelines = build_timelines(load_event_log(cfg.events_path))
+    table = build_timelines(load_event_log(cfg.events_path))
 
     report = evaluate_run(
-        timelines, space, bundle.index, cfg.policies, cfg.signals,
+        table, bundle.state_space(), bundle.index, cfg.policies, cfg.signals,
         cfg.eval_window, horizon=cfg.horizon, interval=cfg.decision_interval,
         peak_hours=cfg.peak_hours, relevance_cap=cfg.relevance_cap,
         train_window=train_window,
@@ -109,10 +108,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     write_summary_csv(report, os.path.join(cfg.report_dir, "summary.csv"))
     write_header_text(report, os.path.join(cfg.report_dir, "header.txt"), extra)
     if cfg.dump_snapshots:
-        write_snapshots_csv(
-            rank_minutes(timelines, space, bundle.index, cfg.policies, report.minutes,
-                         cfg.horizon),
-            os.path.join(cfg.report_dir, "snapshots.csv"))
+        write_snapshots_csv(table, report.policies, report.rankings,
+                            os.path.join(cfg.report_dir, "snapshots.csv"))
     print(f"evaluated {len(report.minutes)} minutes "
           f"({report.skipped_empty} empty skipped) -> {cfg.report_dir}")
     return 0
@@ -133,27 +130,32 @@ def cmd_report(args: argparse.Namespace) -> int:
     header_path = os.path.join(cfg.report_dir, "header.txt")
     try:
         with open(header_path, "r", encoding="utf-8") as fh:
-            print(fh.read().rstrip())
-    except OSError as exc:
+            header_text = fh.read().rstrip()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {header_path}: {exc}") from exc
     try:
         with open(summary_path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {summary_path}: {exc}") from exc
     if not rows:
         raise DataError(f"{summary_path} is empty")
     header, body = rows[0], rows[1:]
     policies = [h[:-5] for h in header[1:] if h.endswith("_mean")]
+    lines = [f"{'signal':<18}" + "".join(f"{p:>22}" for p in policies)]
+    for lineno, row in enumerate(body, start=2):
+        if len(row) < 1 + 2 * len(policies):
+            raise DataError(f"{summary_path} line {lineno} holds {len(row)} cells, "
+                            f"expected {1 + 2 * len(policies)}")
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise DataError(f"{summary_path} line {lineno}: {exc}") from exc
+        lines.append(f"{row[0]:<18}" + "".join(
+            f"{mean:>13.4f} +- {std:5.4f}" for mean, std in zip(values[::2], values[1::2])))
+    print(header_text)
     print()
-    print(f"{'signal':<18}" + "".join(f"{p:>22}" for p in policies))
-    for row in body:
-        cells = [f"{row[0]:<18}"]
-        for i in range(len(policies)):
-            mean = float(row[1 + 2 * i])
-            std = float(row[2 + 2 * i])
-            cells.append(f"{mean:>13.4f} +- {std:5.4f}")
-        print("".join(cells))
+    print("\n".join(lines))
     return 0
 
 

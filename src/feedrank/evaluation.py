@@ -22,67 +22,75 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DataError
-from .events import ItemTimeline, hour_of_minute
+from .events import ItemTable, hour_of_minute
 from .indices import IndexTable
-from .ranking import DEFAULT_HORIZON, POLICIES, rank_minutes
-from .states import StateSpace, classify_minute
+from .ranking import DEFAULT_HORIZON, POLICIES, MinuteRanking, rank_minutes
+from .states import StateSpace, classify
 
 SIGNALS = ("utility", "rt", "rt_replies", "rt_replies_favs")
 DEFAULT_RELEVANCE_CAP = 30
 
-_SIGNAL_SLOTS = {
-    "rt": (0,),
-    "rt_replies": (0, 1),
-    "rt_replies_favs": (0, 1, 2),
+# The largest relevance cap: a gain 2**cap - 1 above it overflows a float.
+MAX_RELEVANCE_CAP = 1023
+
+_SIGNAL_KINDS = {
+    "rt": ("retweet",),
+    "rt_replies": ("retweet", "reply"),
+    "rt_replies_favs": ("retweet", "reply", "favorite"),
 }
 
 
-def utility_relevance(t: int, item_ids: Sequence[str],
-                      timelines: Mapping[str, ItemTimeline],
-                      state_space: StateSpace) -> dict[str, float]:
-    """Reward of each item's state at minute ``t + 1``."""
-    reward = state_space.reward
-    return {
-        iid: float(reward[classify_minute(timelines[iid], t + 1, state_space)])
-        for iid in item_ids
-    }
+def utility_relevance(t: int, rows: np.ndarray, table: ItemTable,
+                      state_space: StateSpace) -> np.ndarray:
+    """Each row's state at minute ``t + 1``; its reward is the relevance."""
+    return classify(t + 1 - table.post_minute[rows], table.count("retweet", rows, 0, t + 1),
+                    state_space.bins)
 
 
-def attention_relevance(t: int, item_ids: Sequence[str],
-                        timelines: Mapping[str, ItemTimeline], signal: str,
-                        cap: int = DEFAULT_RELEVANCE_CAP) -> dict[str, float]:
-    """Engagement received during minute ``t``, capped at ``cap``."""
-    if signal not in _SIGNAL_SLOTS:
+def attention_relevance(t: int, rows: np.ndarray, table: ItemTable, signal: str,
+                        cap: int = DEFAULT_RELEVANCE_CAP) -> np.ndarray:
+    """Engagement each row receives during minute ``t``, capped at ``cap``."""
+    if signal not in _SIGNAL_KINDS:
         raise ConfigError(f"unknown attention signal {signal!r}")
-    if cap < 1:
-        raise ConfigError("relevance cap must be >= 1")
-    slots = _SIGNAL_SLOTS[signal]
-    scores = {}
-    for iid in item_ids:
-        counts = timelines[iid].counts_in_minute(t)
-        scores[iid] = float(min(sum(counts[s] for s in slots), cap))
-    return scores
+    if not 1 <= cap <= MAX_RELEVANCE_CAP:
+        raise ConfigError(f"relevance cap must lie in 1..{MAX_RELEVANCE_CAP}")
+    return np.minimum(sum(table.count(kind, rows, t, t + 1)
+                          for kind in _SIGNAL_KINDS[signal]), cap)
 
 
-def ndcg(ranked_ids: Sequence[str], relevance: Mapping[str, float]) -> float:
-    """Normalized discounted cumulative gain of one ranked list."""
-    gains = []
-    for iid in ranked_ids:
-        s = relevance[iid]
-        if s < 0:
-            raise DataError(f"negative relevance {s} for item {iid!r}")
-        gains.append(2.0 ** s - 1.0)
-    dcg = sum(gain / math.log2(pos + 1) for pos, gain in enumerate(gains, start=1))
-    ideal = sum(
-        gain / math.log2(pos + 1)
-        for pos, gain in enumerate(sorted(gains, reverse=True), start=1)
-    )
-    if ideal == 0.0:
+def _gains(relevance: Iterable[float]) -> np.ndarray:
+    """The nDCG gain ``2**s - 1`` of each relevance value ``s``."""
+    return np.array([2.0 ** float(s) - 1.0 for s in relevance])
+
+
+@lru_cache(maxsize=None)
+def _discounts(size: int) -> np.ndarray:
+    """``log2(1 + p)`` for the ranks p = 1..size."""
+    return np.array([math.log2(pos + 1) for pos in range(1, size + 1)])
+
+
+def ndcg(gains) -> float:
+    """Normalized discounted cumulative gain of gains in rank order.
+
+    ``DCG = sum_p gains[p - 1] / log2(1 + p)``, divided by the DCG of the
+    gains sorted best first; an all-zero list scores 1.
+    """
+    gains = np.asarray(gains, dtype=float)
+    if not gains.size:
         return 1.0
-    return dcg / ideal
+    if gains.min() < 0:
+        raise DataError(f"negative gain {gains.min()}")
+    # Discount tables are cached for powers of two only, so few are built.
+    discounts = _discounts(1 << (gains.size - 1).bit_length())[:gains.size]
+    # cumsum adds left to right, as Python's sum does: the scores keep every bit.
+    dcg, ideal = np.cumsum(np.array([gains, np.sort(gains)[::-1]]) / discounts, axis=1)[:, -1]
+    return 1.0 if ideal == 0.0 else float(dcg / ideal)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -104,16 +112,26 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 @dataclass
 class EvaluationReport:
-    """Per-minute nDCG series plus aggregate statistics."""
+    """Per-minute rankings and nDCG series plus aggregate statistics.
+
+    ``series[(policy, signal)][i]`` scores ``rankings[i]``.
+    """
 
     policies: tuple[str, ...]
     signals: tuple[str, ...]
-    minutes: list[int]
-    active_counts: list[int]
+    rankings: list[MinuteRanking]
     series: dict[tuple[str, str], list[float]]
     skipped_empty: int
     warnings: list[str]
     fingerprint: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def minutes(self) -> list[int]:
+        return [r.minute for r in self.rankings]
+
+    @property
+    def active_counts(self) -> list[int]:
+        return [len(r.rows) for r in self.rankings]
 
     def mean_std(self, policy: str, signal: str) -> tuple[float, float]:
         values = self.series[(policy, signal)]
@@ -133,7 +151,7 @@ class EvaluationReport:
         }
 
 
-def evaluate_run(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,
+def evaluate_run(table: ItemTable, state_space: StateSpace,
                  index_table: IndexTable | None,
                  policies: Sequence[str], signals: Sequence[str],
                  minute_range: tuple[int, int], *,
@@ -161,6 +179,8 @@ def evaluate_run(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,
         raise ConfigError("the index policy needs a computed index table")
     if interval < 1:
         raise ConfigError("decision interval must be >= 1")
+    if not 1 <= relevance_cap <= MAX_RELEVANCE_CAP:
+        raise ConfigError(f"relevance cap must lie in 1..{MAX_RELEVANCE_CAP}")
     start, end = minute_range
     if end <= start:
         raise ConfigError(f"evaluation window [{start}, {end}) is empty")
@@ -180,25 +200,25 @@ def evaluate_run(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,
                 f"train window [{t0}, {t1}) overlaps evaluation window [{start}, {end})"
             )
 
+    utility_gain = _gains(state_space.reward)
+    attention_gain = _gains(range(relevance_cap + 1))
     decision_minutes = [t for t in range(start, end, interval)
                         if hour_set is None or hour_of_minute(t) in hour_set]
-    minutes: list[int] = []
-    active_counts: list[int] = []
+    rankings = list(rank_minutes(table, state_space, index_table, policies,
+                                 decision_minutes, horizon))
     series: dict[tuple[str, str], list[float]] = {
         (p, s): [] for p in policies for s in signals
     }
-    for t, ids, snapshots in rank_minutes(timelines, state_space, index_table,
-                                          policies, decision_minutes, horizon):
-        relevances = {
-            s: utility_relevance(t, ids, timelines, state_space) if s == "utility"
-            else attention_relevance(t, ids, timelines, s, cap=relevance_cap)
+    for r in rankings:
+        gains = [
+            utility_gain[utility_relevance(r.minute, r.rows, table, state_space)]
+            if s == "utility" else
+            attention_gain[attention_relevance(r.minute, r.rows, table, s, relevance_cap)]
             for s in signals
-        }
-        for snap in snapshots:
-            for s in signals:
-                series[(snap.policy, s)].append(ndcg(snap.item_ids, relevances[s]))
-        minutes.append(t)
-        active_counts.append(len(ids))
+        ]
+        for p, order in zip(policies, r.orders):
+            for s, gain in zip(signals, gains):
+                series[(p, s)].append(ndcg(gain[order]))
 
     fingerprint = {
         "eval_window": f"[{start}, {end})",
@@ -215,10 +235,9 @@ def evaluate_run(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,
     return EvaluationReport(
         policies=policies,
         signals=signals,
-        minutes=minutes,
-        active_counts=active_counts,
+        rankings=rankings,
         series=series,
-        skipped_empty=len(decision_minutes) - len(minutes),
+        skipped_empty=len(decision_minutes) - len(rankings),
         warnings=warnings,
         fingerprint=fingerprint,
     )
@@ -229,13 +248,13 @@ def write_series_csv(report: EvaluationReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["minute", "policy", "signal", "ndcg", "active_count"])
-        for i, minute in enumerate(report.minutes):
+        for i, r in enumerate(report.rankings):
             for p in report.policies:
                 for s in report.signals:
                     writer.writerow([
-                        minute, p, s,
+                        r.minute, p, s,
                         format(report.series[(p, s)][i], ".17g"),
-                        report.active_counts[i],
+                        len(r.rows),
                     ])
 
 

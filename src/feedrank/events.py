@@ -1,4 +1,4 @@
-"""Event-log ingestion and per-item minute timelines.
+"""Event-log ingestion and the columnar item table.
 
 An event log is newline-delimited JSON. Each non-empty line is one flat
 object with keys ``kind``, ``item_id``, ``event_id``, ``ts`` (integer
@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import io
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import DataError, EventLogError
 
@@ -25,6 +28,11 @@ ENGAGEMENT_KINDS = ("retweet", "reply", "favorite")
 SECONDS_PER_MINUTE = 60
 
 _REQUIRED_KEYS = ("kind", "item_id", "event_id", "ts", "account")
+
+# The largest accepted timestamp. It keeps every minute below 2**31, so
+# the item table's int64 keys ``row * stride + minute`` cannot overflow
+# for fewer than 2**32 items.
+MAX_TS = 2**31 * SECONDS_PER_MINUTE - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,8 +65,8 @@ def _check_record(rec: object) -> str | None:
     ts = rec["ts"]
     if isinstance(ts, bool) or not isinstance(ts, int):
         return "ts must be an integer"
-    if ts < 0:
-        return "ts must be non-negative"
+    if not 0 <= ts <= MAX_TS:
+        return f"ts must lie in 0..{MAX_TS}"
     if rec["kind"] == "post" and rec["item_id"] != rec["event_id"]:
         return "post events must have item_id equal to event_id"
     return None
@@ -69,11 +77,14 @@ def parse_event_log(source: str | bytes | Iterable[str]) -> list[Event]:
 
     ``source`` may be a string, bytes, or an iterable of lines (for
     example an open file). All malformed lines are collected and
-    reported together with their line numbers; duplicate posts for the
-    same item are an error as well.
+    reported together with their line numbers; an ``event_id`` seen on
+    an earlier line is an error as well.
     """
     if isinstance(source, bytes):
-        lines: Iterable[str] = io.StringIO(source.decode("utf-8"))
+        try:
+            lines: Iterable[str] = io.StringIO(source.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"event log is not UTF-8: {exc}") from exc
     elif isinstance(source, str):
         lines = io.StringIO(source)
     else:
@@ -81,7 +92,7 @@ def parse_event_log(source: str | bytes | Iterable[str]) -> list[Event]:
 
     events: list[Event] = []
     errors: list[tuple[int, str]] = []
-    post_lines: dict[str, int] = {}
+    event_lines: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -95,14 +106,12 @@ def parse_event_log(source: str | bytes | Iterable[str]) -> list[Event]:
         if problem is not None:
             errors.append((lineno, problem))
             continue
-        if rec["kind"] == "post":
-            prev = post_lines.get(rec["item_id"])
-            if prev is not None:
-                errors.append(
-                    (lineno, f"duplicate post for item {rec['item_id']!r} (first at line {prev})")
-                )
-                continue
-            post_lines[rec["item_id"]] = lineno
+        prev = event_lines.setdefault(rec["event_id"], lineno)
+        if prev != lineno:
+            errors.append(
+                (lineno, f"duplicate event_id {rec['event_id']!r} (first at line {prev})")
+            )
+            continue
         events.append(
             Event(
                 kind=rec["kind"],
@@ -136,83 +145,74 @@ def load_event_log(path) -> list[Event]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_event_log(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read event log {path}: {exc}") from exc
 
 
-@dataclass(frozen=True, slots=True)
-class ItemTimeline:
-    """Per-minute engagement counts for one posted item.
+@dataclass(frozen=True, eq=False)
+class ItemTable:
+    """Posted items, one row each in item-id order, and their engagement.
 
-    ``per_minute_counts`` maps a minute index to a
-    ``(retweets, replies, favorites)`` triple. The cumulative retweet
-    count at minute ``m`` is the total over minutes <= m. Instances are
-    immutable after construction.
+    ``keys[kind]`` holds one entry ``row * stride + minute`` per event of
+    that engagement kind, sorted, with every minute below ``stride``. So
+    the events of any rows over any minute range are counted by two
+    ``np.searchsorted`` calls (see ``count``).
     """
 
-    item_id: str
-    post_ts: int
-    account: str
-    per_minute_counts: Mapping[int, tuple[int, int, int]]
-    _rt_minutes: tuple[int, ...]
-    _rt_cumulative: tuple[int, ...]
+    ids: tuple[str, ...]
+    post_ts: np.ndarray
+    keys: Mapping[str, np.ndarray]
+    stride: int
 
-    @property
-    def post_minute(self) -> int:
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def post_minute(self) -> np.ndarray:
         return self.post_ts // SECONDS_PER_MINUTE
 
-    def counts_in_minute(self, minute: int) -> tuple[int, int, int]:
-        return self.per_minute_counts.get(minute, (0, 0, 0))
+    def count(self, kind: str, rows, start, stop) -> np.ndarray:
+        """Events of ``kind`` for each of ``rows`` in minutes ``[start, stop)``.
 
-    def cumulative_retweets(self, through_minute: int) -> int:
-        """Total retweets in minutes <= ``through_minute``."""
-        idx = bisect_right(self._rt_minutes, through_minute)
-        return self._rt_cumulative[idx]
+        ``start`` and ``stop`` are minutes or arrays of minutes, one per
+        row. The popularity of an item at decision minute ``t`` is
+        ``count("retweet", rows, 0, t)``: the retweets strictly before ``t``.
+        """
+        keys = self.keys[kind]
+        base = np.asarray(rows, dtype=np.int64) * self.stride
+        return (keys.searchsorted(base + np.minimum(np.maximum(stop, 0), self.stride))
+                - keys.searchsorted(base + np.minimum(np.maximum(start, 0), self.stride)))
 
-    def retweets_before(self, minute: int) -> int:
-        """Total retweets strictly before ``minute``. This is the
-        popularity count used for the item's state at decision minute
-        ``minute``."""
-        return self.cumulative_retweets(minute - 1)
+    def events(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """The row and the minute of every event of ``kind``."""
+        return np.divmod(self.keys[kind], self.stride)
 
-    @property
-    def final_retweet_count(self) -> int:
-        return self._rt_cumulative[-1]
-
-
-def _make_timeline(item_id: str, post_ts: int, account: str,
-                   counts: dict[int, list[int]]) -> ItemTimeline:
-    minutes = sorted(m for m, c in counts.items() if c[0] > 0)
-    cumulative = [0]
-    for m in minutes:
-        cumulative.append(cumulative[-1] + counts[m][0])
-    frozen = {m: (c[0], c[1], c[2]) for m, c in sorted(counts.items())}
-    return ItemTimeline(
-        item_id=item_id,
-        post_ts=post_ts,
-        account=account,
-        per_minute_counts=frozen,
-        _rt_minutes=tuple(minutes),
-        _rt_cumulative=tuple(cumulative),
-    )
+    def take(self, mask) -> ItemTable:
+        """The table of the rows where ``mask`` is true."""
+        mask = np.asarray(mask, dtype=bool)
+        new_row = np.cumsum(mask) - 1
+        keys = {}
+        for kind in ENGAGEMENT_KINDS:
+            rows, minutes = self.events(kind)
+            keep = mask[rows]
+            keys[kind] = new_row[rows[keep]] * self.stride + minutes[keep]
+        return ItemTable(ids=tuple(compress(self.ids, mask)),
+                         post_ts=self.post_ts[mask], keys=keys, stride=self.stride)
 
 
-_KIND_SLOT = {"retweet": 0, "reply": 1, "favorite": 2}
-
-
-def build_timelines(events: Iterable[Event]) -> dict[str, ItemTimeline]:
-    """Group events into per-item timelines keyed by item_id.
+def build_timelines(events: Iterable[Event]) -> ItemTable:
+    """Gather events into one item table.
 
     Engagement referencing an item with no post is an error listing the
     offending ids, as is engagement dated before the post's minute.
     """
-    posts: dict[str, Event] = {}
+    posts: dict[str, int] = {}
     engagement: list[Event] = []
     for ev in events:
         if ev.kind == "post":
             if ev.item_id in posts:
                 raise DataError(f"duplicate post for item {ev.item_id!r}")
-            posts[ev.item_id] = ev
+            posts[ev.item_id] = ev.ts
         else:
             engagement.append(ev)
 
@@ -222,22 +222,25 @@ def build_timelines(events: Iterable[Event]) -> dict[str, ItemTimeline]:
             f"engagement for {len(orphans)} item(s) with no post: {', '.join(orphans)}"
         )
 
-    counts: dict[str, dict[int, list[int]]] = {iid: {} for iid in posts}
-    for ev in engagement:
-        post_minute = posts[ev.item_id].minute
-        minute = ev.minute
-        if minute < post_minute:
-            raise DataError(
-                f"{ev.kind} {ev.event_id!r} for item {ev.item_id!r} is dated "
-                f"minute {minute}, before the post minute {post_minute}"
-            )
-        slot = counts[ev.item_id].setdefault(minute, [0, 0, 0])
-        slot[_KIND_SLOT[ev.kind]] += 1
+    ids = sorted(posts)
+    row_of = {iid: row for row, iid in enumerate(ids)}
+    post_ts = np.array([posts[iid] for iid in ids], dtype=np.int64)
+    rows = np.array([row_of[ev.item_id] for ev in engagement], dtype=np.int64)
+    minutes = np.array([ev.ts for ev in engagement], dtype=np.int64) // SECONDS_PER_MINUTE
+    post_minute = post_ts // SECONDS_PER_MINUTE
+    early = np.flatnonzero(minutes < post_minute[rows])
+    if early.size:
+        ev = engagement[early[0]]
+        raise DataError(
+            f"{ev.kind} {ev.event_id!r} for item {ev.item_id!r} is dated "
+            f"minute {ev.minute}, before the post minute {post_minute[rows[early[0]]]}"
+        )
 
-    return {
-        iid: _make_timeline(iid, posts[iid].ts, posts[iid].account, counts[iid])
-        for iid in sorted(posts)
-    }
+    stride = int(max(minutes.max(initial=0), post_minute.max(initial=0))) + 1
+    kinds = np.array([ENGAGEMENT_KINDS.index(ev.kind) for ev in engagement], dtype=np.int8)
+    keys = {kind: np.sort((rows * stride + minutes)[kinds == k])
+            for k, kind in enumerate(ENGAGEMENT_KINDS)}
+    return ItemTable(ids=tuple(ids), post_ts=post_ts, keys=keys, stride=stride)
 
 
 def hour_of_minute(t: int) -> int:

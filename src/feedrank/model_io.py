@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from .config import RunConfig, parse_window
 from .errors import ConfigError, DataError
-from .events import ItemTimeline, hour_of_minute
+from .events import ItemTable, hour_of_minute
 from .indices import IndexTable
 from .states import (
     BinSpec, StateSpace, build_state_space, fit_popularity_bins, fit_rewards,
@@ -79,24 +78,24 @@ class ModelBundle:
             raise DataError(f"model [meta] {exc}") from exc
 
 
-def fit_model(timelines: Mapping[str, ItemTimeline], cfg: RunConfig) -> ModelBundle:
+def fit_model(table: ItemTable, cfg: RunConfig) -> ModelBundle:
     """Fit bins, rewards and ``p1`` on the items posted inside
     ``cfg.train_window`` (and, when set, during ``cfg.peak_hours``)."""
     if cfg.train_window is None:
         raise ConfigError("fit needs a train window")
     start, end = cfg.train_window
-    train = {
-        iid: tl for iid, tl in timelines.items()
-        if start <= tl.post_minute < end and (
-            cfg.peak_hours is None or hour_of_minute(tl.post_minute) in cfg.peak_hours)
-    }
-    if not train:
+    post = table.post_minute
+    mask = (start <= post) & (post < end)
+    if cfg.peak_hours is not None:
+        mask &= np.isin(hour_of_minute(post), cfg.peak_hours)
+    train = table.take(mask)
+    if not len(train):
         raise DataError(f"no posts inside the train window [{start}, {end})")
 
     bins = BinSpec(
         novelty_limits=cfg.novelty_limits,
         popularity_limits=fit_popularity_bins(
-            [tl.final_retweet_count for tl in train.values()],
+            train.count("retweet", np.arange(len(train)), 0, train.stride),
             cfg.n_popularity_bins),
     )
     r_n, r_p = fit_rewards(train, bins)
@@ -104,15 +103,11 @@ def fit_model(timelines: Mapping[str, ItemTimeline], cfg: RunConfig) -> ModelBun
                      smoothing=cfg.smoothing)
     model = build_model(p1, cfg.epsilon, cfg.beta)
 
-    events_used = sum(
-        1 + sum(sum(c) for c in tl.per_minute_counts.values())
-        for tl in train.values()
-    )
     meta = {
         "train_window": f"[{start}, {end})",
-        "items_total": str(len(timelines)),
+        "items_total": str(len(table)),
         "items_used": str(len(train)),
-        "events_used": str(events_used),
+        "events_used": str(len(train) + sum(k.size for k in train.keys.values())),
         "peak_hours": (",".join(str(h) for h in cfg.peak_hours)
                        if cfg.peak_hours else "none"),
         "smoothing": format(cfg.smoothing, ".17g"),
@@ -153,25 +148,25 @@ def _read_sections(path) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current: dict[str, str] | None = None
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read model {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1]
-                if name in sections:
-                    raise DataError(f"duplicate section [{name}] at line {lineno}")
-                current = {}
-                sections[name] = current
-                continue
-            if current is None or "=" not in line:
-                raise DataError(f"unparseable model line {lineno}: {line!r}")
-            key, _, value = line.partition("=")
-            current[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1]
+            if name in sections:
+                raise DataError(f"duplicate section [{name}] at line {lineno}")
+            current = {}
+            sections[name] = current
+            continue
+        if current is None or "=" not in line:
+            raise DataError(f"unparseable model line {lineno}: {line!r}")
+        key, _, value = line.partition("=")
+        current[key.strip()] = value.strip()
     return sections
 
 

@@ -2,9 +2,10 @@
 
 An item is active at decision minute ``t`` when it was posted before
 ``t`` and is at most ``horizon`` minutes old. ``rank_minutes`` is the
-one pass over decision minutes: it finds each minute's active set by
-bisecting the sorted post minutes, classifies every active item once,
-and lets ``rank_items`` sort those same entries for each policy.
+one pass over decision minutes: it finds each minute's active rows by
+bisecting the sorted post minutes, classifies them with one
+``classify`` call, and lets ``rank_items`` sort those same rows for
+each policy.
 
 Three policies are supported. ``index`` sorts by the priority index of
 each item's current state, ``novelty`` by post time (newest first), and
@@ -16,97 +17,79 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ConfigError
-from .events import ItemTimeline
+from .events import ItemTable
 from .indices import IndexTable
-from .states import StateSpace, classify_minute
+from .states import StateSpace, classify
 
 POLICIES = ("index", "novelty", "popularity")
 DEFAULT_HORIZON = 60
 
 
-class FeedEntry(NamedTuple):
-    """One active item at one decision minute."""
-
-    item_id: str
-    post_ts: int
-    state: int
-    retweets: int  # retweets strictly before the minute
-
-
-@dataclass(frozen=True)
-class RankingSnapshot:
-    """One policy's ordering of the active items at one minute."""
+class MinuteRanking(NamedTuple):
+    """The active items of one decision minute and their orderings."""
 
     minute: int
-    policy: str
-    item_ids: tuple[str, ...]
-    state_indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.item_ids)
+    rows: np.ndarray    # active table rows, ascending (item-id order)
+    states: np.ndarray  # each active row's state at the minute
+    orders: list[np.ndarray]  # per policy: positions into ``rows``, best first
 
 
-def rank_items(t: int, entries: Sequence[FeedEntry], policy: str,
-               index_table: IndexTable | None) -> RankingSnapshot:
-    """Order one minute's entries under one policy."""
+def rank_items(policy: str, post_ts: np.ndarray, states: np.ndarray,
+               retweets: np.ndarray, index_table: IndexTable | None) -> np.ndarray:
+    """Order one minute's active items under one policy.
+
+    The arrays describe the items in item-id order; the result lists
+    their positions best first. ``np.lexsort`` is stable, so items
+    equal on every key keep item-id order.
+    """
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if policy == "index":
         if index_table is None:
             raise ConfigError("the index policy needs a computed index table")
-        g = index_table.g
-        ranked = sorted(entries, key=lambda e: (-g[e.state], -e.post_ts, e.item_id))
-    elif policy == "novelty":
-        ranked = sorted(entries, key=lambda e: (-e.post_ts, e.item_id))
-    else:
-        ranked = sorted(entries, key=lambda e: (-e.retweets, -e.post_ts, e.item_id))
-    return RankingSnapshot(
-        minute=t,
-        policy=policy,
-        item_ids=tuple(e.item_id for e in ranked),
-        state_indices=tuple(e.state for e in ranked),
-    )
+        return np.lexsort((-post_ts, -index_table.g[states]))
+    if policy == "novelty":
+        return np.lexsort((-post_ts,))
+    return np.lexsort((-post_ts, -retweets))
 
 
-def rank_minutes(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,
+def rank_minutes(table: ItemTable, state_space: StateSpace,
                  index_table: IndexTable | None, policies: Sequence[str],
-                 minutes: Iterable[int], horizon: int,
-                 ) -> Iterator[tuple[int, list[str], list[RankingSnapshot]]]:
-    """Yield ``(t, active ids, one snapshot per policy)`` for each minute.
+                 minutes: Iterable[int], horizon: int) -> Iterator[MinuteRanking]:
+    """Yield one ``MinuteRanking`` per minute, orders in ``policies`` order.
 
-    The active ids are sorted by id. Minutes with no active item are
-    left out.
+    Minutes with no active item are left out.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    by_post = sorted((tl.post_minute, iid) for iid, tl in timelines.items())
-    post_minutes = [m for m, _ in by_post]
-    post_ids = [iid for _, iid in by_post]
+    by_post = np.argsort(table.post_minute, kind="stable")
+    post_minutes = table.post_minute[by_post].tolist()
     for t in minutes:
-        ids = sorted(post_ids[bisect_left(post_minutes, t - horizon):
-                              bisect_right(post_minutes, t - 1)])
-        if not ids:
+        rows = np.sort(by_post[bisect_left(post_minutes, t - horizon):
+                               bisect_right(post_minutes, t - 1)])
+        if not rows.size:
             continue
-        entries = []
-        for iid in ids:
-            tl = timelines[iid]
-            entries.append(FeedEntry(iid, tl.post_ts, classify_minute(tl, t, state_space),
-                                     tl.retweets_before(t)))
-        yield t, ids, [rank_items(t, entries, p, index_table) for p in policies]
+        retweets = table.count("retweet", rows, 0, t)
+        states = classify(t - table.post_minute[rows], retweets, state_space.bins)
+        post_ts = table.post_ts[rows]
+        yield MinuteRanking(t, rows, states, [
+            rank_items(p, post_ts, states, retweets, index_table) for p in policies])
 
 
-def write_snapshots_csv(rankings: Iterable[tuple[int, list[str], list[RankingSnapshot]]],
-                        path) -> None:
-    """Stream ``rank_minutes`` output to a CSV with one row per ranked item."""
+def write_snapshots_csv(table: ItemTable, policies: Sequence[str],
+                        rankings: Iterable[MinuteRanking], path) -> None:
+    """Write rankings to a CSV with one row per ranked item."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["minute", "policy", "rank", "item_id", "state_index"])
-        for _, _, snapshots in rankings:
-            for snap in snapshots:
-                for rank, (iid, state) in enumerate(
-                        zip(snap.item_ids, snap.state_indices), start=1):
-                    writer.writerow([snap.minute, snap.policy, rank, iid, state])
+        for r in rankings:
+            for policy, order in zip(policies, r.orders):
+                writer.writerows(
+                    (r.minute, policy, rank, table.ids[row], state)
+                    for rank, (row, state) in enumerate(
+                        zip(r.rows[order].tolist(), r.states[order].tolist()), start=1))

@@ -16,17 +16,17 @@ corpus and combined multiplicatively: reward(n, p) = r_n[n] * r_p[p].
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .events import ItemTimeline
+from .events import MAX_TS, SECONDS_PER_MINUTE, ItemTable
 
 DEFAULT_NOVELTY_LIMITS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 60)
 DEFAULT_POPULARITY_BINS = 10
+MAX_MINUTE = MAX_TS // SECONDS_PER_MINUTE
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,8 @@ class BinSpec:
             raise DataError("novelty_limits must start at age >= 1")
         if any(a >= b for a, b in zip(nov, nov[1:])):
             raise DataError("novelty_limits must be strictly ascending")
+        if nov[-1] > MAX_MINUTE:
+            raise DataError(f"novelty_limits must not exceed {MAX_MINUTE}")
         if len(pop) < 2:
             raise DataError("popularity_limits needs at least two entries")
         if pop[0] != 0:
@@ -85,39 +87,28 @@ class BinSpec:
     def n_states(self) -> int:
         return self.n_novelty_bins * self.n_popularity_bins + 1
 
-    def novelty_bin(self, age: int) -> int:
-        """1-based novelty bin for an age, or 0 if outside the window."""
-        if age < 0:
-            raise ValueError("age must be >= 0")
+    def novelty_bin(self, ages):
+        """1-based novelty bin of each age, or 0 outside the window."""
+        ages = np.asarray(ages)
         lim = self.novelty_limits
-        if age < lim[0] or age > lim[-1] - 1:
-            return 0
-        return bisect_right(lim, age)
+        inside = (ages >= lim[0]) & (ages <= lim[-1] - 1)
+        return np.where(inside, np.searchsorted(lim, ages, side="right"), 0)
 
-    def popularity_bin(self, count: int) -> int:
-        """1-based popularity bin containing a retweet count."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        return bisect_right(self.popularity_limits, count)
+    def popularity_bin(self, counts):
+        """1-based popularity bin containing each retweet count."""
+        return np.searchsorted(self.popularity_limits, counts, side="right")
 
 
-def classify(age: int, count: int, bins: BinSpec) -> int:
-    """State index for an item of the given age and cumulative count."""
-    nb = bins.novelty_bin(age)
-    if nb == 0:
-        return 0
-    return (nb - 1) * bins.n_popularity_bins + bins.popularity_bin(count)
+def classify(ages, counts, bins: BinSpec) -> np.ndarray:
+    """State index of each item from its age and its retweets so far.
 
-
-def classify_minute(tl: ItemTimeline, t: int, state_space: StateSpace) -> int:
-    """State of an item at decision minute ``t`` (0 when out of window).
-
-    The item's age is ``t`` minus its post minute and its count the
-    retweets strictly before ``t``."""
-    age = t - tl.post_minute
-    if age < 0:
-        return 0
-    return classify(age, tl.retweets_before(t), state_space.bins)
+    ``ages`` and ``counts`` are equal-length arrays (or scalars); ages
+    outside the novelty window, negative ones included, map to state 0.
+    This is the one state classifier: callers pass every item-minute
+    they need at once.
+    """
+    nb = bins.novelty_bin(ages)
+    return np.where(nb > 0, (nb - 1) * bins.n_popularity_bins + bins.popularity_bin(counts), 0)
 
 
 def state_bins(index: int, bins: BinSpec) -> tuple[int, int]:
@@ -146,12 +137,12 @@ def fit_popularity_bins(final_counts: Sequence[int],
     """
     if n_bins < 2:
         raise DataError("n_bins must be >= 2")
-    counts = list(final_counts)
-    if not counts:
+    counts = np.asarray(final_counts)
+    if not counts.size:
         raise DataError("cannot fit popularity bins from an empty corpus")
-    if any(c < 0 for c in counts):
+    if (counts < 0).any():
         raise DataError("retweet counts must be non-negative")
-    nonzero = sorted(c for c in counts if c > 0)
+    nonzero = np.sort(counts[counts > 0])
     m = len(nonzero)
     if m == 0:
         raise DataError("degenerate popularity distribution: every count is zero")
@@ -164,7 +155,7 @@ def fit_popularity_bins(final_counts: Sequence[int],
     return tuple(limits)
 
 
-def fit_rewards(timelines: Mapping[str, ItemTimeline],
+def fit_rewards(table: ItemTable,
                 bins: BinSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Fit per-bin reward factors from a training corpus.
 
@@ -174,40 +165,25 @@ def fit_rewards(timelines: Mapping[str, ItemTimeline],
     final count falls in popularity bin ``j``, also max-normalized; the
     zero-count bin is assigned an average of 1 before normalization.
     """
-    items = list(timelines.values())
-    if not items:
+    if not len(table):
         raise DataError("cannot fit rewards from an empty corpus")
 
-    n_nov = bins.n_novelty_bins
-    totals_n = [0.0] * n_nov
-    for tl in items:
-        post = tl.post_minute
-        for minute, (rt, _, _) in tl.per_minute_counts.items():
-            if rt == 0:
-                continue
-            nb = bins.novelty_bin(minute - post)
-            if nb:
-                totals_n[nb - 1] += rt
-    raw_n = [t / len(items) for t in totals_n]
-    top_n = max(raw_n)
+    rows, minutes = table.events("retweet")
+    nb = bins.novelty_bin(minutes - table.post_minute[rows])
+    raw_n = np.bincount(nb, minlength=bins.n_novelty_bins + 1)[1:] / len(table)
+    top_n = raw_n.max()
     if top_n <= 0:
         raise DataError("no retweets fall inside any novelty bin")
-    r_n = tuple(v / top_n for v in raw_n)
+    r_n = tuple(float(v) for v in raw_n / top_n)
 
+    final = np.bincount(rows, minlength=len(table))
+    pb = bins.popularity_bin(final) - 1
     n_pop = bins.n_popularity_bins
-    sums = [0.0] * n_pop
-    sizes = [0] * n_pop
-    for tl in items:
-        pb = bins.popularity_bin(tl.final_retweet_count)
-        sums[pb - 1] += tl.final_retweet_count
-        sizes[pb - 1] += 1
-    zero_bin = bins.popularity_bin(0)
-    raw_p = [
-        1.0 if j == zero_bin - 1 else (sums[j] / sizes[j] if sizes[j] else 0.0)
-        for j in range(n_pop)
-    ]
-    top_p = max(raw_p)
-    r_p = tuple(v / top_p for v in raw_p)
+    sums = np.bincount(pb, weights=final, minlength=n_pop)
+    sizes = np.bincount(pb, minlength=n_pop)
+    raw_p = np.divide(sums, sizes, out=np.zeros(n_pop), where=sizes > 0)
+    raw_p[bins.popularity_bin(0) - 1] = 1.0
+    r_p = tuple(float(v) for v in raw_p / raw_p.max())
     return r_n, r_p
 
 

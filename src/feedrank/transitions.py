@@ -15,20 +15,19 @@ identical and ``epsilon = 0`` freezes non-displayed items.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .errors import DataError
-from .events import ItemTimeline
-from .states import StateSpace, classify_minute
+from .events import ItemTable
+from .states import StateSpace, classify
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_EPSILON = 0.1
 DEFAULT_BETA = 0.9
 
 
-def estimate_p1(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,
+def estimate_p1(table: ItemTable, state_space: StateSpace,
                 window: tuple[int, int], *, smoothing: float = 0.0) -> np.ndarray:
     """Estimate ``p1`` by counting per-minute state transitions.
 
@@ -48,31 +47,30 @@ def estimate_p1(timelines: Mapping[str, ItemTimeline], state_space: StateSpace,
         raise DataError(f"training window [{start}, {end}) is too short to observe transitions")
     if smoothing < 0:
         raise DataError("smoothing must be >= 0")
-    if not any(start <= tl.post_minute < end for tl in timelines.values()):
+    post = table.post_minute
+    if not ((start <= post) & (post < end)).any():
         raise DataError(f"training window [{start}, {end}) contains no posts")
 
-    bins = state_space.bins
+    # Each item's transitions can touch a non-zero state only from
+    # minute lo to minute hi; every other minute in the window is a
+    # 0 -> 0 loop. Clamping the window to the table's minutes changes
+    # no lo or hi and keeps the arithmetic inside int64.
+    max_age = state_space.bins.novelty_limits[-1] - 1
+    floor, ceil = int(post.min()), int(post.max()) + max_age + 2
+    lo = np.maximum(post, min(max(start, floor), ceil))
+    hi = np.minimum(post + max_age, min(max(end, floor), ceil) - 2)
+    steps = np.maximum(hi - lo + 1, 0)
+    # One entry per transition: item ``rows[k]`` moves from minute
+    # ``t[k]`` to ``t[k] + 1``, with t running lo..hi in each item's block.
+    rows = np.repeat(np.arange(len(table)), steps)
+    t = np.arange(rows.size) - np.repeat(np.cumsum(steps) - steps - lo, steps)
+    pairs = t[:, None] + (0, 1)
+    states = classify(pairs - post[rows, None],
+                      table.count("retweet", rows[:, None], 0, pairs), state_space.bins)
     n = state_space.n_states
     counts = np.zeros((n, n))
-    span = end - start - 1  # transitions recorded per item
-    max_age = bins.novelty_limits[-1] - 1
-    idle = 0
-    for tl in timelines.values():
-        post = tl.post_minute
-        # Minutes where this item's transition can touch a non-zero
-        # state; everything else in the window is a 0 -> 0 loop.
-        lo = max(start, post)
-        hi = min(end - 2, post + max_age)
-        if hi < lo:
-            idle += span
-            continue
-        prev = classify_minute(tl, lo, state_space)
-        for t in range(lo, hi + 1):
-            nxt = classify_minute(tl, t + 1, state_space)
-            counts[prev, nxt] += 1
-            prev = nxt
-        idle += span - (hi - lo + 1)
-    counts[0, 0] += idle
+    np.add.at(counts, (states[:, 0], states[:, 1]), 1.0)
+    counts[0, 0] += len(table) * (end - start - 1) - int(steps.sum())
 
     if smoothing > 0:
         counts += smoothing

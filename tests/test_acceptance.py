@@ -181,14 +181,17 @@ def test_criterion_04_transition_estimator_recovery():
 # -- criterion 5: nDCG reference values ---------------------------------------
 
 def test_criterion_05_ndcg_reference_values():
-    ok = ndcg(["a", "b", "c"], {"a": 3.0, "b": 1.0, "c": 0.0}) == 1.0
-    swap = ndcg(["a", "b"], {"a": 0.0, "b": 1.0})
+    def ndcg_of(ids, rel):
+        return ndcg([2.0 ** rel[iid] - 1.0 for iid in ids])
+
+    ok = ndcg_of(["a", "b", "c"], {"a": 3.0, "b": 1.0, "c": 0.0}) == 1.0
+    swap = ndcg_of(["a", "b"], {"a": 0.0, "b": 1.0})
     ok = ok and abs(swap - 1.0 / math.log2(3.0)) < 1e-12
     rng = np.random.default_rng(MASTER_SEED + 5)
     ids = [f"i{k}" for k in range(10)]
     rel = {iid: 3.0 for iid in ids}
     for _ in range(1000):
-        if ndcg(list(rng.permutation(ids)), rel) != 1.0:
+        if ndcg_of(list(rng.permutation(ids)), rel) != 1.0:
             ok = False
             break
     _verdict(5, "nDCG unit values", ok,

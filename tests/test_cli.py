@@ -1,11 +1,16 @@
 import collections
+import contextlib
 import csv
+import io
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from feedrank import ranking
 from feedrank.cli import main
 from feedrank.model_io import read_model
 
@@ -163,8 +168,11 @@ def test_evaluate_warns_on_overlap(tmp_path, pipeline):
     assert "warning: train window [0, 2880) overlaps" in header
 
 
-def test_dump_snapshots(tmp_path, pipeline):
+def test_dump_snapshots(tmp_path, pipeline, monkeypatch):
     report = str(tmp_path / "snaps")
+    ranked = collections.Counter()
+    monkeypatch.setattr(ranking, "rank_items", lambda policy, *args, _orig=ranking.rank_items:
+                        ranked.update([policy]) or _orig(policy, *args))
     assert main(["evaluate", "--events", pipeline["events"],
                  "--model", pipeline["model"], "--report-dir", report,
                  "--eval-window", "2880:2900", "--dump-snapshots"]) == 0
@@ -179,14 +187,17 @@ def test_dump_snapshots(tmp_path, pipeline):
         got = collections.Counter((row["minute"], row["policy"])
                                   for row in csv.DictReader(fh))
     assert dict(got) == expected
+    # The snapshots come from the scored pass: each minute is ranked once per policy.
+    minutes = {minute for minute, _ in expected}
+    assert ranked == {p: len(minutes) for p in ("index", "novelty", "popularity")}
 
 
-def _meta_window_model(pipeline, tmp_path, value):
-    text = open(pipeline["model"]).read()
-    path = tmp_path / "meta.txt"
-    path.write_text(text.replace("train_window = [0, 2880)",
-                                 f"train_window = {value}"))
-    return str(path)
+def _with_line(data, line):
+    return data + line.encode() + b"\n"
+
+
+def _first_line_with(data, word):
+    return next(line for line in data.splitlines(keepends=True) if word in line)
 
 
 @pytest.mark.parametrize("case,expected", [
@@ -197,29 +208,56 @@ def _meta_window_model(pipeline, tmp_path, value):
     ({"flags": ["--peak-hours", "a-b"]}, 1),
     ({"flags": ["--peak-hours", "12-30"]}, 1),
     ({"flags": ["--beta", "1"]}, 1),
-    ({"meta_window": "[a, b)"}, 2),
-    ({"meta_window": "5"}, 2),
+    ({"model": lambda b: b.replace(b"train_window = [0, 2880)", b"train_window = [a, b)")}, 2),
+    ({"model": lambda b: b.replace(b"train_window = [0, 2880)", b"train_window = 5")}, 2),
     ({"simulate": True, "config": {"generator": {"days": "x"}}}, 1),
     ({"simulate": True, "flags": ["--posts-per-day", "nan"]}, 1),
     ({"simulate": True, "flags": ["--seed", "-1"]}, 1),
+    ({"events": lambda b: b.replace(b"\n", b"\n\xff", 1)}, 2),
+    ({"events": lambda b: b + _first_line_with(b, b'"retweet"')}, 2),
+    ({"events": lambda b: _with_line(b, '{"kind":"post","item_id":"x","event_id":"x",'
+                                        f'"ts":{10 ** 23},"account":"a"}}')}, 2),
+    ({"model": lambda b: b.replace(b"[p1]", b"[p\xff]")}, 2),
+    ({"config": b'{"beta": "\xff"}'}, 1),
+    ({"report": {"header.txt": lambda b: b"\xff" + b}}, 2),
+    ({"report": {"summary.csv": lambda b: b.replace(b"utility,", b"utility,x", 1)}}, 2),
+    ({"report": {"summary.csv": lambda b: b + b"rt,0.5\n"}}, 2),
 ], ids=["config-beta-string", "config-beta-bool", "config-novelty-limits",
         "flag-novelty-limits", "flag-peak-hours", "flag-peak-hours-range",
         "flag-beta-1", "meta-window-letters", "meta-window-no-comma",
-        "config-generator-days", "flag-posts-per-day-nan", "flag-seed-negative"])
+        "config-generator-days", "flag-posts-per-day-nan", "flag-seed-negative",
+        "events-not-utf8", "events-repeated-retweet", "events-ts-too-large",
+        "model-not-utf8", "config-not-utf8", "header-not-utf8",
+        "summary-non-numeric", "summary-short-row"])
 def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline):
-    if "meta_window" in case:
-        args = ["evaluate", "--events", pipeline["events"],
-                "--model", _meta_window_model(pipeline, tmp_path, case["meta_window"]),
+    def edited(name, src, edit):
+        path = tmp_path / name
+        path.write_bytes(edit(open(src, "rb").read()))
+        return str(path)
+
+    events = pipeline["events"]
+    if "events" in case:
+        events = edited("e.jsonl", events, case["events"])
+    if "report" in case:
+        report = tmp_path / "report"
+        shutil.copytree(pipeline["report"], report)
+        for name, edit in case["report"].items():
+            edited(f"report/{name}", report / name, edit)
+        args = ["report", "--report-dir", str(report)]
+    elif "model" in case:
+        args = ["evaluate", "--events", events,
+                "--model", edited("m.txt", pipeline["model"], case["model"]),
                 "--report-dir", str(tmp_path / "r"), "--eval-window", "2880:2940"]
     elif "simulate" in case:
         args = ["simulate", "--events", str(tmp_path / "e.jsonl"), *case.get("flags", [])]
     else:
-        args = ["fit", "--events", pipeline["events"],
+        args = ["fit", "--events", events,
                 "--model", str(tmp_path / "m.txt"), "--train-window", "0:2880",
                 *case.get("flags", [])]
     if "config" in case:
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(case["config"]))
+        config = case["config"]
+        cfg_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         args += ["--config", str(cfg_path)]
     proc = subprocess.run([sys.executable, "-m", "feedrank.cli", *args],
                           capture_output=True, text=True, timeout=120)
@@ -227,3 +265,51 @@ def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline)
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def _corrupt(data, draw):
+    """``data`` truncated, with one byte overwritten, or with a line repeated or dropped."""
+    how = draw(st.sampled_from(["truncate", "overwrite", "duplicate", "drop"]))
+    if how == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if how == "overwrite":
+        pos = draw(st.integers(0, len(data) - 1))
+        return data[:pos] + bytes([draw(st.integers(0, 255))]) + data[pos + 1:]
+    lines = data.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    if how == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        del lines[i]
+    return b"".join(lines)
+
+
+@settings(max_examples=25, deadline=None)
+@given(target=st.sampled_from(["events", "model"]), data=st.data())
+def test_corrupted_inputs_end_in_one_error_line(pipeline, target, data):
+    work = pipeline["root"] / "corrupted"
+    work.mkdir(exist_ok=True)
+    bad = work / target
+    bad.write_bytes(_corrupt(open(pipeline[target], "rb").read(), data.draw))
+
+    def run(*args):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(list(args))
+        assert 0 <= code <= 3
+        lines = err.getvalue().splitlines()
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        return code
+
+    evaluate = ["evaluate", "--report-dir", str(work / "report"),
+                "--eval-window", "2880:3240"]
+    if target == "events":
+        fitted = str(work / "fitted.txt")
+        if run("fit", "--events", str(bad), "--model", fitted,
+               "--train-window", "0:2880") == 0:
+            run("indices", "--model", fitted)
+        run(*evaluate, "--events", str(bad), "--model", pipeline["model"])
+    else:
+        run(*evaluate, "--events", pipeline["events"], "--model", str(bad))
+        run("indices", "--model", str(bad))

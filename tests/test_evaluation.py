@@ -27,44 +27,57 @@ def make_table(space):
     return IndexTable(g=g, pi_order=order, y_values=y)
 
 
+def ndcg_of(relevance):
+    """nDCG of relevance scores listed in rank order."""
+    return ndcg([2.0 ** s - 1.0 for s in relevance])
+
+
 def test_ndcg_perfect_ordering_is_one():
-    rel = {"a": 3.0, "b": 2.0, "c": 0.0}
-    assert ndcg(["a", "b", "c"], rel) == pytest.approx(1.0)
+    assert ndcg_of([3.0, 2.0, 0.0]) == pytest.approx(1.0)
 
 
 def test_ndcg_two_item_swap():
-    rel = {"a": 0.0, "b": 1.0}
-    got = ndcg(["a", "b"], rel)
+    got = ndcg_of([0.0, 1.0])
     assert abs(got - 1.0 / math.log2(3.0)) < 1e-12
 
 
 def test_ndcg_all_zero_scores_one():
-    assert ndcg(["a", "b"], {"a": 0.0, "b": 0.0}) == 1.0
+    assert ndcg_of([0.0, 0.0]) == 1.0
+    assert ndcg([]) == 1.0
 
 
 def test_ndcg_equal_relevance_any_permutation_is_one():
-    rng = np.random.default_rng(2)
-    ids = [f"i{k}" for k in range(12)]
-    rel = {iid: 2.0 for iid in ids}
-    for _ in range(1000):
-        perm = list(rng.permutation(ids))
-        assert ndcg(perm, rel) == 1.0
+    for n in range(1, 13):
+        assert ndcg_of([2.0] * n) == 1.0
 
 
 def test_ndcg_negative_relevance_rejected():
     with pytest.raises(DataError):
-        ndcg(["a"], {"a": -0.5})
+        ndcg_of([-0.5])
 
 
 def test_ndcg_matches_bruteforce_on_small_lists():
     rng = np.random.default_rng(14)
     for _ in range(40):
         n = int(rng.integers(1, 7))
-        ids = [f"i{k}" for k in range(n)]
-        rel = {iid: float(rng.integers(0, 5)) for iid in ids}
-        order = list(rng.permutation(ids))
-        expected = ndcg_bruteforce([rel[i] for i in order])
-        assert ndcg(order, rel) == pytest.approx(expected, abs=1e-12)
+        rel = [float(rng.integers(0, 5)) for _ in range(n)]
+        expected = ndcg_bruteforce(rel)
+        assert ndcg_of(rel) == pytest.approx(expected, abs=1e-12)
+
+
+def test_ndcg_sums_like_the_scalar_loop():
+    # The series are written with 17 digits, so the array sum must add
+    # in the same order as the Python loop it replaced: bit for bit.
+    def scalar_ndcg(gains):
+        dcg = sum(g / math.log2(pos + 1) for pos, g in enumerate(gains, start=1))
+        ideal = sum(g / math.log2(pos + 1)
+                    for pos, g in enumerate(sorted(gains, reverse=True), start=1))
+        return 1.0 if ideal == 0.0 else dcg / ideal
+
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 17, 64, 65, 400):
+        gains = [2.0 ** float(s) - 1.0 for s in rng.integers(0, 31, size=n)]
+        assert ndcg(gains) == scalar_ndcg(gains)
 
 
 def test_pearson_matches_bruteforce():
@@ -83,29 +96,30 @@ def test_attention_relevance_slots_and_cap():
     events += [Event("retweet", "a", f"a-r{k}", 65) for k in range(40)]
     events += [Event("reply", "a", f"a-p{k}", 65) for k in range(3)]
     events += [Event("favorite", "a", f"a-f{k}", 65) for k in range(2)]
-    timelines = build_timelines(events)
-    assert attention_relevance(1, ["a"], timelines, "rt")["a"] == 30.0
-    assert attention_relevance(1, ["a"], timelines, "rt", cap=100)["a"] == 40.0
-    assert attention_relevance(1, ["a"], timelines, "rt_replies", cap=100)["a"] == 43.0
-    assert attention_relevance(1, ["a"], timelines, "rt_replies_favs", cap=100)["a"] == 45.0
-    assert attention_relevance(2, ["a"], timelines, "rt")["a"] == 0.0
+    table = build_timelines(events)
+    rows = np.array([0])
+    assert attention_relevance(1, rows, table, "rt").tolist() == [30]
+    assert attention_relevance(1, rows, table, "rt", cap=100).tolist() == [40]
+    assert attention_relevance(1, rows, table, "rt_replies", cap=100).tolist() == [43]
+    assert attention_relevance(1, rows, table, "rt_replies_favs", cap=100).tolist() == [45]
+    assert attention_relevance(2, rows, table, "rt").tolist() == [0]
     with pytest.raises(ConfigError):
-        attention_relevance(1, ["a"], timelines, "views")
+        attention_relevance(1, rows, table, "views")
     with pytest.raises(ConfigError):
-        attention_relevance(1, ["a"], timelines, "rt", cap=0)
+        attention_relevance(1, rows, table, "rt", cap=0)
 
 
 def test_utility_relevance_uses_next_minute_state():
     space = make_space()
     events = [Event("post", "a", "a", 0),
               Event("retweet", "a", "a-r0", 70)]
-    timelines = build_timelines(events)
+    table = build_timelines(events)
+    rows = np.array([0])
     # At t = 1 the item is age 1 / 0 visible retweets; at t + 1 = 2 it is
     # age 2 with 1 visible retweet, i.e. state (2,2) = 4.
-    scores = utility_relevance(1, ["a"], timelines, space)
-    assert scores["a"] == pytest.approx(float(space.reward[4]))
+    assert utility_relevance(1, rows, table, space).tolist() == [4]
     # At t = 2 the next-minute state is out of window (age 3): reward 0.
-    assert utility_relevance(2, ["a"], timelines, space)["a"] == 0.0
+    assert utility_relevance(2, rows, table, space).tolist() == [0]
 
 
 def test_hour_of_minute_wraps_days():
@@ -216,6 +230,10 @@ def test_evaluate_run_validation():
     with pytest.raises(ConfigError):
         evaluate_run(timelines, space, None, ("novelty",), ("rt",), (700, 710),
                      peak_hours=(25,))
+    for cap in (0, 1024):
+        with pytest.raises(ConfigError):
+            evaluate_run(timelines, space, None, ("novelty",), ("rt",), (700, 710),
+                         relevance_cap=cap)
 
 
 def test_report_writers_round_trip(tmp_path):

@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from feedrank.errors import DataError, EventLogError
 from feedrank.events import (
-    Event, build_timelines, parse_event_log, serialize_event_log,
+    MAX_TS, Event, build_timelines, parse_event_log, serialize_event_log,
 )
 
 
@@ -64,6 +65,36 @@ def test_parse_rejects_float_timestamps():
         parse_event_log(make_line("post", "a", "a", 1.5))
 
 
+@pytest.mark.parametrize("kind", ["retweet", "reply", "favorite"])
+def test_parse_rejects_a_repeated_event_id(kind):
+    lines = [make_line("post", "t1", "t1", 0),
+             make_line(kind, "t1", "t1-e1", 60),
+             make_line(kind, "t1", "t1-e1", 60)]
+    with pytest.raises(EventLogError) as exc_info:
+        parse_event_log("\n".join(lines))
+    [(lineno, msg)] = exc_info.value.line_errors
+    assert lineno == 3
+    assert "duplicate event_id 't1-e1'" in msg and "first at line 2" in msg
+
+
+def test_parse_bounds_timestamps():
+    assert parse_event_log(make_line("post", "a", "a", MAX_TS))[0].ts == MAX_TS
+    for ts in (MAX_TS + 1, 10 ** 23):
+        with pytest.raises(EventLogError) as exc_info:
+            parse_event_log("\n".join([make_line("post", "b", "b", 0),
+                                       make_line("post", "a", "a", ts)]))
+        assert [n for n, _ in exc_info.value.line_errors] == [2]
+    # The largest minute still fits the table's keys.
+    table = build_timelines([Event("post", "a", "a", MAX_TS),
+                             Event("retweet", "a", "a-r", MAX_TS)])
+    assert table.count("retweet", [0], 0, MAX_TS // 60 + 1).tolist() == [1]
+
+
+def test_parse_rejects_bytes_that_are_not_utf8():
+    with pytest.raises(DataError):
+        parse_event_log(b"\xff\xfe" + make_line("post", "a", "a", 0).encode())
+
+
 def test_build_timelines_counts_and_popularity():
     events = parse_event_log("\n".join([
         make_line("post", "t1", "t1", 600),         # minute 10
@@ -73,19 +104,21 @@ def test_build_timelines_counts_and_popularity():
         make_line("retweet", "t1", "t1-r3", 780),   # minute 13
         make_line("post", "t2", "t2", 615),
     ]))
-    timelines = build_timelines(events)
-    assert sorted(timelines) == ["t1", "t2"]
-    tl = timelines["t1"]
-    assert tl.post_minute == 10
-    assert tl.counts_in_minute(11) == (2, 1, 0)
-    assert tl.counts_in_minute(12) == (0, 0, 0)
+    table = build_timelines(events)
+    assert table.ids == ("t1", "t2")
+    assert table.post_minute.tolist() == [10, 10]
+
+    def during(t):
+        return tuple(int(table.count(kind, [0], t, t + 1)[0])
+                     for kind in ("retweet", "reply", "favorite"))
+
+    assert during(11) == (2, 1, 0)
+    assert during(12) == (0, 0, 0)
     # Retweets in minute 11 count toward [11, 12): visible from minute 12 on.
-    assert tl.retweets_before(11) == 0
-    assert tl.retweets_before(12) == 2
-    assert tl.retweets_before(13) == 2
-    assert tl.retweets_before(14) == 3
-    assert tl.final_retweet_count == 3
-    assert timelines["t2"].final_retweet_count == 0
+    minutes = np.array([11, 12, 13, 14])
+    assert table.count("retweet", np.zeros(4, dtype=int), 0, minutes).tolist() == [0, 2, 2, 3]
+    # Final counts, one vectorized count over every row.
+    assert table.count("retweet", [0, 1], 0, table.stride).tolist() == [3, 0]
 
 
 def test_build_timelines_rejects_orphans():
@@ -114,8 +147,8 @@ def test_engagement_in_post_minute_is_allowed():
         Event("post", "t1", "t1", 605),
         Event("retweet", "t1", "t1-r1", 601),  # same minute, earlier second
     ]
-    tl = build_timelines(events)["t1"]
-    assert tl.counts_in_minute(10) == (1, 0, 0)
+    table = build_timelines(events)
+    assert table.count("retweet", [0], 10, 11).tolist() == [1]
 
 
 def test_serialize_is_compact_single_lines():
@@ -124,3 +157,18 @@ def test_serialize_is_compact_single_lines():
     assert text == ('{"kind":"post","item_id":"t1","event_id":"t1",'
                     '"ts":0,"account":"acct"}\n')
     assert serialize_event_log([]) == ""
+
+
+def test_take_keeps_the_masked_rows_and_their_events():
+    table = build_timelines([
+        Event("post", "a", "a", 0), Event("post", "b", "b", 60), Event("post", "c", "c", 120),
+        Event("retweet", "a", "a-r", 60), Event("reply", "b", "b-p", 120),
+        Event("retweet", "c", "c-r1", 180), Event("retweet", "c", "c-r2", 240),
+    ])
+    sub = table.take([True, False, True])
+    assert sub.ids == ("a", "c")
+    assert sub.post_ts.tolist() == [0, 120]
+    assert sub.count("retweet", [0, 1], 0, sub.stride).tolist() == [1, 2]
+    assert sub.count("reply", [0, 1], 0, sub.stride).tolist() == [0, 0]
+    rows, minutes = sub.events("retweet")
+    assert rows.tolist() == [0, 1, 1] and minutes.tolist() == [1, 3, 4]

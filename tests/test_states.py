@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from feedrank.errors import DataError
 from feedrank.events import Event, build_timelines
 from feedrank.states import (
-    DEFAULT_NOVELTY_LIMITS, BinSpec, build_state_space, classify, classify_minute,
+    DEFAULT_NOVELTY_LIMITS, BinSpec, build_state_space, classify,
     fit_popularity_bins, fit_rewards, state_bins, state_label,
 )
 from oracles import quantile_limits_bruteforce
@@ -35,6 +36,7 @@ def test_novelty_bins_cover_documented_ranges():
     assert bins.novelty_bin(0) == 0
     for age in range(1, 10):
         assert bins.novelty_bin(age) == age
+    assert bins.novelty_bin(-1) == 0
     assert bins.novelty_bin(9) == 9
     assert bins.novelty_bin(19) == 9
     assert bins.novelty_bin(20) == 10
@@ -62,15 +64,34 @@ def test_classify_documented_states():
     assert classify(2, 131, bins) == 20
 
 
-def test_classify_minute_counts_retweets_before_the_minute():
-    space = build_state_space(month_bins(), MONTH_R_N, MONTH_R_P)
+def test_classify_counts_retweets_before_the_minute():
+    bins = month_bins()
     events = [Event("post", "a", "a", 600)]
     events += [Event("retweet", "a", f"a-r{k}", 660) for k in range(19)]
-    tl = build_timelines(events)["a"]
+    table = build_timelines(events)
     # Post minute 10; the 19 retweets land in minute 11 and count from 12.
-    assert classify_minute(tl, 11, space) == classify(1, 0, space.bins) == 1
-    assert classify_minute(tl, 12, space) == classify(2, 19, space.bins) == 13
-    assert classify_minute(tl, 70, space) == 0
+    minutes = np.array([11, 12, 70])
+    states = classify(minutes - table.post_minute[0],
+                      table.count("retweet", np.zeros(3, dtype=int), 0, minutes), bins)
+    assert states.tolist() == [classify(1, 0, bins), classify(2, 19, bins), 0] == [1, 13, 0]
+
+
+def scalar_state(age, count, bins):
+    """The per-item loop the array classifier replaced."""
+    lim = bins.novelty_limits
+    if age < lim[0] or age > lim[-1] - 1:
+        return 0
+    nov = bisect.bisect_right(lim, age)
+    return (nov - 1) * bins.n_popularity_bins + bisect.bisect_right(bins.popularity_limits, count)
+
+
+def test_classify_arrays_match_the_scalar_loop():
+    bins = month_bins()
+    ages = np.array([-3, 0, 1, 9, 10, 19, 20, 59, 60, 61])
+    counts = np.array([0, 5, 0, 131, 150, 18, 19, 10 ** 9, 2, 1])
+    states = classify(ages, counts, bins)
+    assert states.tolist() == [0, 0, 1, 90, 90, 82, 93, 100, 0, 0]
+    assert states.tolist() == [scalar_state(a, c, bins) for a, c in zip(ages, counts)]
 
 
 def test_reward_peaks_at_state_20():
@@ -112,6 +133,8 @@ def test_binspec_validation():
         BinSpec(DEFAULT_NOVELTY_LIMITS, (0, 5, 4, math.inf))
     with pytest.raises(DataError):
         BinSpec(DEFAULT_NOVELTY_LIMITS, (0, 5, 10))
+    with pytest.raises(DataError):
+        BinSpec((1, 2 ** 31), MONTH_POP_LIMITS)  # ages beyond any timestamp
 
 
 def test_fit_popularity_bins_small_example():
@@ -209,6 +232,7 @@ def test_build_state_space_validation():
 def test_classify_total_on_default_bins(age, count):
     bins = month_bins()
     state = classify(age, count, bins)
+    assert state == scalar_state(age, count, bins)
     assert 0 <= state <= 100
     in_window = 1 <= age <= 59
     assert (state > 0) == in_window

@@ -14,6 +14,10 @@ from feedrank.transitions import estimate_p1
 from oracles import powerlaw_alpha_mle
 
 
+def final_counts(table):
+    return table.count("retweet", np.arange(len(table)), 0, table.stride)
+
+
 def small_config(**overrides):
     base = GeneratorConfig(seed=7, n_accounts=3, days=7, posts_per_day=20.0)
     return replace(base, **overrides)
@@ -36,19 +40,18 @@ def test_stream_is_sorted_and_well_formed():
 
 def test_engagement_stays_within_the_hour():
     events = generate_stream(small_config())
-    timelines = build_timelines(events)
-    for tl in timelines.values():
-        for minute in tl.per_minute_counts:
-            age = minute - tl.post_minute
-            assert 1 <= age <= 59
+    table = build_timelines(events)
+    for kind in ("retweet", "reply", "favorite"):
+        rows, minutes = table.events(kind)
+        ages = minutes - table.post_minute[rows]
+        assert ages.size and ages.min() >= 1 and ages.max() <= 59
 
 
 def test_zero_fraction_hits_target():
     events = generate_stream(small_config(days=14, posts_per_day=40.0,
                                           zero_fraction=0.25))
-    timelines = build_timelines(events)
-    zero_share = np.mean([tl.final_retweet_count == 0
-                          for tl in timelines.values()])
+    table = build_timelines(events)
+    zero_share = np.mean(final_counts(table) == 0)
     assert abs(zero_share - 0.25) < 0.04
 
 
@@ -63,9 +66,8 @@ def test_power_law_sampler_matches_mle():
 def test_final_counts_follow_power_law():
     events = generate_stream(small_config(days=21, posts_per_day=40.0,
                                           n_accounts=4))
-    timelines = build_timelines(events)
-    nonzero = [tl.final_retweet_count for tl in timelines.values()
-               if tl.final_retweet_count > 0]
+    counts = final_counts(build_timelines(events))
+    nonzero = counts[counts > 0].tolist()
     assert len(nonzero) > 1000
     alpha_hat = powerlaw_alpha_mle(nonzero, x_min=1, cap=1_000_000)
     assert abs(alpha_hat - 2.3) < 0.1
@@ -99,9 +101,9 @@ def test_peak_magnitude_boost_raises_peak_counts():
     peak_hours = set(range(12, 24)) | {0, 1}
 
     def mean_peak_count(events):
-        timelines = build_timelines(events)
-        counts = [tl.final_retweet_count for tl in timelines.values()
-                  if (tl.post_minute % 1440) // 60 in peak_hours]
+        table = build_timelines(events)
+        hours = (table.post_minute % 1440) // 60
+        counts = final_counts(table)[np.isin(hours, list(peak_hours))]
         return np.mean(counts)
 
     assert mean_peak_count(generate_stream(boosted)) > \
@@ -172,12 +174,12 @@ def test_markov_stream_emits_minimum_counts():
     ])
     events = generate_markov_stream(space, p1, n_items=3, seed=5,
                                     start_minute=10)
-    timelines = build_timelines(events)
-    for tl in timelines.values():
-        # Popularity bin 2 needs exactly one retweet, visible from age 1:
-        # it must be emitted in the post minute.
-        assert tl.retweets_before(11) == 1
-        assert tl.final_retweet_count == 1
+    table = build_timelines(events)
+    rows = np.arange(len(table))
+    # Popularity bin 2 needs exactly one retweet, visible from age 1:
+    # it must be emitted in the post minute.
+    assert table.count("retweet", rows, 0, 11).tolist() == [1, 1, 1]
+    assert final_counts(table).tolist() == [1, 1, 1]
 
 
 def test_markov_stream_structural_validation():

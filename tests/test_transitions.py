@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from feedrank.errors import DataError
 from feedrank.events import Event, build_timelines
-from feedrank.states import BinSpec, build_state_space, classify_minute
+from feedrank.states import BinSpec, build_state_space, classify
 from feedrank.transitions import (
     TransitionModel, build_model, derive_p0, estimate_p1,
 )
@@ -93,7 +93,7 @@ def test_estimator_matches_bruteforce_counts():
         events, oracle_items = random_corpus(rng)
         window = (10, 40)
         timelines = build_timelines(events)
-        if not any(10 <= tl.post_minute < 40 for tl in timelines.values()):
+        if not ((10 <= timelines.post_minute) & (timelines.post_minute < 40)).any():
             continue
         p1 = estimate_p1(timelines, space, window)
         counts = count_transitions_bruteforce(
@@ -116,12 +116,12 @@ def test_estimator_errors():
         estimate_p1(timelines, space, (5, 12), smoothing=-0.1)
 
 
-def test_classify_minute_before_post_is_state_zero():
+def test_classify_before_post_is_state_zero():
     space = small_space()
-    tl = build_timelines([post("t1", 10)])["t1"]
-    assert classify_minute(tl, 9, space) == 0
-    assert classify_minute(tl, 10, space) == 0   # age 0: not rankable yet
-    assert classify_minute(tl, 11, space) == 1
+    table = build_timelines([post("t1", 10)])
+    ages = np.array([9, 10, 11]) - table.post_minute[0]
+    # Before the post and at age 0 (not rankable yet) the state is 0.
+    assert classify(ages, np.zeros(3, dtype=int), space.bins).tolist() == [0, 0, 1]
 
 
 def test_derive_p0_worked_example():
