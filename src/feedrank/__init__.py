@@ -25,8 +25,8 @@ from .transitions import (
     TransitionModel, build_model, derive_p0, estimate_p1,
 )
 from .indices import (
-    IndexTable, compute_indices, constants_a, format_rank_grid, occupancy,
-    rank_states,
+    IndexTable, SweepStats, compute_indices, constants_a, format_rank_grid,
+    occupancy, rank_states,
 )
 from .ranking import MinuteRanking, rank_items, rank_minutes
 from .evaluation import (
@@ -44,7 +44,7 @@ __all__ = [
     "EvaluationReport", "Event",
     "EventLogError", "FeedrankError", "GeneratorConfig", "IndexTable",
     "IndexabilityError", "ItemTable", "MinuteRanking", "ModelBundle",
-    "NumericalError", "RunConfig", "StateSpace", "TransitionModel",
+    "NumericalError", "RunConfig", "StateSpace", "SweepStats", "TransitionModel",
     "attention_relevance", "build_model", "build_state_space",
     "build_timelines", "classify", "compute_indices", "constants_a",
     "derive_p0", "estimate_p1", "evaluate_run", "fit_model", "fit_popularity_bins",

@@ -70,6 +70,7 @@ def cmd_indices(args: argparse.Namespace) -> int:
     bundle.index = compute_indices(bundle.transition_model(), bundle.state_space().reward)
     write_model(bundle, cfg.model_path)
     print(format_rank_grid(bundle.index, bundle.bins))
+    print(bundle.index.sweep.describe())
     print(f"index table written to {cfg.model_path}")
     return 0
 

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .events import ItemTable, hour_of_minute
+from .events import ItemTable
 from .indices import IndexTable
 from .ranking import DEFAULT_HORIZON, POLICIES, MinuteRanking, rank_minutes
 from .states import StateSpace, classify
@@ -108,6 +108,44 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         return math.nan
     sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
     return sxy / math.sqrt(sxx * syy)
+
+
+def _decision_minutes(post_minute: np.ndarray, start: int, end: int, interval: int,
+                      hour_set: frozenset[int] | None,
+                      horizon: int) -> tuple[list[int], int]:
+    """The decision minutes that can hold an active item, and the count of all.
+
+    Decision minutes are ``start + k * interval`` in ``[start, end)``
+    whose UTC hour is in ``hour_set`` (every minute when it is None).
+    Only those within ``[p + 1, p + horizon]`` of some post minute ``p``
+    are listed, so the window's length costs nothing: the filter repeats
+    every ``1440 / gcd(interval, 1440)`` steps, and the count is whole
+    periods plus a remainder.
+    """
+    n_steps = -(-(end - start) // interval)
+    period = 1440 // math.gcd(interval, 1440)
+    hours = (start % 1440 + interval % 1440 * np.arange(period)) % 1440 // 60
+    passes = (np.ones(period, dtype=bool) if hour_set is None
+              else np.isin(hours, sorted(hour_set)))
+    full, rest = divmod(n_steps, period)
+    n_decision = full * int(passes.sum()) + int(passes[:rest].sum())
+
+    # Merge the posts' active ranges [p + 1, p + horizon + 1): all have
+    # one length, so in start order a range opens a new run exactly when
+    # it starts after the previous one stops (a repeated post minute
+    # joins the run of its twin).
+    posts = np.sort(post_minute)
+    if not posts.size:
+        return [], n_decision
+    lo, hi = posts + 1, posts + horizon + 1
+    first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])
+    last = np.r_[first[1:] - 1, len(posts) - 1]
+    k_lo = -(-(np.maximum(lo[first], start) - start) // interval)
+    k_hi = -(-(np.minimum(hi[last], end) - start) // interval)
+    counts = np.maximum(k_hi - k_lo, 0)
+    ks = np.repeat(k_lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    ks = ks[passes[ks % period]]
+    return (start + interval * ks).tolist(), n_decision
 
 
 @dataclass
@@ -202,8 +240,8 @@ def evaluate_run(table: ItemTable, state_space: StateSpace,
 
     utility_gain = _gains(state_space.reward)
     attention_gain = _gains(range(relevance_cap + 1))
-    decision_minutes = [t for t in range(start, end, interval)
-                        if hour_set is None or hour_of_minute(t) in hour_set]
+    decision_minutes, n_decision = _decision_minutes(
+        table.post_minute, start, end, interval, hour_set, horizon)
     rankings = list(rank_minutes(table, state_space, index_table, policies,
                                  decision_minutes, horizon))
     series: dict[tuple[str, str], list[float]] = {
@@ -237,7 +275,7 @@ def evaluate_run(table: ItemTable, state_space: StateSpace,
         signals=signals,
         rankings=rankings,
         series=series,
-        skipped_empty=len(decision_minutes) - len(rankings),
+        skipped_empty=n_decision - len(rankings),
         warnings=warnings,
         fingerprint=fingerprint,
     )

@@ -62,6 +62,44 @@ def gittins_restart(p, rewards, beta, tol=1e-12, max_iter=200_000):
     return nu
 
 
+def greedy_indices_reference(p1, p0, beta, rewards):
+    """Adaptive-greedy indices with one fresh dense solve per extraction.
+
+    The O(n^4) form of the Bertsimas-Nino-Mora sweep: at each step,
+    solve for the occupancy V of the extracted states (rows of p1 inside
+    that set, rows of p0 outside), take the constants
+    A = 1 + beta * (p1 - p0) V, and extract the first maximizer of
+    (reward - accumulated adjustment) / A among the remaining states.
+    Returns (g, pi_order, y_values).
+    """
+    p1 = np.asarray(p1, dtype=float)
+    p0 = np.asarray(p0, dtype=float)
+    r = np.asarray(rewards, dtype=float)
+    n = len(r)
+    remaining = np.ones(n, dtype=bool)
+    adjust = np.zeros(n)
+    g = np.zeros(n)
+    pi_order = np.empty(n, dtype=int)
+    y_values = np.empty(n)
+    running = 0.0
+    for step in range(n):
+        extracted = ~remaining
+        m = np.eye(n) - beta * np.where(extracted[:, None], p1, p0)
+        v = np.linalg.solve(m, extracted.astype(float))
+        a = 1.0 + beta * ((p1 - p0) @ v)
+        members = np.flatnonzero(remaining)
+        ratios = (r[members] - adjust[members]) / a[members]
+        pick = int(np.argmax(ratios))
+        state = int(members[pick])
+        running += float(ratios[pick])
+        g[state] = running
+        pi_order[step] = state
+        y_values[step] = ratios[pick]
+        adjust += a * ratios[pick]
+        remaining[state] = False
+    return g, pi_order, y_values
+
+
 def count_transitions_bruteforce(items, novelty_limits, popularity_limits,
                                  n_pop, window):
     """Transition counts over a half-open minute window, the slow way.

@@ -6,13 +6,16 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feedrank import ranking
+from feedrank import indices, ranking
 from feedrank.cli import main
 from feedrank.model_io import read_model
+from oracles import greedy_indices_reference
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,60 @@ def test_indices_stores_table_and_prints_grid(pipeline, capsys):
     assert main(["indices", "--model", pipeline["model"]]) == 0
     out = capsys.readouterr().out
     assert "state 0 rank:" in out
+
+
+def test_indices_match_the_reference_sweep(pipeline):
+    bundle = read_model(pipeline["model"])
+    model, reward = bundle.transition_model(), bundle.state_space().reward
+    g, _, y_values = greedy_indices_reference(model.p1, model.p0, model.beta, reward)
+    table = indices.compute_indices(model, reward)
+    assert np.abs(table.g - g).max() <= 1e-10
+    assert np.abs(table.y_values - y_values).max() <= 1e-12
+    assert np.abs(bundle.index.g - g).max() <= 1e-10
+
+
+def test_indices_prints_sweep_diagnostics_but_does_not_store_them(pipeline, tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    shutil.copy(pipeline["model"], model)
+    assert main(["indices", "--model", str(model)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == ("sweep: smallest A = 1 (state 0, step 0), "
+                         "0 refinements, 0 refactorizations")
+    assert lines[-3].startswith("state 0 rank:")
+    text = model.read_text()
+    assert text.startswith("# feedrank model, format v2")
+    assert "sweep" not in text and "refine" not in text
+    assert read_model(str(model)).index.sweep is None
+
+
+def test_indices_exits_3_when_the_residual_cannot_be_met(pipeline, tmp_path, monkeypatch):
+    model = tmp_path / "model.txt"
+    shutil.copy(pipeline["model"], model)
+    monkeypatch.setattr(indices, "RESIDUAL_TOL_FACTOR", 0.0)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["indices", "--model", str(model)])
+    assert code == 3
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: occupancy residual"), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert model.read_bytes() == open(pipeline["model"], "rb").read()
+
+
+def test_evaluate_on_a_huge_window_lists_only_minutes_with_posts(pipeline, tmp_path):
+    report = tmp_path / "huge"
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "feedrank.cli", "evaluate", "--events", pipeline["events"],
+         "--model", pipeline["model"], "--report-dir", str(report),
+         "--eval-window", "0:100000000000", "--policies", "novelty"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert time.monotonic() - started < 30
+    header = (report / "header.txt").read_text().splitlines()
+    evaluated = int(next(line for line in header if line.startswith("minutes_evaluated")).split()[-1])
+    assert 0 < evaluated < 5000
+    assert f"minutes_skipped_empty = {100_000_000_000 - evaluated}" in header
 
 
 def test_evaluate_writes_reports(pipeline):

@@ -167,6 +167,30 @@ def test_evaluate_run_skips_empty_minutes():
     assert report.minutes == list(range(691, 700))
 
 
+def spread_corpus():
+    """Posts over three days with gaps of hours between bursts, two in one minute."""
+    minutes = [5, 7, 300, 300, 301, 900, 1439, 1500, 2000, 2003, 2950, 4000, 4300]
+    return build_timelines([Event("post", f"s{k}", f"s{k}", m * 60)
+                            for k, m in enumerate(minutes)])
+
+
+@pytest.mark.parametrize("interval", [1, 7, 60])
+@pytest.mark.parametrize("peak_hours", [None, (23, 0, 1, 5), (12,)])
+def test_decision_minutes_match_a_scan_of_the_grid(interval, peak_hours):
+    table = spread_corpus()
+    space = make_space()
+    posts = table.post_minute.tolist()
+    for window, horizon in (((0, 4500), 60), ((3, 4400), 17), ((1000, 1100), 60),
+                            ((2001, 2002), 1), ((4400, 9000), 60)):
+        grid = [t for t in range(*window, interval)
+                if peak_hours is None or hour_of_minute(t) in peak_hours]
+        active = [t for t in grid if any(p < t <= p + horizon for p in posts)]
+        report = evaluate_run(table, space, None, ("novelty",), ("rt",), window,
+                              interval=interval, peak_hours=peak_hours, horizon=horizon)
+        assert report.minutes == active
+        assert report.skipped_empty == len(grid) - len(active)
+
+
 def test_peak_hours_filter_is_subset_of_full_run():
     timelines = eval_corpus()
     space = make_space()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from feedrank import indices
 from feedrank.errors import IndexabilityError, NumericalError
 from feedrank.indices import (
     IndexTable, compute_indices, constants_a, format_rank_grid, occupancy,
@@ -9,7 +10,7 @@ from feedrank.indices import (
 )
 from feedrank.states import BinSpec
 from feedrank.transitions import TransitionModel, build_model
-from oracles import gittins_restart
+from oracles import gittins_restart, greedy_indices_reference
 
 # Two-state fixture: p1 = [[0.3, 0.7], [0.6, 0.4]], epsilon = 0.25,
 # beta = 0.9. Occupancies solve a 2x2 system by hand:
@@ -241,3 +242,97 @@ def test_occupancy_residual_property(seed, beta):
     p_mixed = np.where(mask[:, None], model.p1, model.p0)
     residual = v - (mask.astype(float) + beta * (p_mixed @ v))
     assert np.abs(residual).max() <= 1e-10 / (1.0 - beta)
+
+
+def assert_matches_reference(model, rewards):
+    """G to 1e-10 and the extracted ratios to 1e-12 of the O(n^4) sweep."""
+    table = compute_indices(model, rewards)
+    g, _, y_values = greedy_indices_reference(model.p1, model.p0, model.beta, rewards)
+    assert np.abs(table.g - g).max() <= 1e-10
+    assert np.abs(table.y_values - y_values).max() <= 1e-12
+    return table
+
+
+def test_sweep_matches_reference_on_criterion_1_chains():
+    # The chains of acceptance criterion 1, drawn the same way.
+    rng = np.random.default_rng(20260815)
+    for beta, n_chains in ((0.9, 100), (0.5, 20), (0.99, 20)):
+        for _ in range(n_chains):
+            n = int(rng.integers(4, 9))
+            p1 = rng.dirichlet(np.ones(n), size=n)
+            rewards = rng.uniform(0, 1, size=n)
+            assert_matches_reference(build_model(p1, epsilon=0.0, beta=beta), rewards)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       n=st.integers(min_value=1, max_value=40),
+       beta=st.floats(min_value=0.05, max_value=0.995),
+       epsilon=st.sampled_from(["scalar", "per-state", "zero", "one"]),
+       sparse=st.booleans())
+def test_sweep_matches_reference_property(seed, n, beta, epsilon, sparse):
+    rng = np.random.default_rng(seed)
+    p1 = rng.dirichlet(np.ones(n), size=n)
+    if sparse:
+        # Fitted chains are sparse: keep one to three targets per row.
+        for row in p1:
+            row[rng.permutation(n)[int(rng.integers(1, 4)):]] = 0.0
+        p1 /= p1.sum(axis=1, keepdims=True)
+    eps = {"scalar": rng.uniform(0, 1), "per-state": rng.uniform(0, 1, size=n),
+           "zero": 0.0, "one": 1.0}[epsilon]
+    table = assert_matches_reference(build_model(p1, epsilon=eps, beta=beta),
+                                     rng.uniform(0, 1, size=n))
+    assert table.sweep.refactorizations == 0
+
+
+def test_sweep_reports_the_smallest_constant():
+    # Outside the dual-speed family: once state 0 is extracted, state 1
+    # keeps A = 19/109, the smallest constant of the sweep.
+    p1 = np.array([[1.0, 0.0, 0.0],
+                   [0.0, 0.0, 1.0],
+                   [0.0, 0.0, 1.0]])
+    p0 = np.array([[1.0, 0.0, 0.0],
+                   [0.01, 0.99, 0.0],
+                   [0.0, 0.0, 1.0]])
+    model = TransitionModel(p1=p1, p0=p0, epsilon=np.full(3, 0.5), beta=0.9)
+    sweep = compute_indices(model, [1.0, 0.5, 0.0]).sweep
+    assert sweep.min_a == pytest.approx(19 / 109, abs=1e-12)
+    assert sweep.min_a == pytest.approx(constants_a([1, 2], model)[1], abs=1e-12)
+    assert (sweep.min_a_state, sweep.min_a_step) == (1, 1)
+    assert (sweep.refinements, sweep.refactorizations) == (0, 0)
+    assert sweep.describe().startswith("sweep: smallest A = 0.174312 (state 1, step 1)")
+
+
+def test_failed_residual_refines_refactors_then_raises(monkeypatch):
+    refines, inverses = [], []
+    refine, inverse = indices._refine, indices._inverse
+
+    def counted_refine(*args):
+        refines.append(refine(*args))
+        return refines[-1]
+
+    def counted_inverse(m):
+        inverses.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(indices, "RESIDUAL_TOL_FACTOR", 0.0)
+    monkeypatch.setattr(indices, "_refine", counted_refine)
+    monkeypatch.setattr(indices, "_inverse", counted_inverse)
+    model = random_model(np.random.default_rng(3), 6)
+    with pytest.raises(NumericalError, match="exceeds tolerance"):
+        compute_indices(model, np.linspace(0, 1, 6))
+    # The set-up factorization, then one fresh one after the refinements failed.
+    assert len(inverses) == 2
+    assert [k for _, k, _ in refines] == [indices._MAX_REFINEMENTS] * 2
+
+
+def test_undiscounted_model_is_rejected_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a linear system")
+
+    monkeypatch.setattr(np.linalg, "inv", no_solve)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    model = TransitionModel(p1=TWO_STATE_P1, p0=TWO_STATE_P1,
+                            epsilon=np.ones(2), beta=1.0)
+    with pytest.raises(NumericalError, match="beta < 1"):
+        compute_indices(model, [1.0, 0.5])
