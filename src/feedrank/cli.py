@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import os
 import sys
 
@@ -25,7 +24,7 @@ from .evaluation import (
 )
 from .events import build_timelines, load_event_log, serialize_event_log
 from .indices import compute_indices, format_rank_grid
-from .model_io import fit_model, read_model, write_model
+from .model_io import fit_model, format_limits, read_model, write_model
 from .ranking import write_snapshots_csv
 from .synth import GeneratorConfig, generate_stream
 
@@ -99,11 +98,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     extra = {
         "beta": format(bundle.beta, ".17g"),
         "epsilon": _describe_epsilon(bundle.epsilon),
-        "novelty_limits": ",".join(str(v) for v in bundle.bins.novelty_limits),
-        "popularity_limits": ",".join(
-            "inf" if v == math.inf else str(int(v))
-            for v in bundle.bins.popularity_limits
-        ),
+        "novelty_limits": format_limits(bundle.bins.novelty_limits),
+        "popularity_limits": format_limits(bundle.bins.popularity_limits),
     }
     write_series_csv(report, os.path.join(cfg.report_dir, "series.csv"))
     write_summary_csv(report, os.path.join(cfg.report_dir, "summary.csv"))

@@ -10,10 +10,10 @@ from datetime import date
 from numbers import Integral, Real
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .evaluation import DEFAULT_RELEVANCE_CAP, SIGNALS
 from .ranking import DEFAULT_HORIZON, POLICIES
-from .states import DEFAULT_NOVELTY_LIMITS, DEFAULT_POPULARITY_BINS
+from .states import DEFAULT_NOVELTY_LIMITS, DEFAULT_POPULARITY_BINS, BinSpec
 from .synth import GeneratorConfig
 from .transitions import DEFAULT_BETA, DEFAULT_EPSILON
 
@@ -153,12 +153,18 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.dump_snapshots, bool):
             raise ConfigError("dump_snapshots must be true or false")
-        for p in self.policies:
-            if p not in POLICIES:
-                raise ConfigError(f"unknown policy {p!r}")
-        for s in self.signals:
-            if s not in SIGNALS:
-                raise ConfigError(f"unknown signal {s!r}")
+        for name, noun, known in (("policies", "policy", POLICIES),
+                                  ("signals", "signal", SIGNALS)):
+            chosen = getattr(self, name)
+            for value in chosen:
+                if value not in known:
+                    raise ConfigError(f"unknown {noun} {value!r}")
+            if not chosen or len(set(chosen)) != len(chosen):
+                raise ConfigError(f"{name} must list one or more names, none twice")
+        try:
+            BinSpec(self.novelty_limits, (0, math.inf))
+        except DataError as exc:  # the model file's check, met here as a flag error
+            raise ConfigError(str(exc)) from None
         if self.generator is not None:
             self.generator.validate()
 

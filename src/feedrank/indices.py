@@ -58,106 +58,6 @@ def _as_mask(active: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
     return mask
 
 
-def occupancy(active: Iterable[int] | np.ndarray, model: TransitionModel) -> np.ndarray:
-    """Discounted occupancy times of ``active`` from every start state.
-
-    Solves the defining linear system directly (dense LU with partial
-    pivoting) and verifies the residual against
-    ``1e-10 / (1 - beta)`` in max norm, applying iterative refinement
-    if the first solve falls short.
-    """
-    beta = model.beta
-    if beta >= 1:
-        raise NumericalError("occupancy requires beta < 1")
-    n = model.n_states
-    mask = _as_mask(active, n)
-    p_mixed = np.where(mask[:, None], model.p1, model.p0)
-    m = np.eye(n) - beta * p_mixed
-    b = mask.astype(float)
-    try:
-        v = np.linalg.solve(m, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"occupancy solve failed: {exc}") from exc
-    tol = RESIDUAL_TOL_FACTOR / (1.0 - beta)
-    for _ in range(_MAX_REFINEMENTS):
-        residual = np.abs(m @ v - b).max()
-        if residual <= tol:
-            return v
-        v = v + np.linalg.solve(m, b - m @ v)
-    residual = np.abs(m @ v - b).max()
-    if residual > tol:
-        raise NumericalError(
-            f"occupancy residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return v
-
-
-def _constants(diff: np.ndarray, beta: float, v_comp: np.ndarray) -> np.ndarray:
-    """``A = 1 + beta * (p1 - p0) V_comp`` with ``diff = p1 - p0``."""
-    return 1.0 + beta * (diff @ v_comp)
-
-
-def constants_a(active: Iterable[int] | np.ndarray, model: TransitionModel) -> np.ndarray:
-    """Normalizing constants A for the active set, one per state."""
-    n = model.n_states
-    mask = _as_mask(active, n)
-    return _constants(model.p1 - model.p0, model.beta, occupancy(~mask, model))
-
-
-@dataclass(frozen=True)
-class SweepStats:
-    """Numerical health of one adaptive-greedy sweep.
-
-    ``min_a`` is the smallest constant A of a state still in the active
-    set, over every step (the margin of the indexability condition
-    A > 0), found at ``min_a_state`` in step ``min_a_step``. With a
-    dual-speed ``p0`` every such A is at least 1 up to rounding (the
-    slowed chain keeps ``V[i] <= p1[i] . V`` outside the occupancy set),
-    so ``min_a`` falls clearly below 1 only for other models.
-    ``refinements`` counts iterative-refinement passes and
-    ``refactorizations`` the fresh factorizations after the first one.
-    """
-
-    min_a: float
-    min_a_state: int
-    min_a_step: int
-    refinements: int
-    refactorizations: int
-
-    def describe(self) -> str:
-        """One line for the output of ``feedrank indices``."""
-        return (f"sweep: smallest A = {self.min_a:.6g} (state {self.min_a_state}, "
-                f"step {self.min_a_step}), {self.refinements} refinements, "
-                f"{self.refactorizations} refactorizations")
-
-
-@dataclass(eq=False)
-class IndexTable:
-    """Priority index per state plus the greedy extraction trace.
-
-    ``pi_order[k]`` is the state extracted at step ``k`` (highest index
-    first) and ``y_values[k]`` the ratio extracted with it; ``g`` equals
-    the partial sums of ``y_values`` scattered back to the states.
-    ``sweep`` holds the sweep's diagnostics when the table was computed
-    here rather than read from a model file.
-    """
-
-    g: np.ndarray
-    pi_order: np.ndarray
-    y_values: np.ndarray
-    sweep: SweepStats | None = None
-
-    @property
-    def n_states(self) -> int:
-        return len(self.g)
-
-    def replay(self) -> np.ndarray:
-        """Rebuild ``g`` from the extraction trace."""
-        out = np.empty_like(self.g)
-        out[self.pi_order] = np.cumsum(self.y_values)
-        return out
-
-
 def _inverse(m: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.inv(m)
@@ -182,6 +82,84 @@ def _refine(m: np.ndarray, m_inv: np.ndarray, b: np.ndarray,
     return v, k, float(np.abs(residual).max())
 
 
+def _residual_error(residual: float, tol: float) -> NumericalError:
+    return NumericalError(f"occupancy residual {residual:.3e} exceeds tolerance {tol:.3e}")
+
+
+def occupancy(active: Iterable[int] | np.ndarray, model: TransitionModel) -> np.ndarray:
+    """Discounted occupancy times of ``active`` from every start state.
+
+    Solves the defining linear system with a dense inverse and checks
+    the residual against ``1e-10 / (1 - beta)`` in max norm, refining as
+    ``compute_indices`` does; raises ``NumericalError`` if the residual
+    still exceeds it.
+    """
+    n = model.n_states
+    mask = _as_mask(active, n)
+    m = np.eye(n) - model.beta * np.where(mask[:, None], model.p1, model.p0)
+    tol = RESIDUAL_TOL_FACTOR / (1.0 - model.beta)
+    v, _, residual = _refine(m, _inverse(m), mask.astype(float), tol)
+    if not residual <= tol:  # a nan residual fails too
+        raise _residual_error(residual, tol)
+    return v
+
+
+def _constants(diff: np.ndarray, beta: float, v_comp: np.ndarray) -> np.ndarray:
+    """``A = 1 + beta * (p1 - p0) V_comp`` with ``diff = p1 - p0``."""
+    return 1.0 + beta * (diff @ v_comp)
+
+
+def constants_a(active: Iterable[int] | np.ndarray, model: TransitionModel) -> np.ndarray:
+    """Normalizing constants A for the active set, one per state."""
+    n = model.n_states
+    mask = _as_mask(active, n)
+    return _constants(model.p1 - model.p0, model.beta, occupancy(~mask, model))
+
+
+@dataclass(frozen=True, eq=False)
+class SweepStats:
+    """Extraction trace and numerical health of one adaptive-greedy sweep.
+
+    ``pi_order[k]`` is the state extracted at step ``k`` (highest index
+    first) and ``y_values[k]`` the ratio extracted with it, so
+    ``g[pi_order] == cumsum(y_values)`` exactly.
+    ``min_a`` is the smallest constant A of a state still in the active
+    set, over every step (the margin of the indexability condition
+    A > 0), found at ``min_a_state`` in step ``min_a_step``. With a
+    dual-speed ``p0`` every such A is at least 1 up to rounding (the
+    slowed chain keeps ``V[i] <= p1[i] . V`` outside the occupancy set),
+    so ``min_a`` falls clearly below 1 only for other models.
+    ``refinements`` counts iterative-refinement passes and
+    ``refactorizations`` the fresh factorizations after the first one.
+    """
+
+    pi_order: np.ndarray
+    y_values: np.ndarray
+    min_a: float
+    min_a_state: int
+    min_a_step: int
+    refinements: int
+    refactorizations: int
+
+    def describe(self) -> str:
+        """One line for the output of ``feedrank indices``."""
+        return (f"sweep: smallest A = {self.min_a:.6g} (state {self.min_a_state}, "
+                f"step {self.min_a_step}), {self.refinements} refinements, "
+                f"{self.refactorizations} refactorizations")
+
+
+@dataclass(eq=False)
+class IndexTable:
+    """Priority index ``g`` per state.
+
+    ``sweep`` holds the sweep's trace and diagnostics when the table was
+    computed in this process rather than read from a model file.
+    """
+
+    g: np.ndarray
+    sweep: SweepStats | None = None
+
+
 def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTable:
     """Run the adaptive-greedy sweep and return the index table.
 
@@ -194,9 +172,8 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
     every step against ``1e-10 / (1 - beta)``; past it, up to
     ``_MAX_REFINEMENTS`` refinements run with the current inverse, then
     ``M`` is factored afresh, and if that also fails ``NumericalError``
-    is raised; a model with ``beta >= 1`` is rejected before any solve.
-    The maximization breaks exact ties by lowest state index. Raises
-    ``IndexabilityError`` if a normalizing constant is not
+    is raised. The maximization breaks exact ties by lowest state index.
+    Raises ``IndexabilityError`` if a normalizing constant is not
     strictly positive when it is needed.
     """
     r = np.asarray(rewards, dtype=float)
@@ -204,8 +181,6 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
     if r.shape != (n,):
         raise ValueError(f"rewards must have length {n}")
     beta = model.beta
-    if beta >= 1:
-        raise NumericalError("occupancy requires beta < 1")
     tol = RESIDUAL_TOL_FACTOR / (1.0 - beta)
 
     diff = model.p1 - model.p0
@@ -266,12 +241,10 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
             v, k, residual = _refine(m, m_inv, b, tol)
             refinements += k
             if not residual <= tol:
-                raise NumericalError(
-                    f"occupancy residual {residual:.3e} exceeds tolerance {tol:.3e}"
-                )
+                raise _residual_error(residual, tol)
 
-    stats = SweepStats(min_a[0], min_a[1], min_a[2], refinements, refactorizations)
-    return IndexTable(g=g, pi_order=pi_order, y_values=y_values, sweep=stats)
+    return IndexTable(g=g, sweep=SweepStats(pi_order, y_values, *min_a,
+                                            refinements, refactorizations))
 
 
 def rank_states(table: IndexTable) -> list[int]:

@@ -1,20 +1,23 @@
 """Fitting a model, and reading and writing it as one text artifact.
 
 The file is self-describing and holds only what cannot be derived: the
-bin limits, reward factors, displayed chain ``p1``, optional index
-table, and a fingerprint of how the model was fitted. Floats are
+bin limits, reward factors, displayed chain ``p1``, optional priority
+index ``g``, and a fingerprint of how the model was fitted. Floats are
 written with 17 significant digits so every value round-trips exactly.
 
-    # feedrank model, format v2
+    # feedrank model, format v3
     [meta]      fit fingerprint (windows, counts, filters)
     [config]    beta, per-state epsilon
     [bins]      novelty_limits, popularity_limits
     [rewards]   r_n, r_p
     [p1]        row_<i> = comma-joined probabilities
-    [indices]   g, pi_order, y_values (present once computed)
+    [indices]   g (present once computed)
 
-Format v1 also stored ``reward =`` (from ``r_n``, ``r_p``) and ``[p0]``
-(from ``p1``, ``epsilon``); a v1 file loads if both equal those values.
+``read_model`` reads this format only; a file without its header line,
+such as one in format v1 or v2, is refused and must be written again by
+``feedrank fit``. Every loaded
+value is range-checked once, by the same ``StateSpace`` and
+``TransitionModel`` checks a fit meets.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from .indices import IndexTable
 from .states import (
     BinSpec, StateSpace, build_state_space, fit_popularity_bins, fit_rewards,
 )
-from .transitions import TransitionModel, build_model, derive_p0, estimate_p1
+from .transitions import TransitionModel, build_model, estimate_p1
 
-FORMAT_HEADER = "# feedrank model, format v2"
+FORMAT_HEADER = "# feedrank model, format v3"
 
 
 def _fmt(x: float) -> str:
@@ -46,6 +49,15 @@ def _fmt_list(values) -> str:
 
 def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",")]
+
+
+def format_limits(limits) -> str:
+    """Bin limits as the model file and the report header write them."""
+    return ",".join("inf" if v == math.inf else str(int(v)) for v in limits)
+
+
+def _parse_limits(text: str) -> tuple:
+    return tuple(math.inf if tok == "inf" else int(tok) for tok in text.split(","))
 
 
 @dataclass
@@ -125,10 +137,8 @@ def write_model(bundle: ModelBundle, path) -> None:
     lines.append(f"beta = {_fmt(bundle.beta)}")
     lines.append(f"epsilon = {_fmt_list(bundle.epsilon)}")
     lines.append("[bins]")
-    lines.append("novelty_limits = " + ",".join(str(v) for v in bundle.bins.novelty_limits))
-    pop = ",".join("inf" if v == math.inf else str(int(v))
-                   for v in bundle.bins.popularity_limits)
-    lines.append(f"popularity_limits = {pop}")
+    lines.append(f"novelty_limits = {format_limits(bundle.bins.novelty_limits)}")
+    lines.append(f"popularity_limits = {format_limits(bundle.bins.popularity_limits)}")
     lines.append("[rewards]")
     lines.append(f"r_n = {_fmt_list(bundle.r_n)}")
     lines.append(f"r_p = {_fmt_list(bundle.r_p)}")
@@ -138,8 +148,6 @@ def write_model(bundle: ModelBundle, path) -> None:
     if bundle.index is not None:
         lines.append("[indices]")
         lines.append(f"g = {_fmt_list(bundle.index.g)}")
-        lines.append("pi_order = " + ",".join(str(int(v)) for v in bundle.index.pi_order))
-        lines.append(f"y_values = {_fmt_list(bundle.index.y_values)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -152,6 +160,10 @@ def _read_sections(path) -> dict[str, dict[str, str]]:
             lines = list(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read model {path}: {exc}") from exc
+    header = lines[0].strip() if lines else ""
+    if header != FORMAT_HEADER:
+        raise DataError(f"model {path} starts with {header!r}, not {FORMAT_HEADER!r}; "
+                        "rerun fit to write it")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -183,18 +195,15 @@ def _parse_matrix(rows: dict[str, str], name: str, n: int) -> np.ndarray:
 
 
 def read_model(path) -> ModelBundle:
-    """Load a format v2 or v1 model file."""
+    """Load a format v3 model file and check every value's range."""
     sections = _read_sections(path)
     for required in ("config", "bins", "rewards", "p1"):
         if required not in sections:
             raise DataError(f"model file is missing the [{required}] section")
     try:
         bins = BinSpec(
-            novelty_limits=tuple(int(v) for v in sections["bins"]["novelty_limits"].split(",")),
-            popularity_limits=tuple(
-                math.inf if tok == "inf" else int(tok)
-                for tok in sections["bins"]["popularity_limits"].split(",")
-            ),
+            novelty_limits=_parse_limits(sections["bins"]["novelty_limits"]),
+            popularity_limits=_parse_limits(sections["bins"]["popularity_limits"]),
         )
         beta = float(sections["config"]["beta"])
         epsilon = np.array(_parse_floats(sections["config"]["epsilon"]))
@@ -202,43 +211,22 @@ def read_model(path) -> ModelBundle:
         r_p = tuple(_parse_floats(sections["rewards"]["r_p"]))
         n = bins.n_states
         p1 = _parse_matrix(sections["p1"], "p1", n)
-        # Derived values that format v1 stored as well.
-        reward_text = sections["rewards"].get("reward")
-        stored_reward = None if reward_text is None else _parse_floats(reward_text)
-        stored_p0 = _parse_matrix(sections["p0"], "p0", n) if "p0" in sections else None
+        g = (np.array(_parse_floats(sections["indices"]["g"]))
+             if "indices" in sections else None)
     except KeyError as exc:
         raise DataError(f"model file is missing key {exc}") from exc
     except ValueError as exc:
         raise DataError(f"model file holds an unparseable value: {exc}") from exc
-
-    index = None
-    if "indices" in sections:
-        idx = sections["indices"]
-        try:
-            index = IndexTable(
-                g=np.array(_parse_floats(idx["g"])),
-                pi_order=np.array([int(v) for v in idx["pi_order"].split(",")]),
-                y_values=np.array(_parse_floats(idx["y_values"])),
-            )
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"model file [indices] section is invalid: {exc}") from exc
-        if len(index.g) != n:
-            raise DataError("index table size does not match the state space")
-        if len(index.y_values) != n:
-            raise DataError(f"[indices] y_values holds {len(index.y_values)} values, "
-                            f"expected {n}")
-        if sorted(index.pi_order.tolist()) != list(range(n)):
-            raise DataError("[indices] pi_order is not a permutation of the states")
-        if not np.array_equal(index.replay(), index.g):
-            raise DataError("[indices] g disagrees with pi_order and y_values")
+    if g is not None and not (g.shape == (n,) and np.isfinite(g).all()):
+        raise DataError(f"[indices] g must hold {n} finite values")
 
     bundle = ModelBundle(
-        bins=bins, r_n=r_n, r_p=r_p, epsilon=epsilon, beta=beta,
-        p1=p1, meta=dict(sections.get("meta", {})), index=index,
+        bins=bins, r_n=r_n, r_p=r_p, epsilon=epsilon, beta=beta, p1=p1,
+        meta=dict(sections.get("meta", {})), index=None if g is None else IndexTable(g),
     )
-    reward = bundle.state_space().reward
-    if stored_reward is not None and list(reward) != stored_reward:
-        raise DataError("stored reward vector disagrees with r_n and r_p")
-    if stored_p0 is not None and not np.array_equal(stored_p0, derive_p0(p1, epsilon)):
-        raise DataError("stored p0 disagrees with p1 and epsilon")
+    # The checks a fit meets, run once here so that every subcommand
+    # accepts the same files.
+    bundle.state_space()
+    bundle.transition_model()
+    bundle.train_window()
     return bundle

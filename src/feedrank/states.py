@@ -212,7 +212,7 @@ def build_state_space(bins: BinSpec, r_n: Iterable[float],
         raise DataError("r_n length does not match the novelty bin count")
     if len(r_p) != bins.n_popularity_bins:
         raise DataError("r_p length does not match the popularity bin count")
-    if any(v < 0 or v > 1 for v in r_n + r_p):
+    if not all(0 <= v <= 1 for v in r_n + r_p):
         raise DataError("reward factors must lie in [0, 1]")
     reward = np.zeros(bins.n_states)
     n_pop = bins.n_popularity_bins

@@ -45,7 +45,7 @@ def estimate_p1(table: ItemTable, state_space: StateSpace,
     start, end = window
     if end - start < 2:
         raise DataError(f"training window [{start}, {end}) is too short to observe transitions")
-    if smoothing < 0:
+    if not smoothing >= 0:
         raise DataError("smoothing must be >= 0")
     post = table.post_minute
     if not ((start <= post) & (post < end)).any():
@@ -83,6 +83,18 @@ def estimate_p1(table: ItemTable, state_space: StateSpace,
     return p1
 
 
+def _epsilon_vector(epsilon, n: int) -> np.ndarray:
+    """``epsilon`` broadcast to one slowdown factor per state, each in [0, 1]."""
+    eps = np.asarray(epsilon, dtype=float)
+    if eps.ndim == 0:
+        eps = np.full(n, float(eps))
+    if eps.shape != (n,):
+        raise DataError(f"epsilon must be a scalar or a vector of length {n}")
+    if not np.all((0 <= eps) & (eps <= 1)):
+        raise DataError("epsilon entries must lie in [0, 1]")
+    return eps
+
+
 def derive_p0(p1: np.ndarray, epsilon) -> np.ndarray:
     """Build the non-displayed matrix from ``p1`` and slowdown factors.
 
@@ -90,13 +102,7 @@ def derive_p0(p1: np.ndarray, epsilon) -> np.ndarray:
     """
     p1 = np.asarray(p1, dtype=float)
     n = p1.shape[0]
-    eps = np.asarray(epsilon, dtype=float)
-    if eps.ndim == 0:
-        eps = np.full(n, float(eps))
-    if eps.shape != (n,):
-        raise DataError(f"epsilon must be a scalar or a vector of length {n}")
-    if np.any(eps < 0) or np.any(eps > 1):
-        raise DataError("epsilon entries must lie in [0, 1]")
+    eps = _epsilon_vector(epsilon, n)
     p0 = eps[:, None] * p1
     diag = np.arange(n)
     p0[diag, diag] = (1.0 - eps) + eps * p1[diag, diag]
@@ -105,7 +111,11 @@ def derive_p0(p1: np.ndarray, epsilon) -> np.ndarray:
 
 @dataclass(eq=False)
 class TransitionModel:
-    """Displayed/non-displayed transition matrices with the discount."""
+    """Displayed/non-displayed transition matrices with the discount.
+
+    ``epsilon`` may be given as a scalar; it is stored per state. The
+    discount ``beta`` lies in (0, 1), which every occupancy solve needs.
+    """
 
     p1: np.ndarray
     p0: np.ndarray
@@ -115,22 +125,18 @@ class TransitionModel:
     def __post_init__(self):
         self.p1 = np.asarray(self.p1, dtype=float)
         self.p0 = np.asarray(self.p0, dtype=float)
-        self.epsilon = np.asarray(self.epsilon, dtype=float)
         n = self.p1.shape[0]
+        self.epsilon = _epsilon_vector(self.epsilon, n)
         for name, mat in (("p1", self.p1), ("p0", self.p0)):
             if mat.shape != (n, n):
                 raise DataError(f"{name} must be square with matching size")
-            if np.any(mat < 0) or np.any(mat > 1):
+            if not np.all((0 <= mat) & (mat <= 1)):
                 raise DataError(f"{name} entries must lie in [0, 1]")
             drift = np.abs(mat.sum(axis=1) - 1.0).max()
-            if drift > ROW_SUM_TOL:
+            if not drift <= ROW_SUM_TOL:
                 raise DataError(f"{name} rows must sum to 1 (max drift {drift:.3e})")
-        if self.epsilon.shape != (n,):
-            raise DataError(f"epsilon must be a vector of length {n}")
-        if np.any(self.epsilon < 0) or np.any(self.epsilon > 1):
-            raise DataError("epsilon entries must lie in [0, 1]")
-        if not (0 < self.beta <= 1):
-            raise DataError("beta must lie in (0, 1]")
+        if not 0 < self.beta < 1:
+            raise DataError("beta must lie in (0, 1)")
 
     @property
     def n_states(self) -> int:
@@ -140,9 +146,4 @@ class TransitionModel:
 def build_model(p1: np.ndarray, epsilon=DEFAULT_EPSILON,
                 beta: float = DEFAULT_BETA) -> TransitionModel:
     """Derive ``p0`` from ``p1`` and wrap everything in a model."""
-    p1 = np.asarray(p1, dtype=float)
-    eps = np.asarray(epsilon, dtype=float)
-    if eps.ndim == 0:
-        eps = np.full(p1.shape[0], float(eps))
-    p0 = derive_p0(p1, eps)
-    return TransitionModel(p1=p1, p0=p0, epsilon=eps, beta=beta)
+    return TransitionModel(p1=p1, p0=derive_p0(p1, epsilon), epsilon=epsilon, beta=beta)

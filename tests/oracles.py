@@ -23,14 +23,19 @@ def mc_occupancy(active, p1, p0, beta, start, n_traj, n_steps, rng):
     """
     active = np.asarray(active, dtype=bool)
     p_eff = np.where(active[:, None], p1, p0)
-    cum = np.cumsum(p_eff, axis=1)
+    # Column j of the cumulative rows; the next state is the number of
+    # columns whose cumulative probability lies below the uniform draw.
+    cum_cols = np.cumsum(p_eff, axis=1).T.copy()
     states = np.full(n_traj, start, dtype=np.int64)
     totals = np.zeros(n_traj)
     disc = 1.0
     for _ in range(n_steps):
         totals += disc * active[states]
         u = rng.random(n_traj)
-        states = (cum[states] < u[:, None]).sum(axis=1)
+        nxt = np.zeros(n_traj, dtype=np.int64)
+        for col in cum_cols:
+            nxt += col[states] < u
+        states = nxt
         disc *= beta
     se = totals.std(ddof=1) / math.sqrt(n_traj) if n_traj > 1 else float("inf")
     return float(totals.mean()), float(se)

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -65,7 +66,7 @@ def test_indices_match_the_reference_sweep(pipeline):
     g, _, y_values = greedy_indices_reference(model.p1, model.p0, model.beta, reward)
     table = indices.compute_indices(model, reward)
     assert np.abs(table.g - g).max() <= 1e-10
-    assert np.abs(table.y_values - y_values).max() <= 1e-12
+    assert np.abs(table.sweep.y_values - y_values).max() <= 1e-12
     assert np.abs(bundle.index.g - g).max() <= 1e-10
 
 
@@ -78,7 +79,7 @@ def test_indices_prints_sweep_diagnostics_but_does_not_store_them(pipeline, tmp_
                          "0 refinements, 0 refactorizations")
     assert lines[-3].startswith("state 0 rank:")
     text = model.read_text()
-    assert text.startswith("# feedrank model, format v2")
+    assert text.startswith("# feedrank model, format v3\n")
     assert "sweep" not in text and "refine" not in text
     assert read_model(str(model)).index.sweep is None
 
@@ -253,6 +254,11 @@ def _with_line(data, line):
     return data + line.encode() + b"\n"
 
 
+def _set_first(data, key, value):
+    """``data`` with the first value of the model line ``key = ...`` replaced."""
+    return re.sub(rb"(?m)^(" + key + rb" = )[^,\n]*", rb"\g<1>" + value, data, count=1)
+
+
 def _first_line_with(data, word):
     return next(line for line in data.splitlines(keepends=True) if word in line)
 
@@ -275,6 +281,15 @@ def _first_line_with(data, word):
     ({"events": lambda b: _with_line(b, '{"kind":"post","item_id":"x","event_id":"x",'
                                         f'"ts":{10 ** 23},"account":"a"}}')}, 2),
     ({"model": lambda b: b.replace(b"[p1]", b"[p\xff]")}, 2),
+    ({"model": lambda b: _set_first(b, b"r_n", b"nan")}, 2),
+    ({"model": lambda b: _set_first(b, b"epsilon", b"nan")}, 2),
+    ({"model": lambda b: _set_first(b, b"beta", b"2")}, 2),
+    ({"model": lambda b: _set_first(b, b"beta", b"1")}, 2),
+    ({"model": lambda b: b.replace(b"format v3", b"format v2", 1)}, 2),
+    ({"model": lambda b: b.split(b"\n", 1)[1]}, 2),
+    ({"flags": ["--novelty-limits", "5,3"]}, 1),
+    ({"evaluate": True, "flags": ["--policies", "index,index"]}, 1),
+    ({"config": {"signals": []}}, 1),
     ({"config": b'{"beta": "\xff"}'}, 1),
     ({"report": {"header.txt": lambda b: b"\xff" + b}}, 2),
     ({"report": {"summary.csv": lambda b: b.replace(b"utility,", b"utility,x", 1)}}, 2),
@@ -284,7 +299,9 @@ def _first_line_with(data, word):
         "flag-beta-1", "meta-window-letters", "meta-window-no-comma",
         "config-generator-days", "flag-posts-per-day-nan", "flag-seed-negative",
         "events-not-utf8", "events-repeated-retweet", "events-ts-too-large",
-        "model-not-utf8", "config-not-utf8", "header-not-utf8",
+        "model-not-utf8", "model-r_n-nan", "model-epsilon-nan", "model-beta-2",
+        "model-beta-1", "model-format-v2", "model-no-header", "flag-novelty-limits-order",
+        "flag-policies-repeated", "config-signals-empty", "config-not-utf8", "header-not-utf8",
         "summary-non-numeric", "summary-short-row"])
 def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline):
     def edited(name, src, edit):
@@ -301,10 +318,12 @@ def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline)
         for name, edit in case["report"].items():
             edited(f"report/{name}", report / name, edit)
         args = ["report", "--report-dir", str(report)]
-    elif "model" in case:
-        args = ["evaluate", "--events", events,
-                "--model", edited("m.txt", pipeline["model"], case["model"]),
-                "--report-dir", str(tmp_path / "r"), "--eval-window", "2880:2940"]
+    elif "model" in case or "evaluate" in case:
+        model = (edited("m.txt", pipeline["model"], case["model"]) if "model" in case
+                 else pipeline["model"])
+        args = ["evaluate", "--events", events, "--model", model,
+                "--report-dir", str(tmp_path / "r"), "--eval-window", "2880:2940",
+                *case.get("flags", [])]
     elif "simulate" in case:
         args = ["simulate", "--events", str(tmp_path / "e.jsonl"), *case.get("flags", [])]
     else:
@@ -316,12 +335,15 @@ def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline)
         config = case["config"]
         cfg_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         args += ["--config", str(cfg_path)]
-    proc = subprocess.run([sys.executable, "-m", "feedrank.cli", *args],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == expected
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    # indices must refuse every model file that evaluate refuses.
+    runs = [args, ["indices", "--model", model]] if "model" in case else [args]
+    for run in runs:
+        proc = subprocess.run([sys.executable, "-m", "feedrank.cli", *run],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == expected, (run[0], proc.stderr)
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def _corrupt(data, draw):
@@ -370,3 +392,51 @@ def test_corrupted_inputs_end_in_one_error_line(pipeline, target, data):
     else:
         run(*evaluate, "--events", pipeline["events"], "--model", str(bad))
         run("indices", "--model", str(bad))
+
+
+_NUMBERS = st.floats() | st.sampled_from([0.0, 0.5, 1.0])
+_COUNTS = st.integers(-2, 10 ** 6)
+_NAMES = st.lists(st.sampled_from(["index", "novelty", "popularity", "utility", "rt",
+                                   "rt_replies_favs", "x", ""]), max_size=4)
+# RunConfig field -> (subcommand with a flag for it, the flag, values to draw).
+_FLAGGED_FIELDS = {
+    "beta": ("fit", "--beta", _NUMBERS),
+    "epsilon": ("fit", "--epsilon", _NUMBERS),
+    "smoothing": ("fit", "--smoothing", _NUMBERS),
+    "n_popularity_bins": ("fit", "--n-popularity-bins", _COUNTS),
+    "novelty_limits": ("fit", "--novelty-limits",
+                       st.lists(_COUNTS | st.sampled_from(["x", ""]), max_size=5)),
+    "horizon": ("evaluate", "--horizon", _COUNTS),
+    "decision_interval": ("evaluate", "--interval", _COUNTS),
+    "relevance_cap": ("evaluate", "--relevance-cap", _COUNTS),
+    "policies": ("evaluate", "--policies", _NAMES),
+    "signals": ("evaluate", "--signals", _NAMES),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(_FLAGGED_FIELDS)), data=st.data())
+def test_flag_and_config_accept_the_same_values(tmp_path_factory, field, data):
+    command, flag, values = _FLAGGED_FIELDS[field]
+    value = data.draw(values)
+    work = tmp_path_factory.getbasetemp() / "flag-vs-config"
+    work.mkdir(exist_ok=True)
+    # Missing inputs: a value the config accepts ends in exit 2 when the
+    # subcommand opens them, one it rejects in exit 1 before that.
+    args = [command, "--events", str(work / "missing.jsonl"),
+            "--model", str(work / "missing.txt")]
+    args += (["--train-window", "0:100"] if command == "fit" else
+             ["--report-dir", str(work / "report"), "--eval-window", "0:100"])
+    cfg_path = work / "run.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    text = ",".join(map(str, value)) if isinstance(value, list) else repr(value)
+
+    codes = []
+    for extra in ([f"{flag}={text}"], ["--config", str(cfg_path)]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main(args + extra))
+        assert codes[-1] in (1, 2)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    assert codes[0] == codes[1], (field, value)

@@ -20,11 +20,7 @@ def make_space():
 
 
 def make_table(space):
-    n = space.n_states
-    g = np.linspace(1.0, 0.1, n)
-    order = np.arange(n)
-    y = np.diff(np.concatenate(([0.0], g)))
-    return IndexTable(g=g, pi_order=order, y_values=y)
+    return IndexTable(g=np.linspace(1.0, 0.1, space.n_states))
 
 
 def ndcg_of(relevance):

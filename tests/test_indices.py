@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feedrank import indices
-from feedrank.errors import IndexabilityError, NumericalError
+from feedrank.errors import DataError, IndexabilityError, NumericalError
 from feedrank.indices import (
     IndexTable, compute_indices, constants_a, format_rank_grid, occupancy,
     rank_states,
@@ -74,10 +74,11 @@ def test_occupancy_bounds_and_residual():
 
 
 def test_occupancy_rejects_undiscounted_model():
-    model = TransitionModel(p1=TWO_STATE_P1, p0=TWO_STATE_P1,
-                            epsilon=np.ones(2), beta=1.0)
-    with pytest.raises(NumericalError):
-        occupancy([0], model)
+    # occupancy needs beta < 1; no TransitionModel holds another beta.
+    for beta in (1.0, 2.0, np.nan):
+        with pytest.raises(DataError, match="beta"):
+            occupancy([0], TransitionModel(p1=TWO_STATE_P1, p0=TWO_STATE_P1,
+                                           epsilon=np.ones(2), beta=beta))
 
 
 def test_occupancy_accepts_index_lists_and_masks():
@@ -115,7 +116,7 @@ def test_single_state_index_is_reward():
     model = build_model(np.array([[1.0]]), epsilon=0.3, beta=0.9)
     table = compute_indices(model, [0.7])
     assert table.g[0] == 0.7
-    assert list(table.pi_order) == [0]
+    assert list(table.sweep.pi_order) == [0]
 
 
 def test_equal_rewards_give_equal_indices_exactly():
@@ -123,9 +124,9 @@ def test_equal_rewards_give_equal_indices_exactly():
     model = random_model(rng, 7)
     table = compute_indices(model, np.full(7, 0.37))
     assert np.all(table.g == 0.37)
-    assert np.all(table.y_values[1:] == 0.0)
+    assert np.all(table.sweep.y_values[1:] == 0.0)
     # Ties extract in ascending state order.
-    assert list(table.pi_order) == list(range(7))
+    assert list(table.sweep.pi_order) == list(range(7))
 
 
 def test_indices_nonincreasing_along_extraction():
@@ -135,16 +136,19 @@ def test_indices_nonincreasing_along_extraction():
         model = random_model(rng, n)
         rewards = rng.uniform(0, 1, size=n)
         table = compute_indices(model, rewards)
-        extracted_g = table.g[table.pi_order]
+        extracted_g = table.g[table.sweep.pi_order]
         assert np.all(np.diff(extracted_g) <= 1e-12)
-        assert np.allclose(table.replay(), table.g)
+        assert np.array_equal(extracted_g, np.cumsum(table.sweep.y_values))
 
 
 def test_replay_matches_g_exactly():
+    # The sweep's trace replays g: g[pi_order] is the running sum of y_values.
     rng = np.random.default_rng(13)
     model = random_model(rng, 6)
     table = compute_indices(model, rng.uniform(0, 1, size=6))
-    assert np.array_equal(table.replay(), table.g)
+    sweep = table.sweep
+    assert sorted(sweep.pi_order) == list(range(6))
+    assert np.array_equal(table.g[sweep.pi_order], np.cumsum(sweep.y_values))
 
 
 def test_reward_scaling_scales_indices():
@@ -154,7 +158,7 @@ def test_reward_scaling_scales_indices():
     t1 = compute_indices(model, rewards)
     t2 = compute_indices(model, 2.0 * rewards)
     assert np.allclose(t2.g, 2.0 * t1.g, rtol=1e-13)
-    assert list(t1.pi_order) == list(t2.pi_order)
+    assert list(t1.sweep.pi_order) == list(t2.sweep.pi_order)
 
 
 def test_first_extraction_is_max_reward():
@@ -162,7 +166,7 @@ def test_first_extraction_is_max_reward():
     model = random_model(rng, 8)
     rewards = rng.uniform(0, 1, size=8)
     table = compute_indices(model, rewards)
-    top = int(table.pi_order[0])
+    top = int(table.sweep.pi_order[0])
     assert rewards[top] == rewards.max()
     assert table.g[top] == pytest.approx(rewards.max())
 
@@ -214,9 +218,7 @@ def test_dual_speed_models_are_indexable():
 
 
 def test_rank_states_breaks_ties_by_state_index():
-    table = IndexTable(g=np.array([0.5, 0.9, 0.5, 1.0]),
-                       pi_order=np.array([3, 1, 0, 2]),
-                       y_values=np.array([1.0, -0.1, -0.4, 0.0]))
+    table = IndexTable(g=np.array([0.5, 0.9, 0.5, 1.0]))
     assert rank_states(table) == [3, 1, 0, 2]
 
 
@@ -249,7 +251,7 @@ def assert_matches_reference(model, rewards):
     table = compute_indices(model, rewards)
     g, _, y_values = greedy_indices_reference(model.p1, model.p0, model.beta, rewards)
     assert np.abs(table.g - g).max() <= 1e-10
-    assert np.abs(table.y_values - y_values).max() <= 1e-12
+    assert np.abs(table.sweep.y_values - y_values).max() <= 1e-12
     return table
 
 
@@ -332,7 +334,6 @@ def test_undiscounted_model_is_rejected_before_any_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", no_solve)
     monkeypatch.setattr(np.linalg, "solve", no_solve)
-    model = TransitionModel(p1=TWO_STATE_P1, p0=TWO_STATE_P1,
-                            epsilon=np.ones(2), beta=1.0)
-    with pytest.raises(NumericalError, match="beta < 1"):
-        compute_indices(model, [1.0, 0.5])
+    with pytest.raises(DataError, match=r"beta must lie in \(0, 1\)"):
+        compute_indices(TransitionModel(p1=TWO_STATE_P1, p0=TWO_STATE_P1,
+                                        epsilon=np.ones(2), beta=1.0), [1.0, 0.5])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from feedrank.errors import DataError
 from feedrank.indices import compute_indices
 from feedrank.model_io import ModelBundle, read_model, write_model
 from feedrank.states import BinSpec
-from feedrank.transitions import build_model, derive_p0
+from feedrank.transitions import build_model
 
 
 def make_bundle(with_index=False):
@@ -46,8 +47,15 @@ def test_round_trip_preserves_everything(tmp_path):
                           bundle.transition_model().p0)
     assert back.meta == bundle.meta
     assert np.array_equal(back.index.g, bundle.index.g)
-    assert np.array_equal(back.index.pi_order, bundle.index.pi_order)
-    assert np.array_equal(back.index.y_values, bundle.index.y_values)
+    assert back.index.sweep is None
+
+
+def test_file_is_format_v3_and_stores_only_g(tmp_path):
+    path = tmp_path / "model.txt"
+    write_model(make_bundle(with_index=True), path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# feedrank model, format v3"
+    assert [line.split(" = ")[0] for line in lines[lines.index("[indices]") + 1:]] == ["g"]
 
 
 def test_rewrite_is_byte_identical(tmp_path):
@@ -86,67 +94,17 @@ def test_garbage_line_rejected(tmp_path):
     assert "line" in str(exc_info.value)
 
 
-def v1_text(bundle):
-    """The bundle in format v1, which also stored the reward vector and p0."""
-    lines = [
-        "# feedrank model, format v1", "[meta]",
-        *(f"{k} = {v}" for k, v in bundle.meta.items()),
-        "[config]", f"beta = {bundle.beta!r}",
-        "epsilon = " + ",".join(repr(float(e)) for e in bundle.epsilon),
-        "[bins]", "novelty_limits = 1,2,3", "popularity_limits = 0,2,inf",
-        "[rewards]",
-        "r_n = " + ",".join(repr(v) for v in bundle.r_n),
-        "r_p = " + ",".join(repr(v) for v in bundle.r_p),
-        "reward = " + ",".join(repr(float(v)) for v in bundle.state_space().reward),
-    ]
-    p0 = derive_p0(bundle.p1, bundle.epsilon)
-    for name, mat in (("p1", bundle.p1), ("p0", p0)):
-        lines.append(f"[{name}]")
-        lines.extend(f"row_{i} = " + ",".join(repr(float(x)) for x in row)
-                     for i, row in enumerate(mat))
-    return "\n".join(lines) + "\n"
-
-
-def test_v1_file_loads_to_the_same_bundle(tmp_path):
-    bundle = make_bundle()
-    v1 = tmp_path / "v1.txt"
-    v1.write_text(v1_text(bundle))
-    back = read_model(v1)
-    assert back.meta == bundle.meta
-    assert np.array_equal(back.p1, bundle.p1)
-    assert np.array_equal(back.transition_model().p0,
-                          bundle.transition_model().p0)
-    v2 = tmp_path / "v2.txt"
-    write_model(bundle, v2)
-    rewritten = tmp_path / "rewritten.txt"
-    write_model(back, rewritten)
-    assert rewritten.read_bytes() == v2.read_bytes()
-
-
-def tampered_v1(tmp_path, prefix, replacement):
-    """A v1 file whose last line starting with ``prefix`` is replaced."""
-    lines = v1_text(make_bundle()).splitlines()
-    i = max(i for i, line in enumerate(lines) if line.startswith(prefix))
-    lines[i] = replacement
+def test_earlier_or_missing_header_is_refused(tmp_path):
     path = tmp_path / "model.txt"
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def test_tampered_reward_vector_rejected(tmp_path):
-    path = tampered_v1(tmp_path, "reward = ", "reward = " + ",".join(["0.5"] * 5))
-    with pytest.raises(DataError) as exc_info:
-        read_model(path)
-    assert "reward" in str(exc_info.value)
-
-
-def test_tampered_p0_rejected(tmp_path):
-    # [p0] follows [p1], so the last row_0 is p0's; its replacement is a
-    # valid probability row, just not the one p1 and epsilon give.
-    path = tampered_v1(tmp_path, "row_0 = ", "row_0 = 1,0,0,0,0")
-    with pytest.raises(DataError) as exc_info:
-        read_model(path)
-    assert "p0" in str(exc_info.value)
+    write_model(make_bundle(with_index=True), path)
+    body = path.read_text().split("\n", 1)[1]
+    for header in ("# feedrank model, format v1", "# feedrank model, format v2",
+                   "# feedrank model, format v9", ""):
+        path.write_text(f"{header}\n{body}" if header else body)
+        first = header or "[meta]"
+        with pytest.raises(DataError, match=re.escape(
+                f"starts with '{first}', not '# feedrank model, format v3'; rerun fit")):
+            read_model(path)
 
 
 def test_wrong_row_count_rejected(tmp_path):
@@ -160,8 +118,8 @@ def test_wrong_row_count_rejected(tmp_path):
         read_model(path)
 
 
-def tampered_v2(tmp_path, prefix, replacement):
-    """A v2 file with an index table whose line starting with ``prefix``
+def tampered(tmp_path, prefix, replacement):
+    """A model file with an index table whose line starting with ``prefix``
     is replaced."""
     path = tmp_path / "model.txt"
     write_model(make_bundle(with_index=True), path)
@@ -173,38 +131,28 @@ def tampered_v2(tmp_path, prefix, replacement):
 
 def test_short_p1_row_rejected(tmp_path):
     # One value would broadcast over the whole row if it were accepted.
-    path = tampered_v2(tmp_path, "row_3 = ", "row_3 = 0.5")
+    path = tampered(tmp_path, "row_3 = ", "row_3 = 0.5")
     with pytest.raises(DataError) as exc_info:
         read_model(path)
     assert "row_3" in str(exc_info.value)
 
 
-def test_pi_order_that_is_not_a_permutation_rejected(tmp_path):
-    order = make_bundle(with_index=True).index.pi_order.tolist()
-    order[1] = order[0]
-    path = tampered_v2(tmp_path, "pi_order = ",
-                       "pi_order = " + ",".join(str(v) for v in order))
-    with pytest.raises(DataError) as exc_info:
-        read_model(path)
-    assert "permutation" in str(exc_info.value)
-
-
-def test_y_values_of_wrong_length_rejected(tmp_path):
-    y = make_bundle(with_index=True).index.y_values
-    path = tampered_v2(tmp_path, "y_values = ",
-                       "y_values = " + ",".join(repr(float(v)) for v in y[:-1]))
-    with pytest.raises(DataError) as exc_info:
-        read_model(path)
-    assert "y_values" in str(exc_info.value)
-
-
-def test_g_that_disagrees_with_the_trace_rejected(tmp_path):
-    g = make_bundle(with_index=True).index.g.copy()
-    g[2] = np.nextafter(g[2], np.inf)
-    path = tampered_v2(tmp_path, "g = ", "g = " + ",".join(repr(float(v)) for v in g))
-    with pytest.raises(DataError) as exc_info:
-        read_model(path)
-    assert "disagrees" in str(exc_info.value)
+@pytest.mark.parametrize("prefix,replacement,message", [
+    ("beta = ", "beta = 1", "beta"),
+    ("beta = ", "beta = nan", "beta"),
+    ("epsilon = ", "epsilon = 2", "epsilon"),
+    ("epsilon = ", "epsilon = nan,0.1,0.1,0.1,0.1", "epsilon"),
+    ("r_n = ", "r_n = nan,0.25", "reward"),
+    ("row_2 = ", "row_2 = nan,0,1,0,0", "p1"),
+    ("g = ", "g = 0.5,0.5,inf,0.5,0.5", "finite"),
+    ("g = ", "g = 0.5,0.5,nan,0.5,0.5", "finite"),
+    ("g = ", "g = 0.5,0.5,0.5,0.5", "finite"),
+    ("train_window = ", "train_window = [a, b)", "meta"),
+], ids=["beta-1", "beta-nan", "epsilon-2", "epsilon-nan", "r_n-nan", "p1-nan",
+        "g-inf", "g-nan", "g-short", "meta-window"])
+def test_out_of_range_value_rejected_on_load(tmp_path, prefix, replacement, message):
+    with pytest.raises(DataError, match=message):
+        read_model(tampered(tmp_path, prefix, replacement))
 
 
 def test_duplicate_section_rejected(tmp_path):

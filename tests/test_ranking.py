@@ -17,10 +17,7 @@ def make_space():
 
 
 def make_table():
-    g = np.array([0.0, 0.1, 0.7, 0.2, 0.3, 0.4, 0.6])
-    order = np.argsort(-g, kind="stable")
-    y = np.diff(np.concatenate(([0.0], g[order])))
-    return IndexTable(g=g, pi_order=order, y_values=y)
+    return IndexTable(g=np.array([0.0, 0.1, 0.7, 0.2, 0.3, 0.4, 0.6]))
 
 
 def corpus():
@@ -86,8 +83,7 @@ def test_index_ties_break_by_recency_then_id():
         Event("post", "z", "z", 40),   # identical timestamp: id decides
     ])
     space = make_space()
-    index_table = IndexTable(g=np.full(7, 0.5), pi_order=np.arange(7),
-                             y_values=np.array([0.5] + [0.0] * 6))
+    index_table = IndexTable(g=np.full(7, 0.5))
     assert rank_at(1, table, space, index_table, "index")[0] == ("y", "z", "x")
 
 

@@ -112,8 +112,9 @@ def test_estimator_errors():
         estimate_p1(timelines, space, (5, 6))
     with pytest.raises(DataError):
         estimate_p1(timelines, space, (20, 30))
-    with pytest.raises(DataError):
-        estimate_p1(timelines, space, (5, 12), smoothing=-0.1)
+    for smoothing in (-0.1, math.nan):
+        with pytest.raises(DataError):
+            estimate_p1(timelines, space, (5, 12), smoothing=smoothing)
 
 
 def test_classify_before_post_is_state_zero():
@@ -178,3 +179,10 @@ def test_transition_model_validation():
         TransitionModel(p1=p1, p0=np.eye(3), epsilon=np.full(2, 0.1))
     with pytest.raises(DataError):
         TransitionModel(p1=p1, p0=np.eye(2), epsilon=np.full(2, 1.4))
+    # NaN fails every range check: entries, epsilon and beta.
+    with pytest.raises(DataError, match="p1 entries"):
+        build_model(np.array([[np.nan, 0.5], [0.2, 0.8]]))
+    with pytest.raises(DataError, match="epsilon"):
+        build_model(p1, epsilon=[0.1, np.nan])
+    with pytest.raises(DataError, match="beta"):
+        build_model(p1, beta=np.nan)
