@@ -14,7 +14,7 @@ from .errors import (
     NumericalError,
 )
 from .events import (
-    Event, ItemTable, build_timelines, load_event_log, parse_event_log,
+    EventBatch, ItemTable, build_timelines, load_event_log, parse_event_log,
     serialize_event_log,
 )
 from .states import (
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinSpec", "ConfigError", "DEFAULT_NOVELTY_LIMITS", "DataError",
-    "EvaluationReport", "Event",
+    "EvaluationReport", "EventBatch",
     "EventLogError", "FeedrankError", "GeneratorConfig", "IndexTable",
     "IndexabilityError", "ItemTable", "MinuteRanking", "ModelBundle",
     "NumericalError", "RunConfig", "StateSpace", "SweepStats", "TransitionModel",

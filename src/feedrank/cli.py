@@ -42,11 +42,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     gen.validate()
     if cfg.events_path is None:
         raise ConfigError("simulate needs an events path (--events or config)")
-    events = generate_stream(gen)
+    batch = generate_stream(gen)
     with open(cfg.events_path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_event_log(events))
-    n_posts = sum(1 for e in events if e.kind == "post")
-    print(f"wrote {len(events)} events ({n_posts} posts) to {cfg.events_path}")
+        serialize_event_log(batch, fh)
+    n_posts = int((batch.kind == 0).sum())
+    print(f"wrote {len(batch)} events ({n_posts} posts) to {cfg.events_path}")
     return 0
 
 

@@ -2,7 +2,9 @@
 
 An event log is newline-delimited JSON. Each non-empty line is one flat
 object with keys ``kind``, ``item_id``, ``event_id``, ``ts`` (integer
-seconds), and ``account``. Lines starting with ``#`` are comments.
+seconds), and ``account``. Lines starting with ``#`` are comments. A
+parsed or generated log is one ``EventBatch``, a column per key, and
+``build_timelines`` turns it into the ``ItemTable``.
 
 Time is discretized to minutes: an event with timestamp ``ts`` belongs to
 minute ``ts // 60``. Events inside minute ``t`` count toward the interval
@@ -16,8 +18,10 @@ import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from typing import Iterable, Mapping
+from itertools import compress, islice, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter, ne, not_
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -35,45 +39,113 @@ _REQUIRED_KEYS = ("kind", "item_id", "event_id", "ts", "account")
 MAX_TS = 2**31 * SECONDS_PER_MINUTE - 1
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    kind: str
-    item_id: str
-    event_id: str
-    ts: int
-    account: str = ""
+# Lines that ``parse_event_log`` decodes and checks together, and that
+# ``serialize_event_log`` writes with one call.
+_BLOCK_LINES = 2048
 
-    @property
-    def minute(self) -> int:
-        return self.ts // SECONDS_PER_MINUTE
+_KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+_FIELDS = tuple(map(itemgetter, _REQUIRED_KEYS))
+_DECODE = json.JSONDecoder().raw_decode
+# One serialized event; json.dumps gives the same bytes.
+_LINE = '{"kind":"%s","item_id":%s,"event_id":%s,"ts":%d,"account":%s}\n'
 
 
-def _check_record(rec: object) -> str | None:
-    """Return an error message for a decoded JSON line, or None if valid."""
-    if not isinstance(rec, dict):
+@dataclass(frozen=True, eq=False)
+class EventBatch:
+    """Events in columns, one row per event.
+
+    ``kind`` holds int8 codes into ``EVENT_KINDS`` and ``ts`` integer
+    seconds as int64. Ids and accounts stay Python strings, so two ids
+    that differ only by trailing NULs stay two ids.
+    """
+
+    kind: np.ndarray
+    item_id: Sequence[str]
+    event_id: Sequence[str]
+    ts: np.ndarray
+    account: Sequence[str]
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+
+def _columns(recs: Sequence) -> tuple[list, ...] | str:
+    """The kind codes, item ids, event ids, ts and accounts of decoded
+    records, or the message of the first check they fail.
+
+    Every check runs over whole columns; the message words the failure
+    for a single record, the only case that reports it.
+    """
+    if set(map(type, recs)) != {dict}:
         return "record is not a JSON object"
-    missing = [k for k in _REQUIRED_KEYS if k not in rec]
-    if missing:
-        return f"missing key(s): {', '.join(missing)}"
-    if rec["kind"] not in EVENT_KINDS:
-        return f"unknown kind {rec['kind']!r}"
-    for key in ("item_id", "event_id", "account"):
-        if not isinstance(rec[key], str):
+    try:
+        kinds, item_ids, event_ids, ts, accounts = [list(map(get, recs)) for get in _FIELDS]
+    except KeyError:
+        return f"missing key(s): {', '.join(k for k in _REQUIRED_KEYS if k not in recs[0])}"
+    if set(map(type, kinds)) != {str} or not _KIND_CODES.keys() >= set(kinds):
+        return f"unknown kind {kinds[0]!r}"
+    for key, column in zip(("item_id", "event_id", "account"), (item_ids, event_ids, accounts)):
+        if set(map(type, column)) != {str}:
             return f"{key} must be a string"
-    if not rec["item_id"] or not rec["event_id"]:
+    if "" in item_ids or "" in event_ids:
         return "item_id and event_id must be non-empty"
-    ts = rec["ts"]
-    if isinstance(ts, bool) or not isinstance(ts, int):
+    if set(map(type, ts)) != {int}:
         return "ts must be an integer"
-    if not 0 <= ts <= MAX_TS:
+    if min(ts) < 0 or max(ts) > MAX_TS:
         return f"ts must lie in 0..{MAX_TS}"
-    if rec["kind"] == "post" and rec["item_id"] != rec["event_id"]:
+    codes = list(map(_KIND_CODES.__getitem__, kinds))
+    posts = list(map(not_, codes))
+    if any(map(ne, compress(item_ids, posts), compress(event_ids, posts))):
         return "post events must have item_id equal to event_id"
-    return None
+    return codes, item_ids, event_ids, ts, accounts
 
 
-def parse_event_log(source: str | bytes | Iterable[str]) -> list[Event]:
-    """Parse an event log into a list of events in file order.
+def _decode_block(block: list[str], start: int, first_line: dict[str, int]):
+    """The columns of the lines ``block``, numbered from ``start``, or None
+    if a line is bad; only a good block enters its event ids into
+    ``first_line``."""
+    numbers, texts = [], []
+    for lineno, text in enumerate(map(str.strip, block), start):
+        if text and text[0] != "#":
+            numbers.append(lineno)
+            texts.append(text)
+    try:
+        recs, ends = zip(*map(_DECODE, texts))
+    except (ValueError, RecursionError):  # a line that is not JSON, or no event lines
+        return None
+    columns = _columns(recs)
+    if list(ends) != list(map(len, texts)) or isinstance(columns, str):
+        return None
+    lines = dict(zip(columns[2], numbers))
+    if len(lines) < len(numbers) or not first_line.keys().isdisjoint(lines):
+        return None
+    first_line.update(lines)
+    return columns
+
+
+def _block_errors(block: list[str], start: int, first_line: dict[str, int]):
+    """The line-numbered errors of a block that ``_decode_block`` refused."""
+    for lineno, raw in enumerate(block, start):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            found = _columns([json.loads(line)])
+        except json.JSONDecodeError as exc:
+            found = f"invalid JSON ({exc.msg})"
+        except RecursionError:
+            found = "invalid JSON (nested too deeply)"
+        if not isinstance(found, str):
+            event_id = found[2][0]
+            prev = first_line.setdefault(event_id, lineno)
+            if prev == lineno:
+                continue
+            found = f"duplicate event_id {event_id!r} (first at line {prev})"
+        yield lineno, found
+
+
+def parse_event_log(source: str | bytes | Iterable[str]) -> EventBatch:
+    """Parse an event log into one batch of events in file order.
 
     ``source`` may be a string, bytes, or an iterable of lines (for
     example an open file). All malformed lines are collected and
@@ -88,60 +160,41 @@ def parse_event_log(source: str | bytes | Iterable[str]) -> list[Event]:
     elif isinstance(source, str):
         lines = io.StringIO(source)
     else:
-        lines = source
+        lines = iter(source)
 
-    events: list[Event] = []
+    columns: tuple[list, ...] = ([], [], [], [], [])
     errors: list[tuple[int, str]] = []
-    event_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append((lineno, f"invalid JSON ({exc.msg})"))
-            continue
-        problem = _check_record(rec)
-        if problem is not None:
-            errors.append((lineno, problem))
-            continue
-        prev = event_lines.setdefault(rec["event_id"], lineno)
-        if prev != lineno:
-            errors.append(
-                (lineno, f"duplicate event_id {rec['event_id']!r} (first at line {prev})")
-            )
-            continue
-        events.append(
-            Event(
-                kind=rec["kind"],
-                item_id=rec["item_id"],
-                event_id=rec["event_id"],
-                ts=rec["ts"],
-                account=rec["account"],
-            )
-        )
+    first_line: dict[str, int] = {}
+    start = 1
+    while block := list(islice(lines, _BLOCK_LINES)):
+        decoded = _decode_block(block, start, first_line)
+        if decoded is None:
+            errors.extend(_block_errors(block, start, first_line))
+        elif not errors:
+            for column, values in zip(columns, decoded):
+                column.extend(values)
+        start += len(block)
     if errors:
         raise EventLogError(errors)
-    return events
+    kind, item_id, event_id, ts, account = columns
+    return EventBatch(np.array(kind, dtype=np.int8), item_id, event_id,
+                      np.array(ts, dtype=np.int64), account)
 
 
-def serialize_event_log(events: Iterable[Event]) -> str:
-    """Serialize events to newline-delimited JSON, one record per line."""
-    out = []
-    for ev in events:
-        rec = {
-            "kind": ev.kind,
-            "item_id": ev.item_id,
-            "event_id": ev.event_id,
-            "ts": ev.ts,
-            "account": ev.account,
-        }
-        out.append(json.dumps(rec, separators=(",", ":")))
-    return "\n".join(out) + ("\n" if out else "")
+def serialize_event_log(batch: EventBatch, fh: TextIO) -> None:
+    """Write ``batch`` to ``fh`` as newline-delimited JSON, one event a line.
+
+    Each line is ``json.dumps`` of the event's record with separators
+    ``(",", ":")``, written a block of lines at a time.
+    """
+    enc = encode_basestring_ascii
+    rows = zip(map(EVENT_KINDS.__getitem__, batch.kind.tolist()), map(enc, batch.item_id),
+               map(enc, batch.event_id), batch.ts.tolist(), map(enc, batch.account))
+    while block := list(islice(rows, _BLOCK_LINES)):
+        fh.write("".join([_LINE % row for row in block]))
 
 
-def load_event_log(path) -> list[Event]:
+def load_event_log(path) -> EventBatch:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_event_log(fh)
@@ -200,46 +253,48 @@ class ItemTable:
                          post_ts=self.post_ts[mask], keys=keys, stride=self.stride)
 
 
-def build_timelines(events: Iterable[Event]) -> ItemTable:
-    """Gather events into one item table.
+def build_timelines(batch: EventBatch) -> ItemTable:
+    """Gather a batch of events into one item table.
 
     Engagement referencing an item with no post is an error listing the
     offending ids, as is engagement dated before the post's minute.
     """
-    posts: dict[str, int] = {}
-    engagement: list[Event] = []
-    for ev in events:
-        if ev.kind == "post":
-            if ev.item_id in posts:
-                raise DataError(f"duplicate post for item {ev.item_id!r}")
-            posts[ev.item_id] = ev.ts
-        else:
-            engagement.append(ev)
+    is_post = batch.kind == 0
+    post_ids = list(compress(batch.item_id, is_post.tolist()))
+    ids = sorted(post_ids)
+    row_of = dict(zip(ids, range(len(ids))))
+    if len(row_of) < len(ids):
+        repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise DataError(f"duplicate post for item {repeated!r}")
+    rows = np.fromiter(map(row_of.get, batch.item_id, repeat(-1)), dtype=np.int64,
+                       count=len(batch))
 
-    orphans = sorted({ev.item_id for ev in engagement if ev.item_id not in posts})
+    engaged = ~is_post
+    orphans = sorted(set(compress(batch.item_id, (engaged & (rows < 0)).tolist())))
     if orphans:
         raise DataError(
             f"engagement for {len(orphans)} item(s) with no post: {', '.join(orphans)}"
         )
 
-    ids = sorted(posts)
-    row_of = {iid: row for row, iid in enumerate(ids)}
-    post_ts = np.array([posts[iid] for iid in ids], dtype=np.int64)
-    rows = np.array([row_of[ev.item_id] for ev in engagement], dtype=np.int64)
-    minutes = np.array([ev.ts for ev in engagement], dtype=np.int64) // SECONDS_PER_MINUTE
+    post_ts = np.empty(len(ids), dtype=np.int64)
+    post_ts[rows[is_post]] = batch.ts[is_post]
     post_minute = post_ts // SECONDS_PER_MINUTE
+    where = np.flatnonzero(engaged)
+    rows = rows[where]
+    minutes = batch.ts[where] // SECONDS_PER_MINUTE
     early = np.flatnonzero(minutes < post_minute[rows])
     if early.size:
-        ev = engagement[early[0]]
+        i = where[early[0]]
         raise DataError(
-            f"{ev.kind} {ev.event_id!r} for item {ev.item_id!r} is dated "
-            f"minute {ev.minute}, before the post minute {post_minute[rows[early[0]]]}"
+            f"{EVENT_KINDS[batch.kind[i]]} {batch.event_id[i]!r} for item "
+            f"{batch.item_id[i]!r} is dated minute {minutes[early[0]]}, "
+            f"before the post minute {post_minute[rows[early[0]]]}"
         )
 
     stride = int(max(minutes.max(initial=0), post_minute.max(initial=0))) + 1
-    kinds = np.array([ENGAGEMENT_KINDS.index(ev.kind) for ev in engagement], dtype=np.int8)
-    keys = {kind: np.sort((rows * stride + minutes)[kinds == k])
-            for k, kind in enumerate(ENGAGEMENT_KINDS)}
+    codes = batch.kind[where]
+    keys = {kind: np.sort((rows * stride + minutes)[codes == code])
+            for code, kind in enumerate(EVENT_KINDS) if code}
     return ItemTable(ids=tuple(ids), post_ts=post_ts, keys=keys, stride=stride)
 
 

@@ -129,8 +129,11 @@ class SweepStats:
     dual-speed ``p0`` every such A is at least 1 up to rounding (the
     slowed chain keeps ``V[i] <= p1[i] . V`` outside the occupancy set),
     so ``min_a`` falls clearly below 1 only for other models.
-    ``refinements`` counts iterative-refinement passes and
-    ``refactorizations`` the fresh factorizations after the first one.
+    ``min_pivot`` is the smallest Sherman-Morrison pivot ``|1 + w[s]|``
+    (near 0 an update loses accuracy) and ``max_residual`` the largest
+    occupancy residual accepted at any step. ``refinements`` counts
+    iterative-refinement passes and ``refactorizations`` the fresh
+    factorizations after the first one.
     """
 
     pi_order: np.ndarray
@@ -138,14 +141,17 @@ class SweepStats:
     min_a: float
     min_a_state: int
     min_a_step: int
+    min_pivot: float
+    max_residual: float
     refinements: int
     refactorizations: int
 
     def describe(self) -> str:
         """One line for the output of ``feedrank indices``."""
         return (f"sweep: smallest A = {self.min_a:.6g} (state {self.min_a_state}, "
-                f"step {self.min_a_step}), {self.refinements} refinements, "
-                f"{self.refactorizations} refactorizations")
+                f"step {self.min_a_step}), smallest pivot = {self.min_pivot:.6g}, "
+                f"largest residual = {self.max_residual:.3g}, {self.refinements} "
+                f"refinements, {self.refactorizations} refactorizations")
 
 
 @dataclass(eq=False)
@@ -196,6 +202,7 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
     y_values = np.empty(n)
     running = 0.0
     min_a = (np.inf, 0, 0)
+    min_pivot, max_residual = np.inf, 0.0
     refinements = refactorizations = 0
 
     for step in range(n):
@@ -232,7 +239,9 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
         m[state] = row
         b[state] = 1.0
         w = u @ m_inv
-        m_inv -= np.outer(m_inv[:, state] / (1.0 + w[state]), w)
+        pivot = 1.0 + w[state]
+        min_pivot = min(min_pivot, abs(pivot))
+        m_inv -= np.outer(m_inv[:, state] / pivot, w)
         v, k, residual = _refine(m, m_inv, b, tol)
         refinements += k
         if not residual <= tol:  # a nan residual fails too
@@ -242,9 +251,10 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
             refinements += k
             if not residual <= tol:
                 raise _residual_error(residual, tol)
+        max_residual = max(max_residual, residual)
 
-    return IndexTable(g=g, sweep=SweepStats(pi_order, y_values, *min_a,
-                                            refinements, refactorizations))
+    return IndexTable(g=g, sweep=SweepStats(pi_order, y_values, *min_a, float(min_pivot),
+                                            max_residual, refinements, refactorizations))
 
 
 def rank_states(table: IndexTable) -> list[int]:

@@ -178,7 +178,10 @@ def _read_sections(path) -> dict[str, dict[str, str]]:
         if current is None or "=" not in line:
             raise DataError(f"unparseable model line {lineno}: {line!r}")
         key, _, value = line.partition("=")
-        current[key.strip()] = value.strip()
+        key = key.strip()
+        if key in current:
+            raise DataError(f"duplicate key {key!r} in [{name}] at line {lineno}")
+        current[key] = value.strip()
     return sections
 
 

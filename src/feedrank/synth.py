@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .events import Event
+from .events import EventBatch
 from .states import StateSpace
 
 PEAK_HOURS = (12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 0, 1)
@@ -150,7 +150,7 @@ def _weekday(abs_day: int) -> int:
     return (abs_day + 3) % 7
 
 
-def generate_stream(config: GeneratorConfig) -> list[Event]:
+def generate_stream(config: GeneratorConfig) -> EventBatch:
     """Generate a seeded synthetic event stream, sorted by timestamp."""
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -160,7 +160,8 @@ def generate_stream(config: GeneratorConfig) -> list[Event]:
     cdf = _power_law_cdf(config.alpha, config.x_min, config.magnitude_cap)
     boost_hours = frozenset(config.boost_hours)
 
-    events: list[Event] = []
+    columns: tuple[list, ...] = ([], [], [], [], [])
+    kinds, item_ids, event_ids, stamps, accounts = columns
     item_seq = 0
     for day in range(config.days):
         abs_day = config.start_day + day
@@ -177,7 +178,8 @@ def generate_stream(config: GeneratorConfig) -> list[Event]:
                 ts = abs_day * _SECONDS_PER_DAY + hour * 3600 + int(seconds[k])
                 item_id = f"t{item_seq:06d}"
                 item_seq += 1
-                events.append(Event("post", item_id, item_id, ts, account))
+                for column, value in zip(columns, (0, item_id, item_id, ts, account)):
+                    column.append(value)
 
                 if rng.random() < config.zero_fraction:
                     continue
@@ -200,28 +202,32 @@ def generate_stream(config: GeneratorConfig) -> list[Event]:
                 for off in np.flatnonzero(per_minute):
                     minute = post_minute + int(off) + 1
                     rt = int(per_minute[off])
+                    n_replies, n_favorites = int(replies[off]), int(favorites[off])
                     secs = rng.integers(0, 60, size=rt)
-                    for j in range(rt):
-                        events.append(Event(
-                            "retweet", item_id, f"{item_id}-r{counter + j}",
-                            minute * 60 + int(secs[j]), f"user{counter + j}",
-                        ))
-                    for j in range(int(replies[off])):
-                        events.append(Event(
-                            "reply", item_id, f"{item_id}-p{counter + j}",
-                            minute * 60, f"user{counter + j}",
-                        ))
-                    for j in range(int(favorites[off])):
-                        events.append(Event(
-                            "favorite", item_id, f"{item_id}-f{counter + j}",
-                            minute * 60, f"user{counter + j}",
-                        ))
+                    # The j-th retweet, reply and favorite of a minute share user j.
+                    users = [f"user{c}" for c in range(counter, counter + rt)]
+                    kinds += [1] * rt + [2] * n_replies + [3] * n_favorites
+                    item_ids += [item_id] * (rt + n_replies + n_favorites)
+                    for tag, count in (("r", rt), ("p", n_replies), ("f", n_favorites)):
+                        event_ids += [f"{item_id}-{tag}{c}"
+                                      for c in range(counter, counter + count)]
+                    stamps += (minute * 60 + secs).tolist()
+                    stamps += [minute * 60] * (n_replies + n_favorites)
+                    accounts += users + users[:n_replies] + users[:n_favorites]
                     counter += rt
 
     if item_seq == 0:
         raise DataError("generator produced no posts; raise posts_per_day or days")
-    events.sort(key=lambda e: (e.ts, 0 if e.kind == "post" else 1, e.item_id, e.event_id))
-    return events
+    return _sorted_batch(*columns)
+
+
+def _sorted_batch(kinds, item_ids, event_ids, stamps, accounts) -> EventBatch:
+    """The batch of these columns, sorted by (ts, post first, item_id, event_id)."""
+    keys = list(zip(stamps, map(bool, kinds), item_ids, event_ids))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return EventBatch(np.array(kinds, dtype=np.int8)[order], [item_ids[i] for i in order],
+                      [event_ids[i] for i in order], np.array(stamps, dtype=np.int64)[order],
+                      [accounts[i] for i in order])
 
 
 def _min_count_for_bin(bins, p: int) -> int:
@@ -236,7 +242,7 @@ def _min_count_for_bin(bins, p: int) -> int:
 
 def generate_markov_stream(state_space: StateSpace, p1: np.ndarray, n_items: int,
                            seed: int, *, start_minute: int = 120,
-                           cohort_minutes: int = 1) -> list[Event]:
+                           cohort_minutes: int = 1) -> EventBatch:
     """Emit items whose observed states walk a known chain ``p1``.
 
     The harness requires width-1 novelty bins (ages map one-to-one onto
@@ -303,7 +309,7 @@ def generate_markov_stream(state_space: StateSpace, p1: np.ndarray, n_items: int
                     f"infeasible transition {i} -> {j}: popularity bin decreases"
                 )
 
-    min_counts = {p: _min_count_for_bin(bins, p) for p in range(1, n_pop + 1)}
+    min_counts = np.array([0] + [_min_count_for_bin(bins, p) for p in range(1, n_pop + 1)])
 
     rng = np.random.default_rng(seed)
     cum = np.cumsum(p1, axis=1)
@@ -315,25 +321,20 @@ def generate_markov_stream(state_space: StateSpace, p1: np.ndarray, n_items: int
         states = (rows < u[:, None]).sum(axis=1)
         paths[age] = states
 
-    events: list[Event] = []
-    for i in range(n_items):
-        post_minute = start_minute + (i % cohort_minutes)
-        item_id = f"m{i:06d}"
-        events.append(Event("post", item_id, item_id, post_minute * 60, "markov"))
-        prev_count = 0
-        counter = 0
-        for age in range(1, n_nov + 1):
-            target = min_counts[pop_of(int(paths[age - 1, i]))]
-            emit = target - prev_count
-            if emit < 0:
-                raise DataError("popularity bin decreased along a sampled walk")
-            minute = post_minute + age - 1
-            for j in range(emit):
-                events.append(Event(
-                    "retweet", item_id, f"{item_id}-r{counter + j}",
-                    minute * 60, "markov",
-                ))
-            counter += emit
-            prev_count = target
-    events.sort(key=lambda e: (e.ts, 0 if e.kind == "post" else 1, e.item_id, e.event_id))
-    return events
+    # Retweets each item holds at each age (one row per age), the fewest
+    # that its popularity bins need, and the ones emitted in that minute.
+    held = min_counts[pop_of(paths)]
+    emitted = np.diff(held, axis=0, prepend=0)
+    if (emitted < 0).any():
+        raise DataError("popularity bin decreased along a sampled walk")
+    post_minute = start_minute + np.arange(n_items) % cohort_minutes
+    # Every retweet, in item order and within an item in age order.
+    item = np.repeat(np.repeat(np.arange(n_items), n_nov), emitted.T.ravel())
+    minute = post_minute[item] + np.repeat(np.tile(np.arange(n_nov), n_items), emitted.T.ravel())
+    ordinal = np.arange(item.size) - np.repeat(np.cumsum(held[-1]) - held[-1], held[-1])
+    items = [f"m{i:06d}" for i in range(n_items)]
+    retweeted = [items[i] for i in item.tolist()]
+    return _sorted_batch([0] * n_items + [1] * item.size, items + retweeted,
+                         items + [f"{i}-r{k}" for i, k in zip(retweeted, ordinal.tolist())],
+                         (np.append(post_minute, minute) * 60).tolist(),
+                         ["markov"] * (n_items + item.size))

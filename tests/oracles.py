@@ -8,6 +8,8 @@ of bisect) so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import io
+import json
 import math
 
 import numpy as np
@@ -239,3 +241,91 @@ def pearson_bruteforce(x, y):
     if sx == 0 or sy == 0:
         return float("nan")
     return cov / (sx * sy)
+
+
+_LOG_KINDS = ("post", "retweet", "reply", "favorite")
+_LOG_MAX_TS = 2**31 * 60 - 1
+
+
+def _reference_record_problem(rec):
+    if not isinstance(rec, dict):
+        return "record is not a JSON object"
+    missing = [k for k in ("kind", "item_id", "event_id", "ts", "account") if k not in rec]
+    if missing:
+        return f"missing key(s): {', '.join(missing)}"
+    if rec["kind"] not in _LOG_KINDS:
+        return f"unknown kind {rec['kind']!r}"
+    for key in ("item_id", "event_id", "account"):
+        if not isinstance(rec[key], str):
+            return f"{key} must be a string"
+    if not rec["item_id"] or not rec["event_id"]:
+        return "item_id and event_id must be non-empty"
+    ts = rec["ts"]
+    if isinstance(ts, bool) or not isinstance(ts, int):
+        return "ts must be an integer"
+    if not 0 <= ts <= _LOG_MAX_TS:
+        return f"ts must lie in 0..{_LOG_MAX_TS}"
+    if rec["kind"] == "post" and rec["item_id"] != rec["event_id"]:
+        return "post events must have item_id equal to event_id"
+    return None
+
+
+def parse_reference(text):
+    """An event log's item table, one ``json.loads`` per line and one loop per event.
+
+    Returns ``(ids, post_ts, keys, stride)`` as ``ItemTable`` holds them.
+    A log with bad lines raises ``ValueError`` whose argument is the list
+    of (line number, message) pairs; a log whose engagement has no post,
+    or predates it, raises ``ValueError`` with one message.
+    """
+    events, errors, event_lines = [], [], {}
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            errors.append((lineno, f"invalid JSON ({exc.msg})"))
+            continue
+        problem = _reference_record_problem(rec)
+        if problem is not None:
+            errors.append((lineno, problem))
+            continue
+        prev = event_lines.setdefault(rec["event_id"], lineno)
+        if prev != lineno:
+            errors.append(
+                (lineno, f"duplicate event_id {rec['event_id']!r} (first at line {prev})"))
+            continue
+        events.append((rec["kind"], rec["item_id"], rec["event_id"], rec["ts"]))
+    if errors:
+        raise ValueError(errors)
+
+    posts, engagement = {}, []
+    for kind, item_id, event_id, ts in events:
+        if kind == "post":
+            if item_id in posts:
+                raise ValueError(f"duplicate post for item {item_id!r}")
+            posts[item_id] = ts
+        else:
+            engagement.append((kind, item_id, event_id, ts))
+    orphans = sorted({item_id for _, item_id, _, _ in engagement if item_id not in posts})
+    if orphans:
+        raise ValueError(
+            f"engagement for {len(orphans)} item(s) with no post: {', '.join(orphans)}")
+    for kind, item_id, event_id, ts in engagement:
+        if ts // 60 < posts[item_id] // 60:
+            raise ValueError(
+                f"{kind} {event_id!r} for item {item_id!r} is dated minute {ts // 60}, "
+                f"before the post minute {posts[item_id] // 60}")
+
+    ids = sorted(posts)
+    row_of = {item_id: row for row, item_id in enumerate(ids)}
+    post_ts = np.array([posts[item_id] for item_id in ids], dtype=np.int64)
+    stride = max([ts // 60 for _, _, _, ts in engagement] + [ts // 60 for ts in posts.values()],
+                 default=0) + 1
+    keys = {kind: np.array(sorted(row_of[item_id] * stride + ts // 60
+                                  for k, item_id, _, ts in engagement if k == kind),
+                           dtype=np.int64)
+            for kind in _LOG_KINDS[1:]}
+    return tuple(ids), post_ts, keys, stride

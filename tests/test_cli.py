@@ -75,8 +75,10 @@ def test_indices_prints_sweep_diagnostics_but_does_not_store_them(pipeline, tmp_
     shutil.copy(pipeline["model"], model)
     assert main(["indices", "--model", str(model)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2] == ("sweep: smallest A = 1 (state 0, step 0), "
-                         "0 refinements, 0 refactorizations")
+    match = re.fullmatch(r"sweep: smallest A = 1 \(state 0, step 0\), smallest pivot = 1, "
+                         r"largest residual = (\S+), 0 refinements, 0 refactorizations",
+                         lines[-2])
+    assert match and 0 <= float(match[1]) <= 1e-10 / (1 - 0.9), lines[-2]
     assert lines[-3].startswith("state 0 rank:")
     text = model.read_text()
     assert text.startswith("# feedrank model, format v3\n")
@@ -263,6 +265,14 @@ def _first_line_with(data, word):
     return next(line for line in data.splitlines(keepends=True) if word in line)
 
 
+# Three lines, each invalid JSON, that a decode of the lines joined into
+# one array would accept as three posts.
+_JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"x","z":[{"y":1}\n'
+                b'{"w":2}]}\n'
+                b'{"kind":"post","item_id":"b","event_id":"b","ts":0,"account":"x"},'
+                b'{"kind":"post","item_id":"c","event_id":"c","ts":0,"account":"x"}\n')
+
+
 @pytest.mark.parametrize("case,expected", [
     ({"config": {"beta": "0.9"}}, 1),
     ({"config": {"beta": True}}, 1),
@@ -280,6 +290,9 @@ def _first_line_with(data, word):
     ({"events": lambda b: b + _first_line_with(b, b'"retweet"')}, 2),
     ({"events": lambda b: _with_line(b, '{"kind":"post","item_id":"x","event_id":"x",'
                                         f'"ts":{10 ** 23},"account":"a"}}')}, 2),
+    ({"events": lambda b: b + _JOINED_ONLY}, 2),
+    ({"events": lambda b: _with_line(b, "[" * 100_000)}, 2),
+    ({"model": lambda b: b.replace(b"\nbeta = ", b"\nbeta = 0.5\nbeta = ", 1)}, 2),
     ({"model": lambda b: b.replace(b"[p1]", b"[p\xff]")}, 2),
     ({"model": lambda b: _set_first(b, b"r_n", b"nan")}, 2),
     ({"model": lambda b: _set_first(b, b"epsilon", b"nan")}, 2),
@@ -299,6 +312,7 @@ def _first_line_with(data, word):
         "flag-beta-1", "meta-window-letters", "meta-window-no-comma",
         "config-generator-days", "flag-posts-per-day-nan", "flag-seed-negative",
         "events-not-utf8", "events-repeated-retweet", "events-ts-too-large",
+        "events-valid-only-joined", "events-nested-too-deeply", "model-duplicate-key",
         "model-not-utf8", "model-r_n-nan", "model-epsilon-nan", "model-beta-2",
         "model-beta-1", "model-format-v2", "model-no-header", "flag-novelty-limits-order",
         "flag-policies-repeated", "config-signals-empty", "config-not-utf8", "header-not-utf8",

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from feedrank.errors import ConfigError, DataError
-from feedrank.events import Event, build_timelines, hour_of_minute
+from feedrank.events import build_timelines, hour_of_minute, parse_event_log
 from feedrank.evaluation import (
     attention_relevance, evaluate_run, ndcg, pearson,
     utility_relevance, write_header_text, write_series_csv, write_summary_csv,
 )
 from feedrank.indices import IndexTable
 from feedrank.states import BinSpec, build_state_space
+from eventlog import line
 from oracles import ndcg_bruteforce, pearson_bruteforce
 
 
@@ -88,11 +89,11 @@ def test_pearson_matches_bruteforce():
 
 
 def test_attention_relevance_slots_and_cap():
-    events = [Event("post", "a", "a", 0)]
-    events += [Event("retweet", "a", f"a-r{k}", 65) for k in range(40)]
-    events += [Event("reply", "a", f"a-p{k}", 65) for k in range(3)]
-    events += [Event("favorite", "a", f"a-f{k}", 65) for k in range(2)]
-    table = build_timelines(events)
+    events = [line("post", "a", "a", 0)]
+    events += [line("retweet", "a", f"a-r{k}", 65) for k in range(40)]
+    events += [line("reply", "a", f"a-p{k}", 65) for k in range(3)]
+    events += [line("favorite", "a", f"a-f{k}", 65) for k in range(2)]
+    table = build_timelines(parse_event_log(events))
     rows = np.array([0])
     assert attention_relevance(1, rows, table, "rt").tolist() == [30]
     assert attention_relevance(1, rows, table, "rt", cap=100).tolist() == [40]
@@ -107,9 +108,9 @@ def test_attention_relevance_slots_and_cap():
 
 def test_utility_relevance_uses_next_minute_state():
     space = make_space()
-    events = [Event("post", "a", "a", 0),
-              Event("retweet", "a", "a-r0", 70)]
-    table = build_timelines(events)
+    events = [line("post", "a", "a", 0),
+              line("retweet", "a", "a-r0", 70)]
+    table = build_timelines(parse_event_log(events))
     rows = np.array([0])
     # At t = 1 the item is age 1 / 0 visible retweets; at t + 1 = 2 it is
     # age 2 with 1 visible retweet, i.e. state (2,2) = 4.
@@ -129,10 +130,10 @@ def eval_corpus():
     events = []
     for k, minute in enumerate(range(690, 860, 10)):
         iid = f"t{k:02d}"
-        events.append(Event("post", iid, iid, minute * 60))
-        events.extend(Event("retweet", iid, f"{iid}-r{j}", (minute + 1) * 60)
+        events.append(line("post", iid, iid, minute * 60))
+        events.extend(line("retweet", iid, f"{iid}-r{j}", (minute + 1) * 60)
                       for j in range(k % 4))
-    return build_timelines(events)
+    return build_timelines(parse_event_log(events))
 
 
 def test_evaluate_run_counts_and_series_shapes():
@@ -166,8 +167,8 @@ def test_evaluate_run_skips_empty_minutes():
 def spread_corpus():
     """Posts over three days with gaps of hours between bursts, two in one minute."""
     minutes = [5, 7, 300, 300, 301, 900, 1439, 1500, 2000, 2003, 2950, 4000, 4300]
-    return build_timelines([Event("post", f"s{k}", f"s{k}", m * 60)
-                            for k, m in enumerate(minutes)])
+    return build_timelines(parse_event_log([line("post", f"s{k}", f"s{k}", m * 60)
+                                            for k, m in enumerate(minutes)]))
 
 
 @pytest.mark.parametrize("interval", [1, 7, 60])
@@ -204,8 +205,8 @@ def test_peak_hours_filter_is_subset_of_full_run():
 
 
 def test_wrapping_peak_hours_accept_midnight():
-    timelines = build_timelines([Event("post", "a", "a", 0),
-                                 Event("post", "b", "b", 1430 * 60)])
+    timelines = build_timelines(parse_event_log([line("post", "a", "a", 0),
+                                                 line("post", "b", "b", 1430 * 60)]))
     space = make_space()
     report = evaluate_run(timelines, space, None, ("novelty",), ("rt",),
                           (1380, 1500), peak_hours=(23, 0))

@@ -1,24 +1,37 @@
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eventlog import line as make_line, rows
+from feedrank import events
 from feedrank.errors import DataError, EventLogError
 from feedrank.events import (
-    MAX_TS, Event, build_timelines, parse_event_log, serialize_event_log,
+    MAX_TS, build_timelines, parse_event_log, serialize_event_log,
 )
+from oracles import parse_reference
 
 
-def make_line(kind, item_id, event_id, ts, account="a"):
-    return json.dumps({"kind": kind, "item_id": item_id,
-                       "event_id": event_id, "ts": ts, "account": account})
+def table_of(lines):
+    return build_timelines(parse_event_log(lines))
 
 
-def test_minute_is_floor_of_seconds():
-    assert Event("post", "x", "x", 0).minute == 0
-    assert Event("post", "x", "x", 59).minute == 0
-    assert Event("post", "x", "x", 60).minute == 1
-    assert Event("post", "x", "x", 119).minute == 1
+def serialized(batch):
+    out = io.StringIO()
+    serialize_event_log(batch, out)
+    return out.getvalue()
+
+
+def test_table_minutes_are_floors_of_seconds():
+    table = table_of([make_line("post", "w", "w", 0), make_line("post", "x", "x", 59),
+                      make_line("post", "y", "y", 60), make_line("post", "z", "z", 119),
+                      make_line("retweet", "z", "z-r", 119), make_line("reply", "z", "z-p", 120)])
+    assert table.post_minute.tolist() == [0, 0, 1, 1]
+    assert table.events("retweet")[1].tolist() == [1]
+    assert table.events("reply")[1].tolist() == [2]
 
 
 def test_parse_round_trip_and_order():
@@ -30,14 +43,13 @@ def test_parse_round_trip_and_order():
         make_line("favorite", "t1", "t1-f1", 140),
     ]) + "\n"
     events = parse_event_log(text)
-    assert [e.kind for e in events] == ["post", "retweet", "favorite"]
-    assert serialize_event_log(events) == serialize_event_log(parse_event_log(
-        serialize_event_log(events)))
+    assert [kind for kind, *_ in rows(events)] == ["post", "retweet", "favorite"]
+    assert serialized(events) == serialized(parse_event_log(serialized(events)))
 
 
 def test_parse_accepts_bytes_and_iterables():
     line = make_line("post", "t1", "t1", 0)
-    assert parse_event_log(line.encode()) == parse_event_log([line])
+    assert rows(parse_event_log(line.encode())) == rows(parse_event_log([line]))
 
 
 def test_parse_collects_all_bad_lines():
@@ -60,6 +72,26 @@ def test_parse_collects_all_bad_lines():
     assert "first at line 8" in err.line_errors[-1][1]
 
 
+def test_lines_that_are_valid_only_when_joined_are_each_rejected():
+    # Joined into one JSON array these three lines decode as three posts.
+    post = make_line("post", "a", "a", 0)[:-1]
+    lines = [post + ', "z": [{"y": 1}', '{"w": 2}]}',
+             make_line("post", "b", "b", 0) + "," + make_line("post", "c", "c", 0)]
+    with pytest.raises(EventLogError) as exc_info:
+        parse_event_log("\n".join(lines))
+    assert [n for n, _ in exc_info.value.line_errors] == [1, 2, 3]
+    for line in lines:
+        with pytest.raises(EventLogError):
+            parse_event_log(line)
+
+
+def test_ids_that_differ_by_a_trailing_nul_are_two_items():
+    table = table_of([make_line("post", "a", "a", 0), make_line("post", "a\u0000", "a\u0000", 60),
+                      make_line("retweet", "a\u0000", "r", 120)])
+    assert table.ids == ("a", "a\u0000")
+    assert table.count("retweet", [0, 1], 0, table.stride).tolist() == [0, 1]
+
+
 def test_parse_rejects_float_timestamps():
     with pytest.raises(EventLogError):
         parse_event_log(make_line("post", "a", "a", 1.5))
@@ -78,15 +110,15 @@ def test_parse_rejects_a_repeated_event_id(kind):
 
 
 def test_parse_bounds_timestamps():
-    assert parse_event_log(make_line("post", "a", "a", MAX_TS))[0].ts == MAX_TS
+    assert parse_event_log(make_line("post", "a", "a", MAX_TS)).ts.tolist() == [MAX_TS]
     for ts in (MAX_TS + 1, 10 ** 23):
         with pytest.raises(EventLogError) as exc_info:
             parse_event_log("\n".join([make_line("post", "b", "b", 0),
                                        make_line("post", "a", "a", ts)]))
         assert [n for n, _ in exc_info.value.line_errors] == [2]
     # The largest minute still fits the table's keys.
-    table = build_timelines([Event("post", "a", "a", MAX_TS),
-                             Event("retweet", "a", "a-r", MAX_TS)])
+    table = table_of([make_line("post", "a", "a", MAX_TS),
+                      make_line("retweet", "a", "a-r", MAX_TS)])
     assert table.count("retweet", [0], 0, MAX_TS // 60 + 1).tolist() == [1]
 
 
@@ -122,48 +154,48 @@ def test_build_timelines_counts_and_popularity():
 
 
 def test_build_timelines_rejects_orphans():
-    events = [
-        Event("post", "t1", "t1", 0),
-        Event("retweet", "ghost", "g-r1", 60),
-        Event("reply", "ghost2", "g2-p1", 60),
+    lines = [
+        make_line("post", "t1", "t1", 0),
+        make_line("retweet", "ghost", "g-r1", 60),
+        make_line("reply", "ghost2", "g2-p1", 60),
     ]
     with pytest.raises(DataError) as exc_info:
-        build_timelines(events)
+        table_of(lines)
     assert "ghost" in str(exc_info.value)
     assert "ghost2" in str(exc_info.value)
 
 
 def test_build_timelines_rejects_engagement_before_post():
-    events = [
-        Event("post", "t1", "t1", 600),
-        Event("retweet", "t1", "t1-r1", 540),
+    lines = [
+        make_line("post", "t1", "t1", 600),
+        make_line("retweet", "t1", "t1-r1", 540),
     ]
     with pytest.raises(DataError):
-        build_timelines(events)
+        table_of(lines)
 
 
 def test_engagement_in_post_minute_is_allowed():
-    events = [
-        Event("post", "t1", "t1", 605),
-        Event("retweet", "t1", "t1-r1", 601),  # same minute, earlier second
+    lines = [
+        make_line("post", "t1", "t1", 605),
+        make_line("retweet", "t1", "t1-r1", 601),  # same minute, earlier second
     ]
-    table = build_timelines(events)
+    table = table_of(lines)
     assert table.count("retweet", [0], 10, 11).tolist() == [1]
 
 
 def test_serialize_is_compact_single_lines():
-    events = [Event("post", "t1", "t1", 0, "acct")]
-    text = serialize_event_log(events)
+    text = serialized(parse_event_log(make_line("post", "t1", "t1", 0, "acct")))
     assert text == ('{"kind":"post","item_id":"t1","event_id":"t1",'
                     '"ts":0,"account":"acct"}\n')
-    assert serialize_event_log([]) == ""
+    assert serialized(parse_event_log("")) == ""
 
 
 def test_take_keeps_the_masked_rows_and_their_events():
-    table = build_timelines([
-        Event("post", "a", "a", 0), Event("post", "b", "b", 60), Event("post", "c", "c", 120),
-        Event("retweet", "a", "a-r", 60), Event("reply", "b", "b-p", 120),
-        Event("retweet", "c", "c-r1", 180), Event("retweet", "c", "c-r2", 240),
+    table = table_of([
+        make_line("post", "a", "a", 0), make_line("post", "b", "b", 60),
+        make_line("post", "c", "c", 120),
+        make_line("retweet", "a", "a-r", 60), make_line("reply", "b", "b-p", 120),
+        make_line("retweet", "c", "c-r1", 180), make_line("retweet", "c", "c-r2", 240),
     ])
     sub = table.take([True, False, True])
     assert sub.ids == ("a", "c")
@@ -172,3 +204,102 @@ def test_take_keeps_the_masked_rows_and_their_events():
     assert sub.count("reply", [0, 1], 0, sub.stride).tolist() == [0, 0]
     rows, minutes = sub.events("retweet")
     assert rows.tolist() == [0, 1, 1] and minutes.tolist() == [1, 3, 4]
+
+
+_TEXT = st.text(max_size=3)  # any code point but surrogates: non-ASCII, NUL, quotes
+_EXTRA = st.sampled_from([None, 1.5, "x", [1, {"k": [None]}], {"kind": "post"}])
+
+
+@st.composite
+def event_logs(draw):
+    """Lines of a log of well-formed events, at most one of them corrupted."""
+    records = []
+    for k in range(draw(st.integers(1, 5))):
+        item = f"i{k}{draw(_TEXT)}"
+        post_ts = draw(st.integers(0, 5000))
+        records.append({"kind": "post", "item_id": item, "event_id": item, "ts": post_ts,
+                        "account": draw(_TEXT)})
+        for j in range(draw(st.integers(0, 4))):
+            records.append({"kind": draw(st.sampled_from(events.EVENT_KINDS[1:])),
+                            "item_id": item, "event_id": f"e{k}.{j}.{draw(_TEXT)}",
+                            "ts": post_ts // 60 * 60 + draw(st.integers(0, 3000)),
+                            "account": draw(_TEXT)})
+    records = draw(st.permutations(records))
+
+    def render(rec):
+        rec = {key: rec[key] for key in draw(st.permutations(list(rec)))}
+        if draw(st.booleans()):
+            rec["extra"] = draw(_EXTRA)
+        text = json.dumps(rec, ensure_ascii=draw(st.booleans()),
+                          separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+        pad = st.sampled_from(["", " ", "\t", " \t "])
+        return draw(pad) + text + draw(pad)
+
+    lines = [render(rec) for rec in records]
+    how = draw(st.sampled_from(["none", "none", "truncate", "array", "drop-key", "kind",
+                                "id-type", "empty-id", "ts", "post-id", "repeat",
+                                "extra-data", "drop-post", "early"]))
+    i = draw(st.integers(0, len(records) - 1))
+    rec = dict(records[i])
+    if how == "truncate":
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
+    elif how == "array":
+        lines[i] = json.dumps([rec])
+    elif how == "drop-key":
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    elif how == "kind":
+        rec["kind"] = draw(st.sampled_from(["boost", "", ["post"], 1]))
+    elif how == "id-type":
+        rec[draw(st.sampled_from(["item_id", "event_id", "account"]))] = draw(_EXTRA)
+    elif how == "empty-id":
+        rec[draw(st.sampled_from(["item_id", "event_id"]))] = ""
+    elif how == "ts":
+        rec["ts"] = draw(st.sampled_from([-1, MAX_TS + 1, 10 ** 30, 1.5, 60.0, True, "60"]))
+    elif how == "post-id" and rec["kind"] == "post":
+        rec["event_id"] += "x"
+    elif how == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    elif how == "extra-data":
+        lines[i] += draw(st.sampled_from([" ", ",", ""])) + lines[i]
+    elif how == "drop-post" and rec["kind"] == "post":
+        del lines[i]
+    elif how == "early" and rec["kind"] != "post" and rec["ts"] >= 120:
+        rec["ts"] -= 120
+    if rec != records[i]:
+        lines[i] = json.dumps(rec)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "# a comment", "  #{not json"])))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=event_logs(), block=st.sampled_from([1, 2, 3, 7, events._BLOCK_LINES]))
+def test_parse_and_build_match_the_per_line_reference(lines, block):
+    text = "\n".join(lines) + "\n"
+    try:
+        expected = parse_reference(text)
+    except ValueError as exc:
+        expected = exc.args[0]
+    with mock.patch.object(events, "_BLOCK_LINES", block):
+        try:
+            batch = parse_event_log(text)
+            table = build_timelines(batch)
+        except EventLogError as exc:
+            assert exc.line_errors == expected
+            return
+        except DataError as exc:
+            assert str(exc) == expected
+            return
+        ids, post_ts, keys, stride = expected
+        assert table.ids == ids and table.stride == stride
+        assert table.post_ts.tolist() == post_ts.tolist()
+        assert {k: v.tolist() for k, v in table.keys.items()} == \
+            {k: v.tolist() for k, v in keys.items()}
+        # Written back, each line is what json.dumps writes for the event.
+        text = serialized(batch)
+    assert text == "".join(
+        json.dumps(dict(zip(("kind", "item_id", "event_id", "ts", "account"), row)),
+                   separators=(",", ":")) + "\n"
+        for row in rows(batch))
+    assert rows(parse_event_log(text)) == rows(batch)

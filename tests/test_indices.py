@@ -305,6 +305,21 @@ def test_sweep_reports_the_smallest_constant():
     assert sweep.describe().startswith("sweep: smallest A = 0.174312 (state 1, step 1)")
 
 
+def test_sweep_reports_its_smallest_pivot_and_largest_residual():
+    # Each pivot is the ratio of the occupancy system's determinants after
+    # and before one extraction (the matrix determinant lemma).
+    model = random_model(np.random.default_rng(5), 8)
+    sweep = compute_indices(model, np.linspace(0, 1, 8)).sweep
+    m = np.eye(8) - model.beta * model.p0
+    ratios = []
+    for state in sweep.pi_order[:-1]:
+        before = np.linalg.det(m)
+        m[state] = np.eye(8)[state] - model.beta * model.p1[state]
+        ratios.append(abs(np.linalg.det(m) / before))
+    assert sweep.min_pivot == pytest.approx(min(ratios), rel=1e-9)
+    assert 0 <= sweep.max_residual <= indices.RESIDUAL_TOL_FACTOR / (1 - model.beta)
+
+
 def test_failed_residual_refines_refactors_then_raises(monkeypatch):
     refines, inverses = [], []
     refine, inverse = indices._refine, indices._inverse

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from feedrank.errors import ConfigError
-from feedrank.events import Event, build_timelines
+from feedrank.events import build_timelines, parse_event_log
 from feedrank.indices import IndexTable
 from feedrank import ranking
 from feedrank.ranking import rank_items, rank_minutes, write_snapshots_csv
 from feedrank.states import BinSpec, build_state_space
+from eventlog import line
 
 
 def make_space():
@@ -22,14 +23,14 @@ def make_table():
 
 def corpus():
     events = [
-        Event("post", "a", "a", 0),
-        Event("post", "b", "b", 30),
-        Event("post", "c", "c", 65),
+        line("post", "a", "a", 0),
+        line("post", "b", "b", 30),
+        line("post", "c", "c", 65),
     ]
-    events += [Event("retweet", "a", f"a-r{k}", 70 + k) for k in range(5)]
-    events += [Event("retweet", "b", "b-r0", 40)]
-    events += [Event("retweet", "c", f"c-r{k}", 66 + k) for k in range(2)]
-    return build_timelines(events)
+    events += [line("retweet", "a", f"a-r{k}", 70 + k) for k in range(5)]
+    events += [line("retweet", "b", "b-r0", 40)]
+    events += [line("retweet", "c", f"c-r{k}", 66 + k) for k in range(2)]
+    return build_timelines(parse_event_log(events))
 
 
 def rank_at(t, table, space, index_table, policy, horizon=60):
@@ -77,11 +78,11 @@ def test_policies_share_one_classification_per_item(monkeypatch):
 
 
 def test_index_ties_break_by_recency_then_id():
-    table = build_timelines([
-        Event("post", "x", "x", 10),
-        Event("post", "y", "y", 40),   # same minute, later second
-        Event("post", "z", "z", 40),   # identical timestamp: id decides
-    ])
+    table = build_timelines(parse_event_log([
+        line("post", "x", "x", 10),
+        line("post", "y", "y", 40),   # same minute, later second
+        line("post", "z", "z", 40),   # identical timestamp: id decides
+    ]))
     space = make_space()
     index_table = IndexTable(g=np.full(7, 0.5))
     assert rank_at(1, table, space, index_table, "index")[0] == ("y", "z", "x")
@@ -95,8 +96,8 @@ def test_empty_minute_gives_empty_snapshot():
 
 
 def test_active_set_window_boundaries():
-    table = build_timelines([Event("post", f"t{k}", f"t{k}", 60 * k)
-                             for k in range(5)])
+    table = build_timelines(parse_event_log([line("post", f"t{k}", f"t{k}", 60 * k)
+                                             for k in range(5)]))
 
     def active(t, horizon):
         return {r.minute: [table.ids[row] for row in r.rows] for r in

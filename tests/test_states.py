@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from feedrank.errors import DataError
-from feedrank.events import Event, build_timelines
+from feedrank.events import build_timelines, parse_event_log
 from feedrank.states import (
     DEFAULT_NOVELTY_LIMITS, BinSpec, build_state_space, classify,
     fit_popularity_bins, fit_rewards, state_bins, state_label,
 )
+from eventlog import line
 from oracles import quantile_limits_bruteforce
 
 # Bin limits and reward factors reported for a month-long training
@@ -66,9 +67,9 @@ def test_classify_documented_states():
 
 def test_classify_counts_retweets_before_the_minute():
     bins = month_bins()
-    events = [Event("post", "a", "a", 600)]
-    events += [Event("retweet", "a", f"a-r{k}", 660) for k in range(19)]
-    table = build_timelines(events)
+    events = [line("post", "a", "a", 600)]
+    events += [line("retweet", "a", f"a-r{k}", 660) for k in range(19)]
+    table = build_timelines(parse_event_log(events))
     # Post minute 10; the 19 retweets land in minute 11 and count from 12.
     minutes = np.array([11, 12, 70])
     states = classify(minutes - table.post_minute[0],
@@ -177,11 +178,11 @@ def test_fit_popularity_bins_errors():
 
 
 def post(iid, minute):
-    return Event("post", iid, iid, minute * 60)
+    return line("post", iid, iid, minute * 60)
 
 
 def retweet(iid, k, minute):
-    return Event("retweet", iid, f"{iid}-r{k}", minute * 60)
+    return line("retweet", iid, f"{iid}-r{k}", minute * 60)
 
 
 def test_fit_rewards_single_spike():
@@ -189,7 +190,7 @@ def test_fit_rewards_single_spike():
     # elsewhere.
     events = [post("t1", 100)]
     events += [retweet("t1", k, 102) for k in range(4)]
-    timelines = build_timelines(events)
+    timelines = build_timelines(parse_event_log(events))
     bins = BinSpec(DEFAULT_NOVELTY_LIMITS, fit_popularity_bins([4], n_bins=10))
     r_n, r_p = fit_rewards(timelines, bins)
     assert r_n[1] == 1.0
@@ -201,7 +202,7 @@ def test_fit_rewards_zero_bin_convention():
     # gets raw mean 1 before normalization.
     events = [post("t1", 0), post("t2", 0)]
     events += [retweet("t2", k, 1) for k in range(50)]
-    timelines = build_timelines(events)
+    timelines = build_timelines(parse_event_log(events))
     limits = fit_popularity_bins([0, 50], n_bins=10)
     bins = BinSpec(DEFAULT_NOVELTY_LIMITS, limits)
     r_n, r_p = fit_rewards(timelines, bins)
@@ -213,7 +214,7 @@ def test_fit_rewards_zero_bin_convention():
 
 def test_fit_rewards_requires_in_window_retweets():
     events = [post("t1", 0), retweet("t1", 0, 70)]  # age 70: outside bins
-    timelines = build_timelines(events)
+    timelines = build_timelines(parse_event_log(events))
     bins = BinSpec(DEFAULT_NOVELTY_LIMITS, (0, 1, math.inf))
     with pytest.raises(DataError):
         fit_rewards(timelines, bins)

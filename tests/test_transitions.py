@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from feedrank.errors import DataError
-from feedrank.events import Event, build_timelines
+from feedrank.events import build_timelines, parse_event_log
 from feedrank.states import BinSpec, build_state_space, classify
 from feedrank.transitions import (
     TransitionModel, build_model, derive_p0, estimate_p1,
 )
+from eventlog import line
 from oracles import count_transitions_bruteforce, rows_to_probabilities
 
 SMALL_NOV = (1, 2, 3, 4)          # three one-minute novelty bins
@@ -22,17 +23,17 @@ def small_space():
 
 
 def post(iid, minute):
-    return Event("post", iid, iid, minute * 60)
+    return line("post", iid, iid, minute * 60)
 
 
 def retweet(iid, k, minute):
-    return Event("retweet", iid, f"{iid}-r{k}", minute * 60)
+    return line("retweet", iid, f"{iid}-r{k}", minute * 60)
 
 
 def test_single_item_walk():
     space = small_space()
     events = [post("t1", 5), retweet("t1", 0, 6)]
-    timelines = build_timelines(events)
+    timelines = build_timelines(parse_event_log(events))
     p1 = estimate_p1(timelines, space, (5, 12))
     # Walk: 0 -> (1,1)=1 -> (2,2)=4 -> (3,2)=6 -> 0, then two idle
     # minutes at state 0. Unvisited rows self-loop.
@@ -49,7 +50,7 @@ def test_single_item_walk():
 def test_two_items_split_row():
     space = small_space()
     events = [post("a", 0), post("b", 0), retweet("a", 0, 1)]
-    timelines = build_timelines(events)
+    timelines = build_timelines(parse_event_log(events))
     p1 = estimate_p1(timelines, space, (0, 3))
     # Both items: 0 -> state 1. Then a (one retweet visible at t=2)
     # moves to (2,2)=4 while b moves to (2,1)=3.
@@ -61,7 +62,7 @@ def test_two_items_split_row():
 def test_smoothing_adds_to_every_cell():
     space = small_space()
     events = [post("t1", 5), retweet("t1", 0, 6)]
-    timelines = build_timelines(events)
+    timelines = build_timelines(parse_event_log(events))
     s = 0.5
     p1 = estimate_p1(timelines, space, (5, 12), smoothing=s)
     n = space.n_states
@@ -92,7 +93,7 @@ def test_estimator_matches_bruteforce_counts():
     for trial in range(10):
         events, oracle_items = random_corpus(rng)
         window = (10, 40)
-        timelines = build_timelines(events)
+        timelines = build_timelines(parse_event_log(events))
         if not ((10 <= timelines.post_minute) & (timelines.post_minute < 40)).any():
             continue
         p1 = estimate_p1(timelines, space, window)
@@ -107,7 +108,7 @@ def test_estimator_matches_bruteforce_counts():
 
 def test_estimator_errors():
     space = small_space()
-    timelines = build_timelines([post("t1", 5)])
+    timelines = build_timelines(parse_event_log([post("t1", 5)]))
     with pytest.raises(DataError):
         estimate_p1(timelines, space, (5, 6))
     with pytest.raises(DataError):
@@ -119,7 +120,7 @@ def test_estimator_errors():
 
 def test_classify_before_post_is_state_zero():
     space = small_space()
-    table = build_timelines([post("t1", 10)])
+    table = build_timelines(parse_event_log([post("t1", 10)]))
     ages = np.array([9, 10, 11]) - table.post_minute[0]
     # Before the post and at age 0 (not rankable yet) the state is 0.
     assert classify(ages, np.zeros(3, dtype=int), space.bins).tolist() == [0, 0, 1]
