@@ -28,7 +28,7 @@ from .indices import (
     IndexTable, SweepStats, compute_indices, constants_a, format_rank_grid,
     occupancy, rank_states,
 )
-from .ranking import MinuteRanking, rank_items, rank_minutes
+from .ranking import Rankings, rank_items, rank_minutes
 from .evaluation import (
     EvaluationReport, attention_relevance, evaluate_run, ndcg, pearson,
     utility_relevance,
@@ -43,8 +43,8 @@ __all__ = [
     "BinSpec", "ConfigError", "DEFAULT_NOVELTY_LIMITS", "DataError",
     "EvaluationReport", "EventBatch",
     "EventLogError", "FeedrankError", "GeneratorConfig", "IndexTable",
-    "IndexabilityError", "ItemTable", "MinuteRanking", "ModelBundle",
-    "NumericalError", "RunConfig", "StateSpace", "SweepStats", "TransitionModel",
+    "IndexabilityError", "ItemTable", "ModelBundle", "NumericalError",
+    "Rankings", "RunConfig", "StateSpace", "SweepStats", "TransitionModel",
     "attention_relevance", "build_model", "build_state_space",
     "build_timelines", "classify", "compute_indices", "constants_a",
     "derive_p0", "estimate_p1", "evaluate_run", "fit_model", "fit_popularity_bins",

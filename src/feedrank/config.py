@@ -20,6 +20,9 @@ from .transitions import DEFAULT_BETA, DEFAULT_EPSILON
 _EPOCH = date(1970, 1, 1)
 MINUTES_PER_DAY = 1440
 
+# Bounds |window endpoints|, horizons and intervals, so evaluation's int64 sums stay exact.
+MAX_MINUTES = 2**60
+
 
 def _parse_int(value, name: str) -> int:
     """An integer given as a JSON number (not a bool) or as flag text."""
@@ -63,6 +66,8 @@ def parse_window(value, name: str) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{name} must be a [start, end) pair")
     start, end = (parse_minute(v) for v in value)
+    if max(abs(start), abs(end)) > MAX_MINUTES:
+        raise ConfigError(f"{name} endpoints must lie in -{MAX_MINUTES}..{MAX_MINUTES}")
     if end <= start:
         raise ConfigError(f"{name} [{start}, {end}) is empty")
     return start, end
@@ -151,6 +156,8 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+            if name in ("horizon", "decision_interval") and value > MAX_MINUTES:
+                raise ConfigError(f"{name} must not exceed {MAX_MINUTES}")
         if not isinstance(self.dump_snapshots, bool):
             raise ConfigError("dump_snapshots must be true or false")
         for name, noun, known in (("policies", "policy", POLICIES),

@@ -1,6 +1,6 @@
-"""Ranking quality evaluation with nDCG over per-minute snapshots.
+"""Ranking quality evaluation with nDCG over every decision minute at once.
 
-For each decision minute the active items are ranked by each policy and
+At each decision minute the active items are ranked by each policy and
 scored against a relevance signal:
 
     utility            reward of the state the item holds one minute later
@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .events import ItemTable
 from .indices import IndexTable
-from .ranking import DEFAULT_HORIZON, POLICIES, MinuteRanking, rank_minutes
+from .ranking import DEFAULT_HORIZON, Rankings, rank_minutes
 from .states import StateSpace, classify
 
 SIGNALS = ("utility", "rt", "rt_replies", "rt_replies_favs")
@@ -69,28 +68,29 @@ def _gains(relevance: Iterable[float]) -> np.ndarray:
     return np.array([2.0 ** float(s) - 1.0 for s in relevance])
 
 
-@lru_cache(maxsize=None)
-def _discounts(size: int) -> np.ndarray:
-    """``log2(1 + p)`` for the ranks p = 1..size."""
-    return np.array([math.log2(pos + 1) for pos in range(1, size + 1)])
-
-
-def ndcg(gains) -> float:
+def ndcg(gains, which: np.ndarray | None = None):
     """Normalized discounted cumulative gain of gains in rank order.
 
     ``DCG = sum_p gains[p - 1] / log2(1 + p)``, divided by the DCG of the
-    gains sorted best first; an all-zero list scores 1.
+    gains sorted best first; an all-zero list scores 1. Given ``which``,
+    each row of ``gains`` ranks the same groups of gains (entry ``i`` in
+    group ``which[i]``, groups numbered from 0 and listed in turn), and
+    the result holds a score per row and group.
     """
     gains = np.asarray(gains, dtype=float)
-    if not gains.size:
-        return 1.0
-    if gains.min() < 0:
+    if gains.size and gains.min() < 0:
         raise DataError(f"negative gain {gains.min()}")
-    # Discount tables are cached for powers of two only, so few are built.
-    discounts = _discounts(1 << (gains.size - 1).bit_length())[:gains.size]
-    # cumsum adds left to right, as Python's sum does: the scores keep every bit.
-    dcg, ideal = np.cumsum(np.array([gains, np.sort(gains)[::-1]]) / discounts, axis=1)[:, -1]
-    return 1.0 if ideal == 0.0 else float(dcg / ideal)
+    if which is None:
+        return float(ndcg([gains], np.zeros(gains.size, dtype=int))[0, 0]) if gains.size else 1.0
+    sizes = np.bincount(which)
+    discount = np.array([math.log2(p + 2) for p in range(sizes.max(initial=0))])
+    discount = discount[np.arange(len(which)) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
+    ideal = gains[0][np.lexsort((-gains[0], which))]
+    # ``ufunc.at`` adds entries one by one, in order, as Python's sum does: every bit is kept.
+    dcg = np.zeros((len(gains) + 1, len(sizes)))
+    for row, ranked in zip(dcg, [*gains, ideal]):
+        np.add.at(row, which, ranked / discount)
+    return np.divide(dcg[:-1], dcg[-1], out=np.ones_like(dcg[:-1]), where=dcg[-1] != 0.0)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -150,14 +150,14 @@ def _decision_minutes(post_minute: np.ndarray, start: int, end: int, interval: i
 
 @dataclass
 class EvaluationReport:
-    """Per-minute rankings and nDCG series plus aggregate statistics.
+    """The ranking batch and its nDCG series plus aggregate statistics.
 
-    ``series[(policy, signal)][i]`` scores ``rankings[i]``.
+    ``series[(policy, signal)][i]`` scores minute ``rankings.minutes[i]``.
     """
 
     policies: tuple[str, ...]
     signals: tuple[str, ...]
-    rankings: list[MinuteRanking]
+    rankings: Rankings
     series: dict[tuple[str, str], list[float]]
     skipped_empty: int
     warnings: list[str]
@@ -165,11 +165,11 @@ class EvaluationReport:
 
     @property
     def minutes(self) -> list[int]:
-        return [r.minute for r in self.rankings]
+        return self.rankings.minutes.tolist()
 
     @property
     def active_counts(self) -> list[int]:
-        return [len(r.rows) for r in self.rankings]
+        return np.bincount(self.rankings.which, minlength=len(self.rankings.minutes)).tolist()
 
     def mean_std(self, policy: str, signal: str) -> tuple[float, float]:
         values = self.series[(policy, signal)]
@@ -207,16 +207,12 @@ def evaluate_run(table: ItemTable, state_space: StateSpace,
     """
     policies = tuple(policies)
     signals = tuple(signals)
-    for p in policies:
-        if p not in POLICIES:
-            raise ConfigError(f"unknown policy {p!r}; expected one of {POLICIES}")
-    for s in signals:
-        if s not in SIGNALS:
-            raise ConfigError(f"unknown signal {s!r}; expected one of {SIGNALS}")
-    if "index" in policies and index_table is None:
-        raise ConfigError("the index policy needs a computed index table")
+    if not policies:
+        raise ConfigError("evaluation needs at least one policy")
     if interval < 1:
         raise ConfigError("decision interval must be >= 1")
+    if horizon < 1:
+        raise ConfigError("horizon must be >= 1")
     if not 1 <= relevance_cap <= MAX_RELEVANCE_CAP:
         raise ConfigError(f"relevance cap must lie in 1..{MAX_RELEVANCE_CAP}")
     start, end = minute_range
@@ -242,21 +238,15 @@ def evaluate_run(table: ItemTable, state_space: StateSpace,
     attention_gain = _gains(range(relevance_cap + 1))
     decision_minutes, n_decision = _decision_minutes(
         table.post_minute, start, end, interval, hour_set, horizon)
-    rankings = list(rank_minutes(table, state_space, index_table, policies,
-                                 decision_minutes, horizon))
-    series: dict[tuple[str, str], list[float]] = {
-        (p, s): [] for p in policies for s in signals
-    }
-    for r in rankings:
-        gains = [
-            utility_gain[utility_relevance(r.minute, r.rows, table, state_space)]
-            if s == "utility" else
-            attention_gain[attention_relevance(r.minute, r.rows, table, s, relevance_cap)]
-            for s in signals
-        ]
-        for p, order in zip(policies, r.orders):
-            for s, gain in zip(signals, gains):
-                series[(p, s)].append(ndcg(gain[order]))
+    rankings = rank_minutes(table, state_space, index_table, policies, decision_minutes, horizon)
+    t = rankings.minutes[rankings.which]
+    series: dict[tuple[str, str], list[float]] = {}
+    for s in signals:
+        gain = (utility_gain[utility_relevance(t, rankings.rows, table, state_space)]
+                if s == "utility" else
+                attention_gain[attention_relevance(t, rankings.rows, table, s, relevance_cap)])
+        for p, scores in zip(policies, ndcg(gain[rankings.orders], rankings.which)):
+            series[(p, s)] = scores.tolist()
 
     fingerprint = {
         "eval_window": f"[{start}, {end})",
@@ -275,7 +265,7 @@ def evaluate_run(table: ItemTable, state_space: StateSpace,
         signals=signals,
         rankings=rankings,
         series=series,
-        skipped_empty=n_decision - len(rankings),
+        skipped_empty=n_decision - len(rankings.minutes),
         warnings=warnings,
         fingerprint=fingerprint,
     )
@@ -286,14 +276,9 @@ def write_series_csv(report: EvaluationReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["minute", "policy", "signal", "ndcg", "active_count"])
-        for i, r in enumerate(report.rankings):
-            for p in report.policies:
-                for s in report.signals:
-                    writer.writerow([
-                        r.minute, p, s,
-                        format(report.series[(p, s)][i], ".17g"),
-                        len(r.rows),
-                    ])
+        for i, (minute, count) in enumerate(zip(report.minutes, report.active_counts)):
+            writer.writerows([minute, p, s, format(report.series[(p, s)][i], ".17g"), count]
+                             for p in report.policies for s in report.signals)
 
 
 def write_summary_csv(report: EvaluationReport, path) -> None:

@@ -129,11 +129,11 @@ class SweepStats:
     dual-speed ``p0`` every such A is at least 1 up to rounding (the
     slowed chain keeps ``V[i] <= p1[i] . V`` outside the occupancy set),
     so ``min_a`` falls clearly below 1 only for other models.
-    ``min_pivot`` is the smallest Sherman-Morrison pivot ``|1 + w[s]|``
-    (near 0 an update loses accuracy) and ``max_residual`` the largest
-    occupancy residual accepted at any step. ``refinements`` counts
-    iterative-refinement passes and ``refactorizations`` the fresh
-    factorizations after the first one.
+    ``min_pivot`` is the smallest Sherman-Morrison pivot ``|1 + w[s]|`` of
+    a step that changes ``M`` (inf if none does; near 0 an update loses
+    accuracy), ``max_residual`` the largest occupancy residual accepted at
+    any step. ``refinements`` counts iterative-refinement passes and
+    ``refactorizations`` the fresh factorizations after the first one.
     """
 
     pi_order: np.ndarray
@@ -236,12 +236,14 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
         # becomes the p1 row, built as ``occupancy`` builds it.
         row = identity[state] - beta * model.p1[state]
         u = row - m[state]
-        m[state] = row
         b[state] = 1.0
-        w = u @ m_inv
-        pivot = 1.0 + w[state]
-        min_pivot = min(min_pivot, abs(pivot))
-        m_inv -= np.outer(m_inv[:, state] / pivot, w)
+        # Equal p1 and p0 rows (absorbing state, or epsilon 1) leave M and its inverse as is.
+        if u.any():
+            m[state] = row
+            w = u @ m_inv
+            pivot = 1.0 + w[state]
+            min_pivot = min(min_pivot, abs(pivot))
+            m_inv -= np.outer(m_inv[:, state] / pivot, w)
         v, k, residual = _refine(m, m_inv, b, tol)
         refinements += k
         if not residual <= tol:  # a nan residual fails too

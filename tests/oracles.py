@@ -329,3 +329,73 @@ def parse_reference(text):
                            dtype=np.int64)
             for kind in _LOG_KINDS[1:]}
     return tuple(ids), post_ts, keys, stride
+
+
+def evaluate_reference(posts, engagement, novelty_limits, popularity_limits, reward, g,
+                       policies, signals, window, horizon, interval=1, peak_hours=None,
+                       cap=30):
+    """The evaluation pass one decision minute at a time, with scalar rules.
+
+    ``posts`` maps item id to post ``ts`` (seconds) and ``engagement``
+    lists ``(kind, item_id, minute)`` events. Every minute of the window
+    is scanned; each item's activity, counts and state come from linear
+    scans, the policies rank with ``sorted`` and nDCG adds with ``sum``.
+    Returns ``(minutes, active_counts, series, skipped_empty,
+    snapshot_rows)`` with ``series[(policy, signal)]`` one score per
+    listed minute and snapshot rows ``(minute, policy, rank, item_id,
+    state)``.
+    """
+    kinds = {"rt": ("retweet",), "rt_replies": ("retweet", "reply"),
+             "rt_replies_favs": ("retweet", "reply", "favorite")}
+    n_pop = len(popularity_limits) - 1
+
+    def count(item_id, kinds_counted, lo, hi):
+        return sum(1 for kind, iid, m in engagement
+                   if iid == item_id and kind in kinds_counted and lo <= m < hi)
+
+    def state(age, retweets):
+        if not novelty_limits[0] <= age <= novelty_limits[-1] - 1:
+            return 0
+        nov = sum(1 for lim in novelty_limits if lim <= age)
+        pop = sum(1 for lim in popularity_limits if lim <= retweets)
+        return (nov - 1) * n_pop + pop
+
+    def score(gains):
+        dcg = sum(x / math.log2(pos + 1) for pos, x in enumerate(gains, start=1))
+        ideal = sum(x / math.log2(pos + 1)
+                    for pos, x in enumerate(sorted(gains, reverse=True), start=1))
+        return 1.0 if ideal == 0.0 else dcg / ideal
+
+    minutes, counts, rows, skipped = [], [], [], 0
+    series = {(p, s): [] for p in policies for s in signals}
+    for t in range(window[0], window[1], interval):
+        if peak_hours is not None and (t // 60) % 24 not in peak_hours:
+            continue
+        active = [iid for iid in sorted(posts) if 0 < t - posts[iid] // 60 <= horizon]
+        if not active:
+            skipped += 1
+            continue
+        minutes.append(t)
+        counts.append(len(active))
+        retweets = {iid: count(iid, ("retweet",), 0, t) for iid in active}
+        states = {iid: state(t - posts[iid] // 60, retweets[iid]) for iid in active}
+        keys = {"index": lambda iid: (-g[states[iid]], -posts[iid], iid),
+                "novelty": lambda iid: (-posts[iid], iid),
+                "popularity": lambda iid: (-retweets[iid], -posts[iid], iid)}
+        relevance = {}
+        for s in signals:
+            if s == "utility":
+                relevance[s] = {iid: reward[state(t + 1 - posts[iid] // 60,
+                                                  count(iid, ("retweet",), 0, t + 1))]
+                                for iid in active}
+            else:
+                relevance[s] = {iid: min(count(iid, kinds[s], t, t + 1), cap)
+                                for iid in active}
+        for p in policies:
+            ranked = sorted(active, key=keys[p])
+            rows.extend((t, p, rank, iid, states[iid])
+                        for rank, iid in enumerate(ranked, start=1))
+            for s in signals:
+                series[(p, s)].append(score([2.0 ** float(relevance[s][iid]) - 1.0
+                                             for iid in ranked]))
+    return minutes, counts, series, skipped, rows

@@ -1,7 +1,10 @@
 import math
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feedrank.errors import ConfigError, DataError
 from feedrank.events import build_timelines, hour_of_minute, parse_event_log
@@ -10,9 +13,10 @@ from feedrank.evaluation import (
     utility_relevance, write_header_text, write_series_csv, write_summary_csv,
 )
 from feedrank.indices import IndexTable
+from feedrank.ranking import POLICIES, write_snapshots_csv
 from feedrank.states import BinSpec, build_state_space
 from eventlog import line
-from oracles import ndcg_bruteforce, pearson_bruteforce
+from oracles import evaluate_reference, ndcg_bruteforce, pearson_bruteforce
 
 
 def make_space():
@@ -251,6 +255,10 @@ def test_evaluate_run_validation():
     with pytest.raises(ConfigError):
         evaluate_run(timelines, space, None, ("novelty",), ("rt",), (700, 710),
                      peak_hours=(25,))
+    with pytest.raises(ConfigError):
+        evaluate_run(timelines, space, None, ("novelty",), ("rt",), (700, 710), horizon=0)
+    with pytest.raises(ConfigError):
+        evaluate_run(timelines, space, None, (), ("rt",), (700, 710))
     for cap in (0, 1024):
         with pytest.raises(ConfigError):
             evaluate_run(timelines, space, None, ("novelty",), ("rt",), (700, 710),
@@ -286,3 +294,61 @@ def test_report_writers_round_trip(tmp_path):
     assert header.splitlines()[1] == "beta = 0.9"
     assert "pearson_active[index,utility] = " in header
     assert "minutes_evaluated = 60" in header
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """A small log with tied post times, its bins, and an evaluation to run on it."""
+    n_items = draw(st.integers(1, 10))
+    # Few distinct post times, so several items share a minute or a ts.
+    post_ts = draw(st.lists(st.sampled_from([0, 30, 60, 61, 600, 630, 1800, 3600, 3630]),
+                            min_size=n_items, max_size=n_items))
+    posts = {f"i{k}": ts + 60 * draw(st.integers(0, 40)) for k, ts in enumerate(post_ts)}
+    engagement = [(kind, iid, posts[iid] // 60 + offset) for kind, iid, offset in draw(
+        st.lists(st.tuples(st.sampled_from(["retweet", "reply", "favorite"]),
+                           st.sampled_from(sorted(posts)), st.integers(0, 90)), max_size=60))]
+    novelty = sorted(set(draw(st.lists(st.integers(1, 100), min_size=2, max_size=5))))
+    if len(novelty) < 2:
+        novelty.append(novelty[0] + 1)
+    popularity = [0, *sorted(draw(st.lists(st.integers(0, 6), max_size=3))), math.inf]
+    space = build_state_space(BinSpec(tuple(novelty), tuple(popularity)),
+                              draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]),
+                                            min_size=len(novelty) - 1, max_size=len(novelty) - 1)),
+                              draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                            min_size=len(popularity) - 1,
+                                            max_size=len(popularity) - 1)))
+    g = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                      min_size=space.n_states, max_size=space.n_states))
+    policies = draw(st.permutations(POLICIES).map(tuple))[:draw(st.integers(1, 3))]
+    signals = draw(st.permutations(("utility", "rt", "rt_replies", "rt_replies_favs"))
+                   .map(tuple))[:draw(st.integers(1, 4))]
+    start = draw(st.integers(0, 120))
+    run = dict(window=(start, start + draw(st.integers(1, 300))),
+               horizon=draw(st.integers(1, 90)), interval=draw(st.integers(1, 7)),
+               peak_hours=draw(st.none() | st.sets(st.integers(0, 6), min_size=1).map(tuple)),
+               cap=draw(st.integers(1, 5)))
+    return posts, engagement, space, g, policies, signals, run
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=evaluation_inputs())
+def test_batch_evaluation_matches_the_per_minute_reference(inputs, tmp_path_factory):
+    posts, engagement, space, g, policies, signals, run = inputs
+    log = [line("post", iid, iid, ts) for iid, ts in posts.items()]
+    log += [line(kind, iid, f"e{k}", minute * 60 + k % 60)
+            for k, (kind, iid, minute) in enumerate(engagement)]
+    table = build_timelines(parse_event_log(log))
+    report = evaluate_run(table, space, IndexTable(g=np.array(g)), policies, signals,
+                          run["window"], horizon=run["horizon"], interval=run["interval"],
+                          peak_hours=run["peak_hours"], relevance_cap=run["cap"])
+    minutes, counts, series, skipped, rows = evaluate_reference(
+        posts, engagement, space.bins.novelty_limits, space.bins.popularity_limits,
+        space.reward.tolist(), g, policies, signals, **run)
+    assert report.minutes == minutes
+    assert report.active_counts == counts
+    assert report.skipped_empty == skipped
+    assert report.series == series  # exact: every float bit for bit
+    path = tmp_path_factory.mktemp("snapshots") / "snapshots.csv"
+    write_snapshots_csv(table, policies, report.rankings, path)
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [list(map(str, row)) for row in rows]

@@ -320,6 +320,31 @@ def test_sweep_reports_its_smallest_pivot_and_largest_residual():
     assert 0 <= sweep.max_residual <= indices.RESIDUAL_TOL_FACTOR / (1 - model.beta)
 
 
+def test_absorbing_rows_skip_the_update_and_its_pivot():
+    # An absorbing state has equal p1 and p0 rows, so extracting it leaves
+    # the occupancy matrix as it is: no update, and no pivot of exactly 1.
+    p1 = np.random.default_rng(8).dirichlet(np.ones(6), size=6)
+    p1[[1, 4]] = np.eye(6)[[1, 4]]
+    model = build_model(p1, epsilon=0.3, beta=0.9)
+    rewards = np.linspace(0, 1, 6)
+    table = compute_indices(model, rewards)
+    m = np.eye(6) - model.beta * model.p0
+    ratios = []
+    for state in table.sweep.pi_order[:-1]:
+        before = np.linalg.det(m)
+        m[state] = np.eye(6)[state] - model.beta * model.p1[state]
+        if state not in (1, 4):
+            ratios.append(abs(np.linalg.det(m) / before))
+    assert table.sweep.min_pivot == pytest.approx(min(ratios), rel=1e-9)
+    assert table.sweep.min_pivot > 1
+    g, _, _ = greedy_indices_reference(model.p1, model.p0, model.beta, rewards)
+    assert np.abs(table.g - g).max() <= 1e-10
+    # With every row absorbing no step updates anything.
+    sweep = compute_indices(build_model(np.eye(3), epsilon=0.3, beta=0.9), rewards[:3]).sweep
+    assert sweep.min_pivot == np.inf
+    assert "smallest pivot = inf" in sweep.describe()
+
+
 def test_failed_residual_refines_refactors_then_raises(monkeypatch):
     refines, inverses = [], []
     refine, inverse = indices._refine, indices._inverse
