@@ -28,10 +28,10 @@ from .indices import (
     IndexTable, SweepStats, compute_indices, constants_a, format_rank_grid,
     occupancy, rank_states,
 )
-from .ranking import Rankings, rank_items, rank_minutes
+from .ranking import Rankings, rank_items
 from .evaluation import (
     EvaluationReport, attention_relevance, evaluate_run, ndcg, pearson,
-    utility_relevance,
+    rank_window, utility_relevance,
 )
 from .synth import GeneratorConfig, generate_markov_stream, generate_stream
 from .model_io import ModelBundle, fit_model, read_model, write_model
@@ -50,6 +50,6 @@ __all__ = [
     "derive_p0", "estimate_p1", "evaluate_run", "fit_model", "fit_popularity_bins",
     "fit_rewards", "format_rank_grid", "generate_markov_stream",
     "generate_stream", "load_config", "load_event_log", "ndcg", "occupancy",
-    "parse_event_log", "pearson", "rank_items", "rank_minutes", "rank_states",
+    "parse_event_log", "pearson", "rank_items", "rank_states", "rank_window",
     "read_model", "serialize_event_log", "utility_relevance", "write_model",
 ]

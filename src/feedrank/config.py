@@ -11,9 +11,9 @@ from numbers import Integral, Real
 from typing import Mapping
 
 from .errors import ConfigError, DataError
-from .evaluation import DEFAULT_RELEVANCE_CAP, SIGNALS
+from .evaluation import DEFAULT_RELEVANCE_CAP, MAX_RELEVANCE_CAP, SIGNALS
 from .ranking import DEFAULT_HORIZON, POLICIES
-from .states import DEFAULT_NOVELTY_LIMITS, DEFAULT_POPULARITY_BINS, BinSpec
+from .states import DEFAULT_NOVELTY_LIMITS, DEFAULT_POPULARITY_BINS, MAX_STATES, BinSpec
 from .synth import GeneratorConfig
 from .transitions import DEFAULT_BETA, DEFAULT_EPSILON
 
@@ -151,13 +151,14 @@ class RunConfig:
             raise ConfigError("epsilon must lie in [0, 1]")
         if not 0 <= self.smoothing < math.inf:
             raise ConfigError("smoothing must be finite and >= 0")
-        for name, low in (("horizon", 1), ("decision_interval", 1),
-                          ("relevance_cap", 1), ("n_popularity_bins", 2)):
+        for name, low, high in (("horizon", 1, MAX_MINUTES), ("decision_interval", 1, MAX_MINUTES),
+                                ("relevance_cap", 1, MAX_RELEVANCE_CAP),
+                                ("n_popularity_bins", 2, MAX_STATES)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-            if name in ("horizon", "decision_interval") and value > MAX_MINUTES:
-                raise ConfigError(f"{name} must not exceed {MAX_MINUTES}")
+            if value > high:
+                raise ConfigError(f"{name} must not exceed {high}")
         if not isinstance(self.dump_snapshots, bool):
             raise ConfigError("dump_snapshots must be true or false")
         for name, noun, known in (("policies", "policy", POLICIES),
@@ -168,8 +169,8 @@ class RunConfig:
                     raise ConfigError(f"unknown {noun} {value!r}")
             if not chosen or len(set(chosen)) != len(chosen):
                 raise ConfigError(f"{name} must list one or more names, none twice")
-        try:
-            BinSpec(self.novelty_limits, (0, math.inf))
+        try:  # the grid a fit builds, its popularity limits all 0
+            BinSpec(self.novelty_limits, (0,) * self.n_popularity_bins + (math.inf,))
         except DataError as exc:  # the model file's check, met here as a flag error
             raise ConfigError(str(exc)) from None
         if self.generator is not None:

@@ -1,7 +1,10 @@
 """Ranking quality evaluation with nDCG over every decision minute at once.
 
-At each decision minute the active items are ranked by each policy and
-scored against a relevance signal:
+An item posted in minute ``p`` is active at decision minute ``t`` when
+``p < t <= p + horizon``. ``rank_window`` alone applies that rule: it
+lists each item's active minutes, takes every count the run needs once
+and sorts the entries by minute. At each decision minute the active
+items are ranked by each policy and scored against a relevance signal:
 
     utility            reward of the state the item holds one minute later
     rt                 retweets received during the minute
@@ -27,9 +30,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .events import ItemTable
+from .events import ENGAGEMENT_KINDS, ItemTable
 from .indices import IndexTable
-from .ranking import DEFAULT_HORIZON, Rankings, rank_minutes
+from .ranking import DEFAULT_HORIZON, Rankings, rank_items
 from .states import StateSpace, classify
 
 SIGNALS = ("utility", "rt", "rt_replies", "rt_replies_favs")
@@ -38,29 +41,32 @@ DEFAULT_RELEVANCE_CAP = 30
 # The largest relevance cap: a gain 2**cap - 1 above it overflows a float.
 MAX_RELEVANCE_CAP = 1023
 
-_SIGNAL_KINDS = {
-    "rt": ("retweet",),
-    "rt_replies": ("retweet", "reply"),
-    "rt_replies_favs": ("retweet", "reply", "favorite"),
-}
+# Each attention signal counts the first this many of ENGAGEMENT_KINDS,
+# the row of ``rank_window``'s counts that holds their sum.
+_SIGNAL_KINDS = {"rt": 1, "rt_replies": 2, "rt_replies_favs": 3}
 
 
-def utility_relevance(t: int, rows: np.ndarray, table: ItemTable,
+def utility_relevance(rankings: Rankings, counts: np.ndarray, table: ItemTable,
                       state_space: StateSpace) -> np.ndarray:
-    """Each row's state at minute ``t + 1``; its reward is the relevance."""
-    return classify(t + 1 - table.post_minute[rows], table.count("retweet", rows, 0, t + 1),
-                    state_space.bins)
+    """Each entry's state one minute later; its reward is the relevance.
+
+    ``rankings`` and ``counts`` are what ``rank_window`` returns: the
+    retweets by the next minute are those before the entry's minute plus
+    those during it.
+    """
+    ages = rankings.minutes[rankings.which] + 1 - table.post_minute[rankings.rows]
+    return classify(ages, counts[0] + counts[1], state_space.bins)
 
 
-def attention_relevance(t: int, rows: np.ndarray, table: ItemTable, signal: str,
+def attention_relevance(counts: np.ndarray, signal: str,
                         cap: int = DEFAULT_RELEVANCE_CAP) -> np.ndarray:
-    """Engagement each row receives during minute ``t``, capped at ``cap``."""
+    """Engagement each entry receives during its minute, capped at ``cap``,
+    from the counts ``rank_window`` returns."""
     if signal not in _SIGNAL_KINDS:
         raise ConfigError(f"unknown attention signal {signal!r}")
     if not 1 <= cap <= MAX_RELEVANCE_CAP:
         raise ConfigError(f"relevance cap must lie in 1..{MAX_RELEVANCE_CAP}")
-    return np.minimum(sum(table.count(kind, rows, t, t + 1)
-                          for kind in _SIGNAL_KINDS[signal]), cap)
+    return np.minimum(counts[_SIGNAL_KINDS[signal]], cap)
 
 
 def _gains(relevance: Iterable[float]) -> np.ndarray:
@@ -110,42 +116,70 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-def _decision_minutes(post_minute: np.ndarray, start: int, end: int, interval: int,
-                      hour_set: frozenset[int] | None,
-                      horizon: int) -> tuple[list[int], int]:
-    """The decision minutes that can hold an active item, and the count of all.
+def rank_window(table: ItemTable, state_space: StateSpace,
+                index_table: IndexTable | None, policies: Sequence[str],
+                window: tuple[int, int], horizon: int, interval: int = 1,
+                peak_hours: Sequence[int] | None = None) -> tuple[Rankings, np.ndarray, int]:
+    """Rank the active items of every decision minute of ``window``.
 
     Decision minutes are ``start + k * interval`` in ``[start, end)``
-    whose UTC hour is in ``hour_set`` (every minute when it is None).
-    Only those within ``[p + 1, p + horizon]`` of some post minute ``p``
-    are listed, so the window's length costs nothing: the filter repeats
-    every ``1440 / gcd(interval, 1440)`` steps, and the count is whole
-    periods plus a remainder.
+    whose UTC hour is in ``peak_hours`` (all when it is None); minutes with
+    no active item are left out. Returns the rankings, int32 counts with
+    a column per entry (row 0: retweets before its minute; row ``i``:
+    engagement during it of the first ``i`` of ``ENGAGEMENT_KINDS``), and
+    the count of all decision minutes.
     """
-    n_steps = -(-(end - start) // interval)
+    start, end = window
+    if interval < 1:
+        raise ConfigError("decision interval must be >= 1")
+    if horizon < 1:
+        raise ConfigError("horizon must be >= 1")
+    if end <= start:
+        raise ConfigError(f"evaluation window [{start}, {end}) is empty")
+    if peak_hours is not None and not (len(peak_hours) and all(0 <= h <= 23 for h in peak_hours)):
+        raise ConfigError("peak hours must be one or more hours in 0..23")
+    # The hour filter repeats every period steps: the count of decision
+    # minutes is whole periods plus a remainder.
     period = 1440 // math.gcd(interval, 1440)
     hours = (start % 1440 + interval % 1440 * np.arange(period)) % 1440 // 60
-    passes = (np.ones(period, dtype=bool) if hour_set is None
-              else np.isin(hours, sorted(hour_set)))
-    full, rest = divmod(n_steps, period)
+    passes = np.ones(period, dtype=bool) if peak_hours is None else np.isin(hours, peak_hours)
+    full, rest = divmod(-(-(end - start) // interval), period)
     n_decision = full * int(passes.sum()) + int(passes[:rest].sum())
 
-    # Merge the posts' active ranges [p + 1, p + horizon + 1): all have
-    # one length, so in start order a range opens a new run exactly when
-    # it starts after the previous one stops (a repeated post minute
-    # joins the run of its twin).
-    posts = np.sort(post_minute)
-    if not posts.size:
-        return [], n_decision
-    lo, hi = posts + 1, posts + horizon + 1
-    first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])
-    last = np.r_[first[1:] - 1, len(posts) - 1]
-    k_lo = -(-(np.maximum(lo[first], start) - start) // interval)
-    k_hi = -(-(np.minimum(hi[last], end) - start) // interval)
-    counts = np.maximum(k_hi - k_lo, 0)
-    ks = np.repeat(k_lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    ks = ks[passes[ks % period]]
-    return (start + interval * ks).tolist(), n_decision
+    # Item by item, the steps k whose minute t has p < t <= p + horizon:
+    # the window's length costs nothing.
+    post = table.post_minute
+    k_lo = -(-(np.maximum(post + 1, start) - start) // interval)
+    k_hi = -(-(np.minimum(post + horizon + 1, end) - start) // interval)
+    steps = np.maximum(k_hi - k_lo, 0)
+    rows = np.repeat(np.arange(len(post)), steps)
+    ks = np.repeat(k_lo - np.cumsum(steps) + steps, steps) + np.arange(len(rows))
+    keep = passes[ks % period]
+    rows, t = rows[keep], start + interval * ks[keep]
+    # A stable sort by minute keeps each minute's rows in item-id order.
+    # Counts are taken in item order, where the needles ``row * stride +
+    # minute`` ascend, and stored in minute order. One item's count fits
+    # int32 for any log of under 2**31 events.
+    order = np.argsort(t, kind="stable")
+    counts = np.empty((1 + len(ENGAGEMENT_KINDS), len(rows)), dtype=np.int32)
+    counts[0] = table.count("retweet", rows, 0, t)[order]
+    for i, kind in enumerate(ENGAGEMENT_KINDS, start=1):
+        counts[i] = table.count(kind, rows, t, t + 1)[order]
+    np.cumsum(counts[1:], axis=0, out=counts[1:])
+    t = t[order]
+    rows = rows[order]
+    del order  # dropped before ranking's large arrays, as are t and first
+    first = np.ones(len(t), dtype=bool)
+    first[1:] = t[1:] != t[:-1]
+    minutes = t[first]
+    which = np.cumsum(first) - 1
+    states = classify(t - post[rows], counts[0], state_space.bins)
+    del t, first
+    post_ts = table.post_ts[rows]
+    orders = np.empty((len(policies), len(rows)), dtype=np.intp)
+    for j, policy in enumerate(policies):
+        orders[j] = rank_items(policy, which, post_ts, states, counts[0], index_table)
+    return Rankings(minutes, which, rows, states, orders), counts, n_decision
 
 
 @dataclass
@@ -209,22 +243,9 @@ def evaluate_run(table: ItemTable, state_space: StateSpace,
     signals = tuple(signals)
     if not policies:
         raise ConfigError("evaluation needs at least one policy")
-    if interval < 1:
-        raise ConfigError("decision interval must be >= 1")
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
     if not 1 <= relevance_cap <= MAX_RELEVANCE_CAP:
         raise ConfigError(f"relevance cap must lie in 1..{MAX_RELEVANCE_CAP}")
     start, end = minute_range
-    if end <= start:
-        raise ConfigError(f"evaluation window [{start}, {end}) is empty")
-    hour_set = None
-    if peak_hours is not None:
-        hour_set = frozenset(int(h) for h in peak_hours)
-        if any(h < 0 or h > 23 for h in hour_set):
-            raise ConfigError("peak hours must lie in 0..23")
-        if not hour_set:
-            raise ConfigError("peak hour set is empty")
 
     warnings: list[str] = []
     if train_window is not None:
@@ -236,24 +257,26 @@ def evaluate_run(table: ItemTable, state_space: StateSpace,
 
     utility_gain = _gains(state_space.reward)
     attention_gain = _gains(range(relevance_cap + 1))
-    decision_minutes, n_decision = _decision_minutes(
-        table.post_minute, start, end, interval, hour_set, horizon)
-    rankings = rank_minutes(table, state_space, index_table, policies, decision_minutes, horizon)
-    t = rankings.minutes[rankings.which]
+    rankings, counts, n_decision = rank_window(
+        table, state_space, index_table, policies, minute_range, horizon, interval, peak_hours)
     series: dict[tuple[str, str], list[float]] = {}
     for s in signals:
-        gain = (utility_gain[utility_relevance(t, rankings.rows, table, state_space)]
-                if s == "utility" else
-                attention_gain[attention_relevance(t, rankings.rows, table, s, relevance_cap)])
-        for p, scores in zip(policies, ndcg(gain[rankings.orders], rankings.which)):
+        if s == "utility":
+            gain = utility_gain[utility_relevance(rankings, counts, table, state_space)]
+        else:
+            gain = attention_gain[attention_relevance(counts, s, relevance_cap)]
+        # Only the ranked gains are alive in ndcg, and nothing past it.
+        gain = gain[rankings.orders]
+        for p, scores in zip(policies, ndcg(gain, rankings.which)):
             series[(p, s)] = scores.tolist()
+        del gain
 
     fingerprint = {
         "eval_window": f"[{start}, {end})",
         "decision_interval": str(interval),
         "horizon": str(horizon),
         "relevance_cap": str(relevance_cap),
-        "peak_hours": ",".join(str(h) for h in sorted(hour_set)) if hour_set else "none",
+        "peak_hours": ",".join(map(str, sorted(set(peak_hours)))) if peak_hours else "none",
         "policies": ",".join(policies),
         "signals": ",".join(signals),
     }

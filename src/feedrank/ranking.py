@@ -1,11 +1,8 @@
-"""Feed construction: order the active items at each decision minute.
+"""Feed construction: order the active items of every decision minute.
 
-An item is active at decision minute ``t`` when it was posted before
-``t`` and is at most ``horizon`` minutes old. ``rank_minutes`` ranks
-every decision minute in one batch: it finds all active rows with two
-``searchsorted`` calls over the sorted post minutes, classifies every
-(minute, row) entry with one ``classify`` call, and lets ``rank_items``
-sort those same entries for each policy.
+``evaluation.rank_window`` lists the active items of all decision
+minutes as one batch of (minute, row) entries and classifies them once;
+``rank_items`` sorts those entries under each policy, minute by minute.
 
 Three policies are supported. ``index`` sorts by the priority index of
 each item's current state, ``novelty`` by post time (newest first), and
@@ -23,7 +20,6 @@ import numpy as np
 from .errors import ConfigError
 from .events import ItemTable
 from .indices import IndexTable
-from .states import StateSpace, classify
 
 POLICIES = ("index", "novelty", "popularity")
 DEFAULT_HORIZON = 60
@@ -56,32 +52,6 @@ def rank_items(policy: str, which: np.ndarray, post_ts: np.ndarray, states: np.n
     if policy == "novelty":
         return np.lexsort((-post_ts, which))
     return np.lexsort((-post_ts, -retweets, which))
-
-
-def rank_minutes(table: ItemTable, state_space: StateSpace,
-                 index_table: IndexTable | None, policies: Sequence[str],
-                 minutes: Sequence[int], horizon: int) -> Rankings:
-    """Rank the active items of all ``minutes``, orders in ``policies`` order.
-
-    Minutes with no active item are left out.
-    """
-    by_post = np.argsort(table.post_minute, kind="stable")
-    minutes = np.asarray(minutes, dtype=np.int64)
-    lo = table.post_minute.searchsorted(minutes - horizon, "left", sorter=by_post)
-    counts = table.post_minute.searchsorted(minutes - 1, "right", sorter=by_post) - lo
-    minutes, lo, counts = minutes[counts > 0], lo[counts > 0], counts[counts > 0]
-    which = np.repeat(np.arange(len(minutes)), counts)
-    # The k-th entry of a minute is the k-th of its post-ordered rows.
-    rows = by_post[np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(len(which))]
-    rows = rows[np.lexsort((rows, which))]
-    t = minutes[which]
-    retweets = table.count("retweet", rows, 0, t)
-    states = classify(t - table.post_minute[rows], retweets, state_space.bins)
-    post_ts = table.post_ts[rows]
-    orders = np.empty((len(policies), len(rows)), dtype=np.intp)
-    for k, policy in enumerate(policies):
-        orders[k] = rank_items(policy, which, post_ts, states, retweets, index_table)
-    return Rankings(minutes, which, rows, states, orders)
 
 
 def write_snapshots_csv(table: ItemTable, policies: Sequence[str],

@@ -28,6 +28,9 @@ DEFAULT_NOVELTY_LIMITS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 60)
 DEFAULT_POPULARITY_BINS = 10
 MAX_MINUTE = MAX_TS // SECONDS_PER_MINUTE
 
+# The most states a bin grid may give: fit, sweep and model file are dense n x n.
+MAX_STATES = 4096
+
 
 @dataclass(frozen=True)
 class BinSpec:
@@ -74,6 +77,8 @@ class BinSpec:
             raise DataError("popularity_limits must be non-negative integers")
         if any(a > b for a, b in zip(pop, pop[1:])):
             raise DataError("popularity_limits must be non-strictly ascending")
+        if self.n_states > MAX_STATES:
+            raise DataError(f"the bins give {self.n_states} states, more than {MAX_STATES}")
 
     @property
     def n_novelty_bins(self) -> int:

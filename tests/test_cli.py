@@ -247,7 +247,7 @@ def test_evaluate_warns_on_overlap(tmp_path, pipeline):
 def test_dump_snapshots(tmp_path, pipeline, monkeypatch):
     report = str(tmp_path / "snaps")
     passes = []
-    monkeypatch.setattr(evaluation, "rank_minutes", lambda *args, _orig=evaluation.rank_minutes:
+    monkeypatch.setattr(evaluation, "rank_window", lambda *args, _orig=evaluation.rank_window:
                         passes.append(args) or _orig(*args))
     assert main(["evaluate", "--events", pipeline["events"],
                  "--model", pipeline["model"], "--report-dir", report,
@@ -329,6 +329,12 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
     ({"evaluate": True, "config": {"horizon": 99999999999999999999}}, 1),
     ({"evaluate": True, "config": {"decision_interval": 99999999999999999999}}, 1),
     ({"evaluate": True, "config": {"eval_window": [2880, 99999999999999999999]}}, 1),
+    ({"flags": ["--n-popularity-bins", "1000000000"]}, 1),
+    ({"config": {"n_popularity_bins": 1000000000}}, 1),
+    ({"flags": ["--novelty-limits", ",".join(map(str, range(1, 4098)))]}, 1),
+    ({"model": lambda b: re.sub(rb"(?m)^popularity_limits = .*$", b"popularity_limits = "
+                                + ",".join(map(str, range(410))).encode() + b",inf", b)}, 2),
+    ({"config": {"relevance_cap": 5000}}, 1),
 ], ids=["config-beta-string", "config-beta-bool", "config-novelty-limits",
         "flag-novelty-limits", "flag-peak-hours", "flag-peak-hours-range",
         "flag-beta-1", "meta-window-letters", "meta-window-no-comma",
@@ -340,7 +346,9 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
         "flag-policies-repeated", "config-signals-empty", "config-not-utf8", "header-not-utf8",
         "summary-non-numeric", "summary-short-row", "flag-horizon-huge",
         "flag-horizon-near-int64-max", "flag-interval-huge", "flag-eval-window-huge",
-        "config-horizon-huge", "config-interval-huge", "config-eval-window-huge"])
+        "config-horizon-huge", "config-interval-huge", "config-eval-window-huge",
+        "flag-popularity-bins-huge", "config-popularity-bins-huge", "flag-novelty-limits-many",
+        "model-too-many-states", "config-relevance-cap-huge"])
 def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline):
     def edited(name, src, edit):
         path = tmp_path / name

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feedrank.errors import ConfigError, DataError
-from feedrank.events import build_timelines, hour_of_minute, parse_event_log
+from feedrank.events import ItemTable, build_timelines, hour_of_minute, parse_event_log
 from feedrank.evaluation import (
-    attention_relevance, evaluate_run, ndcg, pearson,
+    attention_relevance, evaluate_run, ndcg, pearson, rank_window,
     utility_relevance, write_header_text, write_series_csv, write_summary_csv,
 )
 from feedrank.indices import IndexTable
@@ -98,16 +98,16 @@ def test_attention_relevance_slots_and_cap():
     events += [line("reply", "a", f"a-p{k}", 65) for k in range(3)]
     events += [line("favorite", "a", f"a-f{k}", 65) for k in range(2)]
     table = build_timelines(parse_event_log(events))
-    rows = np.array([0])
-    assert attention_relevance(1, rows, table, "rt").tolist() == [30]
-    assert attention_relevance(1, rows, table, "rt", cap=100).tolist() == [40]
-    assert attention_relevance(1, rows, table, "rt_replies", cap=100).tolist() == [43]
-    assert attention_relevance(1, rows, table, "rt_replies_favs", cap=100).tolist() == [45]
-    assert attention_relevance(2, rows, table, "rt").tolist() == [0]
+    # Entries of item a at minutes 1 and 2: all engagement falls in minute 1.
+    _, counts, _ = rank_window(table, make_space(), None, (), (1, 3), 60)
+    assert attention_relevance(counts, "rt").tolist() == [30, 0]
+    assert attention_relevance(counts, "rt", cap=100).tolist() == [40, 0]
+    assert attention_relevance(counts, "rt_replies", cap=100).tolist() == [43, 0]
+    assert attention_relevance(counts, "rt_replies_favs", cap=100).tolist() == [45, 0]
     with pytest.raises(ConfigError):
-        attention_relevance(1, rows, table, "views")
+        attention_relevance(counts, "views")
     with pytest.raises(ConfigError):
-        attention_relevance(1, rows, table, "rt", cap=0)
+        attention_relevance(counts, "rt", cap=0)
 
 
 def test_utility_relevance_uses_next_minute_state():
@@ -115,12 +115,22 @@ def test_utility_relevance_uses_next_minute_state():
     events = [line("post", "a", "a", 0),
               line("retweet", "a", "a-r0", 70)]
     table = build_timelines(parse_event_log(events))
-    rows = np.array([0])
+    r, counts, _ = rank_window(table, space, None, (), (1, 3), 60)
     # At t = 1 the item is age 1 / 0 visible retweets; at t + 1 = 2 it is
-    # age 2 with 1 visible retweet, i.e. state (2,2) = 4.
-    assert utility_relevance(1, rows, table, space).tolist() == [4]
-    # At t = 2 the next-minute state is out of window (age 3): reward 0.
-    assert utility_relevance(2, rows, table, space).tolist() == [0]
+    # age 2 with 1 visible retweet, i.e. state (2,2) = 4. At t = 2 the
+    # next-minute state is out of window (age 3): reward 0.
+    assert utility_relevance(r, counts, table, space).tolist() == [4, 0]
+
+
+def test_every_count_is_taken_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ItemTable, "count", lambda self, *args, _orig=ItemTable.count:
+                        calls.append(args[0]) or _orig(self, *args))
+    space = make_space()
+    evaluate_run(eval_corpus(), space, make_table(space), POLICIES,
+                 ("utility", "rt", "rt_replies", "rt_replies_favs"), (700, 750))
+    # Retweets before the minute, and each engagement kind during it.
+    assert calls == ["retweet", "retweet", "reply", "favorite"]
 
 
 def test_hour_of_minute_wraps_days():
@@ -182,7 +192,7 @@ def test_decision_minutes_match_a_scan_of_the_grid(interval, peak_hours):
     space = make_space()
     posts = table.post_minute.tolist()
     for window, horizon in (((0, 4500), 60), ((3, 4400), 17), ((1000, 1100), 60),
-                            ((2001, 2002), 1), ((4400, 9000), 60)):
+                            ((2001, 2002), 1), ((4400, 9000), 60), ((-700, 10), 5)):
         grid = [t for t in range(*window, interval)
                 if peak_hours is None or hour_of_minute(t) in peak_hours]
         active = [t for t in grid if any(p < t <= p + horizon for p in posts)]
@@ -190,6 +200,24 @@ def test_decision_minutes_match_a_scan_of_the_grid(interval, peak_hours):
                               interval=interval, peak_hours=peak_hours, horizon=horizon)
         assert report.minutes == active
         assert report.skipped_empty == len(grid) - len(active)
+
+
+def test_window_with_no_active_entry(tmp_path):
+    timelines = eval_corpus()
+    space = make_space()
+    # Items are active from minute 691 to 910 (11:31 to 15:10).
+    report = evaluate_run(timelines, space, make_table(space), POLICIES, ("utility", "rt"),
+                          (600, 1000), interval=7, peak_hours=(3, 16))
+    assert report.minutes == [] and report.active_counts == []
+    assert report.skipped_empty == len([t for t in range(600, 1000, 7)
+                                        if hour_of_minute(t) in (3, 16)])
+    assert report.rankings.orders.shape == (3, 0)
+    assert all(values == [] for values in report.series.values())
+    write_series_csv(report, tmp_path / "series.csv")
+    write_summary_csv(report, tmp_path / "summary.csv")
+    assert (tmp_path / "series.csv").read_text().splitlines() == [
+        "minute,policy,signal,ndcg,active_count"]
+    assert (tmp_path / "summary.csv").read_text().splitlines()[1] == "utility" + ",nan" * 6
 
 
 def test_peak_hours_filter_is_subset_of_full_run():
@@ -322,7 +350,8 @@ def evaluation_inputs(draw):
     policies = draw(st.permutations(POLICIES).map(tuple))[:draw(st.integers(1, 3))]
     signals = draw(st.permutations(("utility", "rt", "rt_replies", "rt_replies_favs"))
                    .map(tuple))[:draw(st.integers(1, 4))]
-    start = draw(st.integers(0, 120))
+    # Windows may start before every post or after every active entry.
+    start = draw(st.integers(-150, 400))
     run = dict(window=(start, start + draw(st.integers(1, 300))),
                horizon=draw(st.integers(1, 90)), interval=draw(st.integers(1, 7)),
                peak_hours=draw(st.none() | st.sets(st.integers(0, 6), min_size=1).map(tuple)),

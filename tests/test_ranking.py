@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from feedrank import evaluation, ranking
 from feedrank.errors import ConfigError
+from feedrank.evaluation import rank_window
 from feedrank.events import build_timelines, parse_event_log
 from feedrank.indices import IndexTable
-from feedrank import ranking
-from feedrank.ranking import rank_items, rank_minutes, write_snapshots_csv
+from feedrank.ranking import rank_items, write_snapshots_csv
 from feedrank.states import BinSpec, build_state_space
 from eventlog import line
 
@@ -34,8 +35,8 @@ def corpus():
 
 
 def rank_at(t, table, space, index_table, policy, horizon=60):
-    """(ids, states) of one policy at one minute, from a one-minute batch."""
-    r = rank_minutes(table, space, index_table, (policy,), [t], horizon)
+    """(ids, states) of one policy at one minute, from a one-minute window."""
+    r = rank_window(table, space, index_table, (policy,), (t, t + 1), horizon)[0]
     if not len(r.minutes):
         return None
     order = r.orders[0]
@@ -64,21 +65,28 @@ def test_policies_share_one_classification_per_item(monkeypatch):
     table = corpus()
     space = make_space()
     calls = []
-    monkeypatch.setattr(ranking, "classify",
-                        lambda *args, _orig=ranking.classify: calls.append(args) or _orig(*args))
-    r = rank_minutes(table, space, make_table(), ("index", "novelty", "popularity"),
-                     [0, 2, 3], 60)
+    classify = evaluation.classify
+    monkeypatch.setattr(evaluation, "classify",
+                        lambda *args: calls.append(args) or classify(*args))
+    r, counts, _ = rank_window(table, space, make_table(), ("index", "novelty", "popularity"),
+                               (0, 4), 60)
     # One call classifies every entry of every minute, shared by every policy.
     assert len(calls) == 1
-    assert calls[0][0].tolist() == [2, 2, 1, 3, 3, 2]   # ages of a, b, c at 2 and at 3
-    assert r.minutes.tolist() == [2, 3]                  # minute 0 has no active item
-    assert r.which.tolist() == [0, 0, 0, 1, 1, 1]
-    assert [table.ids[row] for row in r.rows] == ["a", "b", "c"] * 2
-    assert r.states.tolist() == [6, 5, 2, 0, 0, 5]
+    # Ages of a and b at 1; of a, b and c at 2 and at 3.
+    assert calls[0][0].tolist() == [1, 1, 2, 2, 1, 3, 3, 2]
+    assert r.minutes.tolist() == [1, 2, 3]               # minute 0 has no active item
+    assert r.which.tolist() == [0, 0, 1, 1, 1, 2, 2, 2]
+    assert [table.ids[row] for row in r.rows] == ["a", "b"] + ["a", "b", "c"] * 2
+    assert r.states.tolist() == [1, 2, 6, 5, 2, 0, 0, 5]
+    # Retweets before each minute, and during it: a's five and c's two fall
+    # in minute 1 (c is not yet active then), b's one in minute 0.
+    assert counts[0].tolist() == [0, 1, 5, 1, 2, 5, 1, 2]
+    assert counts[1].tolist() == [5, 0, 0, 0, 0, 0, 0, 0]
     for order in r.orders:
         # Each order permutes the entries within their own minute.
-        assert sorted(order[:3].tolist()) == [0, 1, 2]
-        assert sorted(order[3:].tolist()) == [3, 4, 5]
+        assert sorted(order[:2].tolist()) == [0, 1]
+        assert sorted(order[2:5].tolist()) == [2, 3, 4]
+        assert sorted(order[5:].tolist()) == [5, 6, 7]
 
 
 def test_index_ties_break_by_recency_then_id():
@@ -95,10 +103,15 @@ def test_index_ties_break_by_recency_then_id():
 def test_empty_minute_gives_empty_snapshot():
     assert rank_at(50, corpus(), make_space(), make_table(), "novelty",
                    horizon=5) is None
-    for minutes in ([], [0, 50, 51]):
-        r = rank_minutes(corpus(), make_space(), make_table(), ranking.POLICIES, minutes, 5)
+    # Windows before every post, after every active range, and with no
+    # minute in the hour set while items are active.
+    for window, hours in (((-90, 0), None), ((50, 52), None), ((0, 60), (3,))):
+        r, counts, n_decision = rank_window(corpus(), make_space(), make_table(),
+                                            ranking.POLICIES, window, 5, peak_hours=hours)
         assert r.minutes.size == r.which.size == r.rows.size == r.states.size == 0
         assert [order.size for order in r.orders] == [0, 0, 0]
+        assert counts.shape == (4, 0)
+        assert n_decision == (0 if hours else window[1] - window[0])
     empty = np.array([], dtype=np.int64)
     assert rank_items("novelty", empty, empty, empty, empty, None).size == 0
 
@@ -109,19 +122,26 @@ def test_active_set_window_boundaries():
 
     def active(t, horizon):
         return [table.ids[row] for row in
-                rank_minutes(table, make_space(), None, (), [t], horizon).rows]
+                rank_window(table, make_space(), None, (), (t, t + 1), horizon)[0].rows]
 
     # Age must satisfy 0 < t - post <= horizon.
     assert active(3, horizon=2) == ["t1", "t2"]
     assert active(0, horizon=60) == []
     assert active(64, horizon=60) == ["t4"]
     assert active(65, horizon=60) == []
-    # One batch over many minutes holds each minute's active set in turn.
+    # One window of many minutes holds each minute's active set in turn.
     for horizon in (1, 2, 60):
-        r = rank_minutes(table, make_space(), None, (), range(-1, 70), horizon)
-        batch = {t: [table.ids[row] for row in r.rows[r.which == i]]
-                 for i, t in enumerate(r.minutes.tolist())}
-        assert batch == {t: active(t, horizon) for t in range(-1, 70) if active(t, horizon)}
+        for interval in (1, 3):
+            r = rank_window(table, make_space(), None, (), (-1, 70), horizon, interval)[0]
+            batch = {t: [table.ids[row] for row in r.rows[r.which == i]]
+                     for i, t in enumerate(r.minutes.tolist())}
+            assert batch == {t: active(t, horizon) for t in range(-1, 70, interval)
+                             if active(t, horizon)}
+    for bad in ({"horizon": 0}, {"interval": 0}, {"window": (5, 5)}, {"peak_hours": ()},
+                {"peak_hours": (3, 24)}):
+        args = {"window": (0, 10), "horizon": 60, **bad}
+        with pytest.raises(ConfigError):
+            rank_window(table, make_space(), None, (), **args)
 
 
 def test_unknown_policy_and_missing_table():
@@ -136,7 +156,7 @@ def test_snapshot_csv_layout(tmp_path):
     table = corpus()
     space = make_space()
     policies = ("index", "novelty")
-    rankings = rank_minutes(table, space, make_table(), policies, [2, 3], 60)
+    rankings = rank_window(table, space, make_table(), policies, (2, 4), 60)[0]
     out = tmp_path / "snaps.csv"
     write_snapshots_csv(table, policies, rankings, out)
     # Minute by minute, then policy by policy, best first. At minute 3

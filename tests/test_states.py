@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from feedrank.errors import DataError
 from feedrank.events import build_timelines, parse_event_log
 from feedrank.states import (
-    DEFAULT_NOVELTY_LIMITS, BinSpec, build_state_space, classify,
+    DEFAULT_NOVELTY_LIMITS, MAX_STATES, BinSpec, build_state_space, classify,
     fit_popularity_bins, fit_rewards, state_bins, state_label,
 )
 from eventlog import line
@@ -136,6 +136,12 @@ def test_binspec_validation():
         BinSpec(DEFAULT_NOVELTY_LIMITS, (0, 5, 10))
     with pytest.raises(DataError):
         BinSpec((1, 2 ** 31), MONTH_POP_LIMITS)  # ages beyond any timestamp
+    # 4095 novelty bins x 1 popularity bin + state 0 is the largest grid.
+    assert BinSpec(tuple(range(1, MAX_STATES + 1)), (0, math.inf)).n_states == MAX_STATES
+    with pytest.raises(DataError, match="more than 4096"):
+        BinSpec(tuple(range(1, MAX_STATES + 2)), (0, math.inf))
+    with pytest.raises(DataError, match="more than 4096"):
+        BinSpec(DEFAULT_NOVELTY_LIMITS, tuple(range(410)) + (math.inf,))
 
 
 def test_fit_popularity_bins_small_example():
