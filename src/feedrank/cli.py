@@ -39,7 +39,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     flags = {key: getattr(args, key) for key in ("seed", "days", "n_accounts", "posts_per_day")
              if getattr(args, key) is not None}
     gen = dataclasses.replace(cfg.generator or GeneratorConfig(), **flags)
-    gen.validate()
     if cfg.events_path is None:
         raise ConfigError("simulate needs an events path (--events or config)")
     batch = generate_stream(gen)
@@ -78,22 +77,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     if cfg.events_path is None or cfg.model_path is None or cfg.report_dir is None:
         raise ConfigError("evaluate needs --events, --model, and --report-dir")
-    if cfg.eval_window is None:
-        raise ConfigError("evaluate needs an eval window")
     bundle = read_model(cfg.model_path)
     if "index" in cfg.policies and bundle.index is None:
         raise ConfigError("model has no index table; run the indices subcommand first")
-    train_window = cfg.train_window
-    if train_window is None:
-        train_window = bundle.train_window()
+    if cfg.train_window is None:
+        cfg = dataclasses.replace(cfg, train_window=bundle.train_window())
     table = build_timelines(load_event_log(cfg.events_path))
-
-    report = evaluate_run(
-        table, bundle.state_space(), bundle.index, cfg.policies, cfg.signals,
-        cfg.eval_window, horizon=cfg.horizon, interval=cfg.decision_interval,
-        peak_hours=cfg.peak_hours, relevance_cap=cfg.relevance_cap,
-        train_window=train_window,
-    )
+    report = evaluate_run(table, bundle.state_space(), bundle.index, cfg)
     os.makedirs(cfg.report_dir, exist_ok=True)
     extra = {
         "beta": format(bundle.beta, ".17g"),
@@ -232,9 +222,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
+    except OSError as exc:  # every read wraps its own, so this one is from an output
+        error = DataError(f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}")
     except FeedrankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        error = exc
+    print(f"error: {error}", file=sys.stderr)
+    return error.exit_code
 
 
 def entry() -> None:

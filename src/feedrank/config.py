@@ -15,7 +15,7 @@ from .evaluation import DEFAULT_RELEVANCE_CAP, MAX_RELEVANCE_CAP, SIGNALS
 from .ranking import DEFAULT_HORIZON, POLICIES
 from .states import DEFAULT_NOVELTY_LIMITS, DEFAULT_POPULARITY_BINS, MAX_STATES, BinSpec
 from .synth import GeneratorConfig
-from .transitions import DEFAULT_BETA, DEFAULT_EPSILON
+from .transitions import DEFAULT_BETA, DEFAULT_EPSILON, MAX_SMOOTHING
 
 _EPOCH = date(1970, 1, 1)
 MINUTES_PER_DAY = 1440
@@ -65,12 +65,7 @@ def parse_window(value, name: str) -> tuple[int, int]:
             raise ConfigError(f"{name} must look like START:END")
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{name} must be a [start, end) pair")
-    start, end = (parse_minute(v) for v in value)
-    if max(abs(start), abs(end)) > MAX_MINUTES:
-        raise ConfigError(f"{name} endpoints must lie in -{MAX_MINUTES}..{MAX_MINUTES}")
-    if end <= start:
-        raise ConfigError(f"{name} [{start}, {end}) is empty")
-    return start, end
+    return tuple(parse_minute(v) for v in value)
 
 
 def parse_hours(value) -> tuple[int, ...]:
@@ -82,19 +77,11 @@ def parse_hours(value) -> tuple[int, ...]:
     for token in _split(value, "peak_hours"):
         if isinstance(token, str) and "-" in token:
             a_text, _, b_text = token.partition("-")
-            h, end = _parse_int(a_text, "peak_hours"), _parse_int(b_text, "peak_hours")
-            if not (0 <= h <= 23 and 0 <= end <= 23):
-                raise ConfigError("hours must lie in 0..23")
-            hours.append(h)
-            while h != end:
-                h = (h + 1) % 24
-                hours.append(h)
+            a, b = _parse_int(a_text, "peak_hours"), _parse_int(b_text, "peak_hours")
+            # Both ends are kept as written, so RunConfig sees one out of range.
+            hours += [a, *((a + k) % 24 for k in range(1, (b - a) % 24)), b]
         elif not isinstance(token, str) or token.strip():
             hours.append(_parse_int(token, "peak_hours"))
-    if not hours:
-        raise ConfigError("hour set is empty")
-    if any(h < 0 or h > 23 for h in hours):
-        raise ConfigError("hours must lie in 0..23")
     return tuple(sorted(set(hours)))
 
 
@@ -113,9 +100,13 @@ def parse_field(name: str, value):
     return value
 
 
-@dataclass
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI run needs; flags override file values."""
+    """Everything a run needs, each value checked when built; flags override file values."""
 
     events_path: str | None = None
     model_path: str | None = None
@@ -136,7 +127,7 @@ class RunConfig:
     dump_snapshots: bool = False
     generator: GeneratorConfig | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("events_path", "model_path", "report_dir"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name} must be a path")
@@ -149,16 +140,31 @@ class RunConfig:
             raise ConfigError("beta must lie in (0, 1)")
         if not 0 <= self.epsilon <= 1:
             raise ConfigError("epsilon must lie in [0, 1]")
-        if not 0 <= self.smoothing < math.inf:
-            raise ConfigError("smoothing must be finite and >= 0")
+        if not 0 <= self.smoothing <= MAX_SMOOTHING:
+            raise ConfigError(f"smoothing must lie in 0..{MAX_SMOOTHING:g}")
+        for name in ("train_window", "eval_window"):
+            window = getattr(self, name)
+            if window is None:
+                continue
+            if not (isinstance(window, tuple) and len(window) == 2 and all(map(_is_int, window))):
+                raise ConfigError(f"{name} must be a (start, end) pair of minutes")
+            start, end = window
+            if max(abs(start), abs(end)) > MAX_MINUTES:
+                raise ConfigError(f"{name} endpoints must lie in -{MAX_MINUTES}..{MAX_MINUTES}")
+            if end <= start:
+                raise ConfigError(f"{name} [{start}, {end}) is empty")
         for name, low, high in (("horizon", 1, MAX_MINUTES), ("decision_interval", 1, MAX_MINUTES),
                                 ("relevance_cap", 1, MAX_RELEVANCE_CAP),
                                 ("n_popularity_bins", 2, MAX_STATES)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+            if not _is_int(value) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
             if value > high:
                 raise ConfigError(f"{name} must not exceed {high}")
+        hours = self.peak_hours
+        if hours is not None and not (isinstance(hours, tuple) and hours and all(
+                _is_int(h) and 0 <= h <= 23 for h in hours)):
+            raise ConfigError("peak_hours must be one or more hours in 0..23")
         if not isinstance(self.dump_snapshots, bool):
             raise ConfigError("dump_snapshots must be true or false")
         for name, noun, known in (("policies", "policy", POLICIES),
@@ -173,8 +179,8 @@ class RunConfig:
             BinSpec(self.novelty_limits, (0,) * self.n_popularity_bins + (math.inf,))
         except DataError as exc:  # the model file's check, met here as a flag error
             raise ConfigError(str(exc)) from None
-        if self.generator is not None:
-            self.generator.validate()
+        if not isinstance(self.generator, (GeneratorConfig, type(None))):
+            raise ConfigError("generator must be a GeneratorConfig")
 
 
 _RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -187,10 +193,8 @@ def generator_from_dict(data: dict) -> GeneratorConfig:
     unknown = set(data) - _GENERATOR_FIELDS
     if unknown:
         raise ConfigError(f"unknown generator key(s): {', '.join(sorted(unknown))}")
-    cfg = GeneratorConfig(**{key: tuple(value) if isinstance(value, list) else value
-                             for key, value in data.items()})
-    cfg.validate()
-    return cfg
+    return GeneratorConfig(**{key: tuple(value) if isinstance(value, list) else value
+                              for key, value in data.items()})
 
 
 def load_config(path) -> RunConfig:
@@ -211,13 +215,11 @@ def load_config(path) -> RunConfig:
 
 
 def with_overrides(cfg: RunConfig, values: Mapping[str, object]) -> RunConfig:
-    """A validated copy of ``cfg`` with the fields named in ``values`` set.
+    """A copy of ``cfg`` with the fields named in ``values`` set.
 
     Keys that are not RunConfig fields and None values are skipped; every
     other value goes through ``parse_field``, as in a config file."""
-    cfg = dataclasses.replace(cfg, **{
+    return dataclasses.replace(cfg, **{
         key: parse_field(key, value) for key, value in values.items()
         if key in _RUN_FIELDS and value is not None
     })
-    cfg.validate()
-    return cfg

@@ -25,15 +25,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .events import ENGAGEMENT_KINDS, ItemTable
 from .indices import IndexTable
-from .ranking import DEFAULT_HORIZON, Rankings, rank_items
+from .ranking import Rankings, rank_items
 from .states import StateSpace, classify
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
 
 SIGNALS = ("utility", "rt", "rt_replies", "rt_replies_favs")
 DEFAULT_RELEVANCE_CAP = 30
@@ -116,33 +119,25 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-def rank_window(table: ItemTable, state_space: StateSpace,
-                index_table: IndexTable | None, policies: Sequence[str],
-                window: tuple[int, int], horizon: int, interval: int = 1,
-                peak_hours: Sequence[int] | None = None) -> tuple[Rankings, np.ndarray, int]:
-    """Rank the active items of every decision minute of ``window``.
+def rank_window(table: ItemTable, state_space: StateSpace, index_table: IndexTable | None,
+                cfg: RunConfig) -> tuple[Rankings, np.ndarray, int]:
+    """Rank the active items of every decision minute under ``cfg.policies``.
 
-    Decision minutes are ``start + k * interval`` in ``[start, end)``
-    whose UTC hour is in ``peak_hours`` (all when it is None); minutes with
-    no active item are left out. Returns the rankings, int32 counts with
-    a column per entry (row 0: retweets before its minute; row ``i``:
+    Decision minutes are ``start + k * interval`` in ``cfg.eval_window``
+    whose UTC hour is in ``cfg.peak_hours`` (all when it is None); minutes
+    with no active item are left out. Returns the rankings, int32 counts
+    with a column per entry (row 0: retweets before its minute; row ``i``:
     engagement during it of the first ``i`` of ``ENGAGEMENT_KINDS``), and
     the count of all decision minutes.
     """
-    start, end = window
-    if interval < 1:
-        raise ConfigError("decision interval must be >= 1")
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
-    if end <= start:
-        raise ConfigError(f"evaluation window [{start}, {end}) is empty")
-    if peak_hours is not None and not (len(peak_hours) and all(0 <= h <= 23 for h in peak_hours)):
-        raise ConfigError("peak hours must be one or more hours in 0..23")
+    if cfg.eval_window is None:
+        raise ConfigError("evaluation needs an eval window")
+    (start, end), interval, hour_set = cfg.eval_window, cfg.decision_interval, cfg.peak_hours
     # The hour filter repeats every period steps: the count of decision
     # minutes is whole periods plus a remainder.
     period = 1440 // math.gcd(interval, 1440)
     hours = (start % 1440 + interval % 1440 * np.arange(period)) % 1440 // 60
-    passes = np.ones(period, dtype=bool) if peak_hours is None else np.isin(hours, peak_hours)
+    passes = np.ones(period, dtype=bool) if hour_set is None else np.isin(hours, hour_set)
     full, rest = divmod(-(-(end - start) // interval), period)
     n_decision = full * int(passes.sum()) + int(passes[:rest].sum())
 
@@ -150,7 +145,7 @@ def rank_window(table: ItemTable, state_space: StateSpace,
     # the window's length costs nothing.
     post = table.post_minute
     k_lo = -(-(np.maximum(post + 1, start) - start) // interval)
-    k_hi = -(-(np.minimum(post + horizon + 1, end) - start) // interval)
+    k_hi = -(-(np.minimum(post + cfg.horizon + 1, end) - start) // interval)
     steps = np.maximum(k_hi - k_lo, 0)
     rows = np.repeat(np.arange(len(post)), steps)
     ks = np.repeat(k_lo - np.cumsum(steps) + steps, steps) + np.arange(len(rows))
@@ -176,8 +171,8 @@ def rank_window(table: ItemTable, state_space: StateSpace,
     states = classify(t - post[rows], counts[0], state_space.bins)
     del t, first
     post_ts = table.post_ts[rows]
-    orders = np.empty((len(policies), len(rows)), dtype=np.intp)
-    for j, policy in enumerate(policies):
+    orders = np.empty((len(cfg.policies), len(rows)), dtype=np.intp)
+    for j, policy in enumerate(cfg.policies):
         orders[j] = rank_items(policy, which, post_ts, states, counts[0], index_table)
     return Rankings(minutes, which, rows, states, orders), counts, n_decision
 
@@ -223,29 +218,19 @@ class EvaluationReport:
         }
 
 
-def evaluate_run(table: ItemTable, state_space: StateSpace,
-                 index_table: IndexTable | None,
-                 policies: Sequence[str], signals: Sequence[str],
-                 minute_range: tuple[int, int], *,
-                 horizon: int = DEFAULT_HORIZON, interval: int = 1,
-                 peak_hours: Sequence[int] | None = None,
-                 relevance_cap: int = DEFAULT_RELEVANCE_CAP,
-                 train_window: tuple[int, int] | None = None) -> EvaluationReport:
-    """Score every policy/signal pair over a window of decision minutes.
+def evaluate_run(table: ItemTable, state_space: StateSpace, index_table: IndexTable | None,
+                 cfg: RunConfig) -> EvaluationReport:
+    """Score every policy/signal pair of ``cfg`` over its decision minutes.
 
     Minutes with an empty active set are skipped and counted. When
-    ``peak_hours`` is given only minutes whose UTC hour is in the set
+    ``cfg.peak_hours`` is set only minutes whose UTC hour is in the set
     enter the run at all; per-minute values are unaffected by the
-    filter. An overlapping ``train_window`` produces a warning, not an
-    error.
+    filter. An overlapping ``cfg.train_window`` produces a warning, not
+    an error.
     """
-    policies = tuple(policies)
-    signals = tuple(signals)
-    if not policies:
-        raise ConfigError("evaluation needs at least one policy")
-    if not 1 <= relevance_cap <= MAX_RELEVANCE_CAP:
-        raise ConfigError(f"relevance cap must lie in 1..{MAX_RELEVANCE_CAP}")
-    start, end = minute_range
+    rankings, counts, n_decision = rank_window(table, state_space, index_table, cfg)
+    policies, signals = tuple(cfg.policies), tuple(cfg.signals)
+    (start, end), train_window, cap = cfg.eval_window, cfg.train_window, cfg.relevance_cap
 
     warnings: list[str] = []
     if train_window is not None:
@@ -256,15 +241,13 @@ def evaluate_run(table: ItemTable, state_space: StateSpace,
             )
 
     utility_gain = _gains(state_space.reward)
-    attention_gain = _gains(range(relevance_cap + 1))
-    rankings, counts, n_decision = rank_window(
-        table, state_space, index_table, policies, minute_range, horizon, interval, peak_hours)
+    attention_gain = _gains(range(cap + 1))
     series: dict[tuple[str, str], list[float]] = {}
     for s in signals:
         if s == "utility":
             gain = utility_gain[utility_relevance(rankings, counts, table, state_space)]
         else:
-            gain = attention_gain[attention_relevance(counts, s, relevance_cap)]
+            gain = attention_gain[attention_relevance(counts, s, cap)]
         # Only the ranked gains are alive in ndcg, and nothing past it.
         gain = gain[rankings.orders]
         for p, scores in zip(policies, ndcg(gain, rankings.which)):
@@ -273,10 +256,10 @@ def evaluate_run(table: ItemTable, state_space: StateSpace,
 
     fingerprint = {
         "eval_window": f"[{start}, {end})",
-        "decision_interval": str(interval),
-        "horizon": str(horizon),
-        "relevance_cap": str(relevance_cap),
-        "peak_hours": ",".join(map(str, sorted(set(peak_hours)))) if peak_hours else "none",
+        "decision_interval": str(cfg.decision_interval),
+        "horizon": str(cfg.horizon),
+        "relevance_cap": str(cap),
+        "peak_hours": ",".join(map(str, sorted(set(cfg.peak_hours or ())))) or "none",
         "policies": ",".join(policies),
         "signals": ",".join(signals),
     }

@@ -84,8 +84,9 @@ class ModelBundle:
         text = self.meta.get("train_window")
         if text is None:
             return None
-        try:
-            return parse_window(text.strip("[)").split(","), "train_window")
+        try:  # the window checks a config meets
+            window = parse_window(text.strip("[)").split(","), "train_window")
+            return RunConfig(train_window=window).train_window
         except ConfigError as exc:
             raise DataError(f"model [meta] {exc}") from exc
 

@@ -67,9 +67,9 @@ class GeneratorConfig:
     start_day: int = 0
     magnitude_cap: int = 1_000_000
 
-    def validate(self) -> None:
-        # Each field holds the number type of its default (tuple fields:
-        # of their entries); bools are not numbers here.
+    def __post_init__(self) -> None:
+        # Checked when built. Each field holds the number type of its default
+        # (tuple fields: of their entries); bools are not numbers here.
         for f in fields(self):
             value = getattr(self, f.name)
             is_tuple = isinstance(f.default, tuple)
@@ -152,7 +152,6 @@ def _weekday(abs_day: int) -> int:
 
 def generate_stream(config: GeneratorConfig) -> EventBatch:
     """Generate a seeded synthetic event stream, sorted by timestamp."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     diurnal = np.asarray(config.diurnal_weights, dtype=float)
     diurnal = diurnal / diurnal.sum()

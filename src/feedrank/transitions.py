@@ -26,6 +26,9 @@ ROW_SUM_TOL = 1e-12
 DEFAULT_EPSILON = 0.1
 DEFAULT_BETA = 0.9
 
+# The largest smoothing: a row of MAX_STATES smoothed cells still sums to a finite total.
+MAX_SMOOTHING = 1e300
+
 
 def estimate_p1(table: ItemTable, state_space: StateSpace,
                 window: tuple[int, int], *, smoothing: float = 0.0) -> np.ndarray:
@@ -45,8 +48,8 @@ def estimate_p1(table: ItemTable, state_space: StateSpace,
     start, end = window
     if end - start < 2:
         raise DataError(f"training window [{start}, {end}) is too short to observe transitions")
-    if not smoothing >= 0:
-        raise DataError("smoothing must be >= 0")
+    if not 0 <= smoothing <= MAX_SMOOTHING:
+        raise DataError(f"smoothing must lie in 0..{MAX_SMOOTHING:g}")
     post = table.post_minute
     if not ((start <= post) & (post < end)).any():
         raise DataError(f"training window [{start}, {end}) contains no posts")

@@ -234,12 +234,8 @@ def month():
     data["indices_seconds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = evaluate_run(
-        timelines, space, table,
-        ("index", "novelty", "popularity"),
-        ("utility", "rt", "rt_replies", "rt_replies_favs"),
-        EVAL_WINDOW, train_window=TRAIN_WINDOW,
-    )
+    report = evaluate_run(timelines, space, table,
+                          RunConfig(eval_window=EVAL_WINDOW, train_window=TRAIN_WINDOW))
     data["evaluate_seconds"] = time.perf_counter() - t0
 
     data.update(events=events, timelines=timelines, space=space,
@@ -291,12 +287,8 @@ def test_criterion_08_peak_hours_changes_fit(month):
                                           peak_hours=PEAK_HOURS))
     peak_space = peak.state_space()
     peak_table = compute_indices(peak.transition_model(), peak_space.reward)
-    peak_report = evaluate_run(
-        timelines, peak_space, peak_table,
-        ("index", "novelty", "popularity"),
-        ("utility", "rt", "rt_replies", "rt_replies_favs"),
-        EVAL_WINDOW, peak_hours=PEAK_HOURS,
-    )
+    peak_report = evaluate_run(timelines, peak_space, peak_table,
+                               RunConfig(eval_window=EVAL_WINDOW, peak_hours=PEAK_HOURS))
     ok = (peak_space.bins.popularity_limits
           != full_space.bins.popularity_limits)
     rewards_differ = (peak_space.r_n != full_space.r_n

@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from feedrank import evaluation, indices
 from feedrank.cli import main
-from feedrank.config import MAX_MINUTES
-from feedrank.model_io import read_model
+from feedrank.config import MAX_MINUTES, RunConfig, parse_field
+from feedrank.errors import ConfigError
+from feedrank.events import build_timelines, load_event_log
+from feedrank.model_io import fit_model, read_model
 from oracles import greedy_indices_reference
 
 
@@ -335,6 +337,12 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
     ({"model": lambda b: re.sub(rb"(?m)^popularity_limits = .*$", b"popularity_limits = "
                                 + ",".join(map(str, range(410))).encode() + b",inf", b)}, 2),
     ({"config": {"relevance_cap": 5000}}, 1),
+    ({"flags": ["--smoothing", "1e308"]}, 1),
+    ({"config": {"smoothing": 1e308}}, 1),
+    ({"simulate": True, "output": "missing/e.jsonl"}, 2),
+    ({"output": "missing/m.txt"}, 2),
+    # The report dir is the edited log's own path: an existing file.
+    ({"evaluate": True, "events": lambda b: b, "output": "e.jsonl"}, 2),
 ], ids=["config-beta-string", "config-beta-bool", "config-novelty-limits",
         "flag-novelty-limits", "flag-peak-hours", "flag-peak-hours-range",
         "flag-beta-1", "meta-window-letters", "meta-window-no-comma",
@@ -348,7 +356,9 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
         "flag-horizon-near-int64-max", "flag-interval-huge", "flag-eval-window-huge",
         "config-horizon-huge", "config-interval-huge", "config-eval-window-huge",
         "flag-popularity-bins-huge", "config-popularity-bins-huge", "flag-novelty-limits-many",
-        "model-too-many-states", "config-relevance-cap-huge"])
+        "model-too-many-states", "config-relevance-cap-huge", "flag-smoothing-huge",
+        "config-smoothing-huge", "simulate-events-unwritable", "fit-model-unwritable",
+        "evaluate-report-dir-is-a-file"])
 def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline):
     def edited(name, src, edit):
         path = tmp_path / name
@@ -368,14 +378,14 @@ def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline)
         model = (edited("m.txt", pipeline["model"], case["model"]) if "model" in case
                  else pipeline["model"])
         args = ["evaluate", "--events", events, "--model", model,
-                "--report-dir", str(tmp_path / "r"), "--eval-window", "2880:2940",
-                *case.get("flags", [])]
+                "--report-dir", str(tmp_path / case.get("output", "r")),
+                "--eval-window", "2880:2940", *case.get("flags", [])]
     elif "simulate" in case:
-        args = ["simulate", "--events", str(tmp_path / "e.jsonl"), *case.get("flags", [])]
-    else:
-        args = ["fit", "--events", events,
-                "--model", str(tmp_path / "m.txt"), "--train-window", "0:2880",
+        args = ["simulate", "--events", str(tmp_path / case.get("output", "e.jsonl")),
                 *case.get("flags", [])]
+    else:
+        args = ["fit", "--events", events, "--model", str(tmp_path / case.get("output", "m.txt")),
+                "--train-window", "0:2880", *case.get("flags", [])]
     if "config" in case:
         cfg_path = tmp_path / "run.json"
         config = case["config"]
@@ -460,29 +470,64 @@ _FLAGGED_FIELDS = {
 }
 
 
-@settings(max_examples=150, deadline=None)
-@given(field=st.sampled_from(sorted(_FLAGGED_FIELDS)), data=st.data())
-def test_flag_and_config_accept_the_same_values(tmp_path_factory, field, data):
-    command, flag, values = _FLAGGED_FIELDS[field]
-    value = data.draw(values)
-    work = tmp_path_factory.getbasetemp() / "flag-vs-config"
-    work.mkdir(exist_ok=True)
-    # Missing inputs: a value the config accepts ends in exit 2 when the
-    # subcommand opens them, one it rejects in exit 1 before that.
+def _flag_run(work, field, value, config=False):
+    """Exit code of the subcommand of ``field`` given ``value`` by flag or config file.
+
+    Its inputs are missing: a value the config accepts ends in exit 2 when
+    the subcommand opens them, one it rejects in exit 1 before that."""
+    command, flag, _ = _FLAGGED_FIELDS[field]
     args = [command, "--events", str(work / "missing.jsonl"),
             "--model", str(work / "missing.txt")]
     args += (["--train-window", "0:100"] if command == "fit" else
              ["--report-dir", str(work / "report"), "--eval-window", "0:100"])
-    cfg_path = work / "run.json"
-    cfg_path.write_text(json.dumps({field: value}))
-    text = ",".join(map(str, value)) if isinstance(value, list) else repr(value)
+    if config:
+        cfg_path = work / "run.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        args += ["--config", str(cfg_path)]
+    else:
+        text = ",".join(map(str, value)) if isinstance(value, list) else repr(value)
+        args.append(f"{flag}={text}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    assert code in (1, 2)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    return code
 
-    codes = []
-    for extra in ([f"{flag}={text}"], ["--config", str(cfg_path)]):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            codes.append(main(args + extra))
-        assert codes[-1] in (1, 2)
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
-    assert codes[0] == codes[1], (field, value)
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(_FLAGGED_FIELDS)), data=st.data())
+def test_flag_and_config_accept_the_same_values(tmp_path_factory, field, data):
+    value = data.draw(_FLAGGED_FIELDS[field][2])
+    work = tmp_path_factory.getbasetemp() / "flag-vs-config"
+    work.mkdir(exist_ok=True)
+    assert _flag_run(work, field, value) == _flag_run(work, field, value, config=True), \
+        (field, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(_FLAGGED_FIELDS)), data=st.data())
+def test_config_built_in_code_refuses_what_the_flag_refuses(tmp_path_factory, field, data):
+    value = data.draw(_FLAGGED_FIELDS[field][2])
+    work = tmp_path_factory.getbasetemp() / "flag-vs-code"
+    work.mkdir(exist_ok=True)
+    try:
+        RunConfig(**{field: parse_field(field, value)})
+        refused = False
+    except ConfigError:
+        refused = True
+    assert refused == (_flag_run(work, field, value) == 1), (field, value)
+
+
+def test_config_built_in_code_is_checked(pipeline):
+    for bad in ({"n_popularity_bins": 10 ** 8}, {"horizon": 0}, {"beta": 1.0},
+                {"smoothing": 1e308}, {"horizon": 0, "policies": ("chrono",)},
+                {"eval_window": (0, 2 ** 61)}, {"peak_hours": (12, 24)}):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
+    table = build_timelines(load_event_log(pipeline["events"]))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError):  # the fit would never end
+        fit_model(table, RunConfig(train_window=(0, 1440), n_popularity_bins=10 ** 8))
+    assert time.perf_counter() - start < 1.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from feedrank.config import RunConfig
 from feedrank.errors import ConfigError, DataError
 from feedrank.events import ItemTable, build_timelines, hour_of_minute, parse_event_log
 from feedrank.evaluation import (
@@ -26,6 +27,11 @@ def make_space():
 
 def make_table(space):
     return IndexTable(g=np.linspace(1.0, 0.1, space.n_states))
+
+
+def config(window, policies=("novelty",), signals=("rt",), **fields):
+    """The RunConfig of an evaluation over ``window``."""
+    return RunConfig(eval_window=window, policies=policies, signals=signals, **fields)
 
 
 def ndcg_of(relevance):
@@ -99,7 +105,7 @@ def test_attention_relevance_slots_and_cap():
     events += [line("favorite", "a", f"a-f{k}", 65) for k in range(2)]
     table = build_timelines(parse_event_log(events))
     # Entries of item a at minutes 1 and 2: all engagement falls in minute 1.
-    _, counts, _ = rank_window(table, make_space(), None, (), (1, 3), 60)
+    _, counts, _ = rank_window(table, make_space(), None, config((1, 3)))
     assert attention_relevance(counts, "rt").tolist() == [30, 0]
     assert attention_relevance(counts, "rt", cap=100).tolist() == [40, 0]
     assert attention_relevance(counts, "rt_replies", cap=100).tolist() == [43, 0]
@@ -115,7 +121,7 @@ def test_utility_relevance_uses_next_minute_state():
     events = [line("post", "a", "a", 0),
               line("retweet", "a", "a-r0", 70)]
     table = build_timelines(parse_event_log(events))
-    r, counts, _ = rank_window(table, space, None, (), (1, 3), 60)
+    r, counts, _ = rank_window(table, space, None, config((1, 3)))
     # At t = 1 the item is age 1 / 0 visible retweets; at t + 1 = 2 it is
     # age 2 with 1 visible retweet, i.e. state (2,2) = 4. At t = 2 the
     # next-minute state is out of window (age 3): reward 0.
@@ -127,8 +133,8 @@ def test_every_count_is_taken_once(monkeypatch):
     monkeypatch.setattr(ItemTable, "count", lambda self, *args, _orig=ItemTable.count:
                         calls.append(args[0]) or _orig(self, *args))
     space = make_space()
-    evaluate_run(eval_corpus(), space, make_table(space), POLICIES,
-                 ("utility", "rt", "rt_replies", "rt_replies_favs"), (700, 750))
+    evaluate_run(eval_corpus(), space, make_table(space),
+                 config((700, 750), POLICIES, ("utility", "rt", "rt_replies", "rt_replies_favs")))
     # Retweets before the minute, and each engagement kind during it.
     assert calls == ["retweet", "retweet", "reply", "favorite"]
 
@@ -155,8 +161,7 @@ def test_evaluate_run_counts_and_series_shapes():
     space = make_space()
     table = make_table(space)
     report = evaluate_run(timelines, space, table,
-                          ("index", "novelty", "popularity"),
-                          ("utility", "rt"), (700, 750))
+                          config((700, 750), POLICIES, ("utility", "rt")))
     assert report.minutes == list(range(700, 750))
     assert all(c > 0 for c in report.active_counts)
     for key, values in report.series.items():
@@ -171,8 +176,7 @@ def test_evaluate_run_counts_and_series_shapes():
 def test_evaluate_run_skips_empty_minutes():
     timelines = eval_corpus()
     space = make_space()
-    report = evaluate_run(timelines, space, None, ("novelty",), ("rt",),
-                          (600, 700))
+    report = evaluate_run(timelines, space, None, config((600, 700)))
     # No item is active until minute 691.
     assert report.skipped_empty == 91
     assert report.minutes == list(range(691, 700))
@@ -196,8 +200,8 @@ def test_decision_minutes_match_a_scan_of_the_grid(interval, peak_hours):
         grid = [t for t in range(*window, interval)
                 if peak_hours is None or hour_of_minute(t) in peak_hours]
         active = [t for t in grid if any(p < t <= p + horizon for p in posts)]
-        report = evaluate_run(table, space, None, ("novelty",), ("rt",), window,
-                              interval=interval, peak_hours=peak_hours, horizon=horizon)
+        report = evaluate_run(table, space, None, config(window, decision_interval=interval,
+                                                         peak_hours=peak_hours, horizon=horizon))
         assert report.minutes == active
         assert report.skipped_empty == len(grid) - len(active)
 
@@ -206,8 +210,9 @@ def test_window_with_no_active_entry(tmp_path):
     timelines = eval_corpus()
     space = make_space()
     # Items are active from minute 691 to 910 (11:31 to 15:10).
-    report = evaluate_run(timelines, space, make_table(space), POLICIES, ("utility", "rt"),
-                          (600, 1000), interval=7, peak_hours=(3, 16))
+    report = evaluate_run(timelines, space, make_table(space),
+                          config((600, 1000), POLICIES, ("utility", "rt"), decision_interval=7,
+                                 peak_hours=(3, 16)))
     assert report.minutes == [] and report.active_counts == []
     assert report.skipped_empty == len([t for t in range(600, 1000, 7)
                                         if hour_of_minute(t) in (3, 16)])
@@ -224,10 +229,9 @@ def test_peak_hours_filter_is_subset_of_full_run():
     timelines = eval_corpus()
     space = make_space()
     table = make_table(space)
-    full = evaluate_run(timelines, space, table, ("index",), ("utility",),
-                        (700, 850))
-    peak = evaluate_run(timelines, space, table, ("index",), ("utility",),
-                        (700, 850), peak_hours=(12, 13))
+    full = evaluate_run(timelines, space, table, config((700, 850), ("index",), ("utility",)))
+    peak = evaluate_run(timelines, space, table,
+                        config((700, 850), ("index",), ("utility",), peak_hours=(12, 13)))
     assert peak.minutes == [t for t in full.minutes
                             if hour_of_minute(t) in (12, 13)]
     lookup = dict(zip(full.minutes, full.series[("index", "utility")]))
@@ -240,8 +244,7 @@ def test_wrapping_peak_hours_accept_midnight():
     timelines = build_timelines(parse_event_log([line("post", "a", "a", 0),
                                                  line("post", "b", "b", 1430 * 60)]))
     space = make_space()
-    report = evaluate_run(timelines, space, None, ("novelty",), ("rt",),
-                          (1380, 1500), peak_hours=(23, 0))
+    report = evaluate_run(timelines, space, None, config((1380, 1500), peak_hours=(23, 0)))
     assert all(hour_of_minute(t) in (23, 0) for t in report.minutes)
     assert len(report.minutes) > 0
 
@@ -249,56 +252,41 @@ def test_wrapping_peak_hours_accept_midnight():
 def test_decision_interval_strides():
     timelines = eval_corpus()
     space = make_space()
-    report = evaluate_run(timelines, space, None, ("novelty",), ("rt",),
-                          (700, 750), interval=10)
+    report = evaluate_run(timelines, space, None, config((700, 750), decision_interval=10))
     assert report.minutes == [700, 710, 720, 730, 740]
 
 
 def test_train_overlap_warning():
     timelines = eval_corpus()
     space = make_space()
-    report = evaluate_run(timelines, space, None, ("novelty",), ("rt",),
-                          (700, 750), train_window=(600, 710))
+    report = evaluate_run(timelines, space, None, config((700, 750), train_window=(600, 710)))
     assert len(report.warnings) == 1
     assert "overlaps" in report.warnings[0]
-    clean = evaluate_run(timelines, space, None, ("novelty",), ("rt",),
-                         (700, 750), train_window=(600, 700))
+    clean = evaluate_run(timelines, space, None, config((700, 750), train_window=(600, 700)))
     assert clean.warnings == []
 
 
 def test_evaluate_run_validation():
     timelines = eval_corpus()
     space = make_space()
-    with pytest.raises(ConfigError):
-        evaluate_run(timelines, space, None, ("chrono",), ("rt",), (700, 710))
-    with pytest.raises(ConfigError):
-        evaluate_run(timelines, space, None, ("novelty",), ("likes",), (700, 710))
-    with pytest.raises(ConfigError):
-        evaluate_run(timelines, space, None, ("index",), ("rt",), (700, 710))
-    with pytest.raises(ConfigError):
-        evaluate_run(timelines, space, None, ("novelty",), ("rt",), (710, 700))
-    with pytest.raises(ConfigError):
-        evaluate_run(timelines, space, None, ("novelty",), ("rt",), (700, 710),
-                     interval=0)
-    with pytest.raises(ConfigError):
-        evaluate_run(timelines, space, None, ("novelty",), ("rt",), (700, 710),
-                     peak_hours=(25,))
-    with pytest.raises(ConfigError):
-        evaluate_run(timelines, space, None, ("novelty",), ("rt",), (700, 710), horizon=0)
-    with pytest.raises(ConfigError):
-        evaluate_run(timelines, space, None, (), ("rt",), (700, 710))
-    for cap in (0, 1024):
+    # Out-of-range values are refused when the config is built.
+    for bad in ({"policies": ("chrono",)}, {"signals": ("likes",)}, {"window": (710, 700)},
+                {"decision_interval": 0}, {"peak_hours": (25,)}, {"horizon": 0},
+                {"policies": ()}, {"relevance_cap": 0}, {"relevance_cap": 1024}):
         with pytest.raises(ConfigError):
-            evaluate_run(timelines, space, None, ("novelty",), ("rt",), (700, 710),
-                         relevance_cap=cap)
+            config(**{"window": (700, 710), **bad})
+    with pytest.raises(ConfigError):
+        evaluate_run(timelines, space, None, config((700, 710), ("index",)))
+    with pytest.raises(ConfigError):
+        evaluate_run(timelines, space, None, RunConfig())  # no eval window
 
 
 def test_report_writers_round_trip(tmp_path):
     timelines = eval_corpus()
     space = make_space()
     table = make_table(space)
-    report = evaluate_run(timelines, space, table, ("index", "novelty"),
-                          ("utility", "rt"), (700, 760))
+    report = evaluate_run(timelines, space, table,
+                          config((700, 760), ("index", "novelty"), ("utility", "rt")))
     series_path = tmp_path / "series.csv"
     summary_path = tmp_path / "summary.csv"
     header_path = tmp_path / "header.txt"
@@ -367,9 +355,10 @@ def test_batch_evaluation_matches_the_per_minute_reference(inputs, tmp_path_fact
     log += [line(kind, iid, f"e{k}", minute * 60 + k % 60)
             for k, (kind, iid, minute) in enumerate(engagement)]
     table = build_timelines(parse_event_log(log))
-    report = evaluate_run(table, space, IndexTable(g=np.array(g)), policies, signals,
-                          run["window"], horizon=run["horizon"], interval=run["interval"],
-                          peak_hours=run["peak_hours"], relevance_cap=run["cap"])
+    cfg = config(run["window"], policies, signals, horizon=run["horizon"],
+                 decision_interval=run["interval"], peak_hours=run["peak_hours"],
+                 relevance_cap=run["cap"])
+    report = evaluate_run(table, space, IndexTable(g=np.array(g)), cfg)
     minutes, counts, series, skipped, rows = evaluate_reference(
         posts, engagement, space.bins.novelty_limits, space.bins.popularity_limits,
         space.reward.tolist(), g, policies, signals, **run)

@@ -148,8 +148,9 @@ def test_short_p1_row_rejected(tmp_path):
     ("g = ", "g = 0.5,0.5,nan,0.5,0.5", "finite"),
     ("g = ", "g = 0.5,0.5,0.5,0.5", "finite"),
     ("train_window = ", "train_window = [a, b)", "meta"),
+    ("train_window = ", "train_window = [100, 0)", "meta"),
 ], ids=["beta-1", "beta-nan", "epsilon-2", "epsilon-nan", "r_n-nan", "p1-nan",
-        "g-inf", "g-nan", "g-short", "meta-window"])
+        "g-inf", "g-nan", "g-short", "meta-window", "meta-window-empty"])
 def test_out_of_range_value_rejected_on_load(tmp_path, prefix, replacement, message):
     with pytest.raises(DataError, match=message):
         read_model(tampered(tmp_path, prefix, replacement))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from feedrank import evaluation, ranking
+from feedrank import evaluation
+from feedrank.config import RunConfig
 from feedrank.errors import ConfigError
 from feedrank.evaluation import rank_window
 from feedrank.events import build_timelines, parse_event_log
@@ -36,7 +37,8 @@ def corpus():
 
 def rank_at(t, table, space, index_table, policy, horizon=60):
     """(ids, states) of one policy at one minute, from a one-minute window."""
-    r = rank_window(table, space, index_table, (policy,), (t, t + 1), horizon)[0]
+    cfg = RunConfig(eval_window=(t, t + 1), horizon=horizon, policies=(policy,))
+    r = rank_window(table, space, index_table, cfg)[0]
     if not len(r.minutes):
         return None
     order = r.orders[0]
@@ -68,8 +70,7 @@ def test_policies_share_one_classification_per_item(monkeypatch):
     classify = evaluation.classify
     monkeypatch.setattr(evaluation, "classify",
                         lambda *args: calls.append(args) or classify(*args))
-    r, counts, _ = rank_window(table, space, make_table(), ("index", "novelty", "popularity"),
-                               (0, 4), 60)
+    r, counts, _ = rank_window(table, space, make_table(), RunConfig(eval_window=(0, 4)))
     # One call classifies every entry of every minute, shared by every policy.
     assert len(calls) == 1
     # Ages of a and b at 1; of a, b and c at 2 and at 3.
@@ -107,7 +108,8 @@ def test_empty_minute_gives_empty_snapshot():
     # minute in the hour set while items are active.
     for window, hours in (((-90, 0), None), ((50, 52), None), ((0, 60), (3,))):
         r, counts, n_decision = rank_window(corpus(), make_space(), make_table(),
-                                            ranking.POLICIES, window, 5, peak_hours=hours)
+                                            RunConfig(eval_window=window, horizon=5,
+                                                      peak_hours=hours))
         assert r.minutes.size == r.which.size == r.rows.size == r.states.size == 0
         assert [order.size for order in r.orders] == [0, 0, 0]
         assert counts.shape == (4, 0)
@@ -120,9 +122,13 @@ def test_active_set_window_boundaries():
     table = build_timelines(parse_event_log([line("post", f"t{k}", f"t{k}", 60 * k)
                                              for k in range(5)]))
 
+    def batch(window, horizon, interval=1):
+        cfg = RunConfig(eval_window=window, horizon=horizon, decision_interval=interval,
+                        policies=("novelty",))
+        return rank_window(table, make_space(), None, cfg)[0]
+
     def active(t, horizon):
-        return [table.ids[row] for row in
-                rank_window(table, make_space(), None, (), (t, t + 1), horizon)[0].rows]
+        return [table.ids[row] for row in batch((t, t + 1), horizon).rows]
 
     # Age must satisfy 0 < t - post <= horizon.
     assert active(3, horizon=2) == ["t1", "t2"]
@@ -132,16 +138,16 @@ def test_active_set_window_boundaries():
     # One window of many minutes holds each minute's active set in turn.
     for horizon in (1, 2, 60):
         for interval in (1, 3):
-            r = rank_window(table, make_space(), None, (), (-1, 70), horizon, interval)[0]
-            batch = {t: [table.ids[row] for row in r.rows[r.which == i]]
-                     for i, t in enumerate(r.minutes.tolist())}
-            assert batch == {t: active(t, horizon) for t in range(-1, 70, interval)
-                             if active(t, horizon)}
-    for bad in ({"horizon": 0}, {"interval": 0}, {"window": (5, 5)}, {"peak_hours": ()},
-                {"peak_hours": (3, 24)}):
-        args = {"window": (0, 10), "horizon": 60, **bad}
+            r = batch((-1, 70), horizon, interval)
+            by_minute = {t: [table.ids[row] for row in r.rows[r.which == i]]
+                         for i, t in enumerate(r.minutes.tolist())}
+            assert by_minute == {t: active(t, horizon) for t in range(-1, 70, interval)
+                                 if active(t, horizon)}
+    # The config refuses what no window could rank, before any ranking.
+    for bad in ({"horizon": 0}, {"decision_interval": 0}, {"eval_window": (5, 5)},
+                {"peak_hours": ()}, {"peak_hours": (3, 24)}):
         with pytest.raises(ConfigError):
-            rank_window(table, make_space(), None, (), **args)
+            RunConfig(**{"eval_window": (0, 10), "horizon": 60, **bad})
 
 
 def test_unknown_policy_and_missing_table():
@@ -156,7 +162,8 @@ def test_snapshot_csv_layout(tmp_path):
     table = corpus()
     space = make_space()
     policies = ("index", "novelty")
-    rankings = rank_window(table, space, make_table(), policies, (2, 4), 60)[0]
+    rankings = rank_window(table, space, make_table(),
+                           RunConfig(eval_window=(2, 4), policies=policies))[0]
     out = tmp_path / "snaps.csv"
     write_snapshots_csv(table, policies, rankings, out)
     # Minute by minute, then policy by policy, best first. At minute 3

@@ -108,16 +108,13 @@ def test_peak_magnitude_boost_raises_peak_counts():
 
 
 def test_generator_validation():
+    # Out-of-range values are refused when the config is built.
+    for bad in ({"alpha": 1.0}, {"zero_fraction": 1.0}, {"weekday_factors": (1.0,)},
+                {"gamma": 0.0}, {"boost_hours": (24,)}):
+        with pytest.raises(ConfigError):
+            small_config(**bad)
     with pytest.raises(ConfigError):
-        small_config(alpha=1.0).validate()
-    with pytest.raises(ConfigError):
-        small_config(zero_fraction=1.0).validate()
-    with pytest.raises(ConfigError):
-        small_config(weekday_factors=(1.0,)).validate()
-    with pytest.raises(ConfigError):
-        small_config(gamma=0.0).validate()
-    with pytest.raises(ConfigError):
-        small_config(boost_hours=(24,)).validate()
+        GeneratorConfig(days=-3)
     with pytest.raises(DataError):
         generate_stream(small_config(posts_per_day=0.0, days=1, n_accounts=1))
 

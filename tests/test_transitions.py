@@ -8,7 +8,7 @@ from feedrank.errors import DataError
 from feedrank.events import build_timelines, parse_event_log
 from feedrank.states import BinSpec, build_state_space, classify
 from feedrank.transitions import (
-    TransitionModel, build_model, derive_p0, estimate_p1,
+    MAX_SMOOTHING, TransitionModel, build_model, derive_p0, estimate_p1,
 )
 from eventlog import line
 from oracles import count_transitions_bruteforce, rows_to_probabilities
@@ -71,6 +71,12 @@ def test_smoothing_adds_to_every_cell():
     # Unobserved rows become uniform instead of self-loops.
     assert np.allclose(p1[2], 1.0 / n)
     assert np.allclose(p1.sum(axis=1), 1.0, atol=1e-12)
+    # The largest smoothing still gives rows that sum to 1; a larger one is refused.
+    p1 = estimate_p1(timelines, space, (5, 12), smoothing=MAX_SMOOTHING)
+    assert np.allclose(p1.sum(axis=1), 1.0, atol=1e-12)
+    for bad in (-0.5, math.nan, 1e308, math.inf):
+        with pytest.raises(DataError):
+            estimate_p1(timelines, space, (5, 12), smoothing=bad)
 
 
 def random_corpus(rng, n_items=40, window=(10, 40)):
