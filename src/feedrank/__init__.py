@@ -30,7 +30,7 @@ from .indices import (
 )
 from .ranking import Rankings, rank_items
 from .evaluation import (
-    EvaluationReport, attention_relevance, evaluate_run, ndcg, pearson,
+    EvaluationReport, attention_relevance, evaluate_run, mean_std, ndcg, pearson,
     rank_window, utility_relevance,
 )
 from .synth import GeneratorConfig, generate_markov_stream, generate_stream
@@ -49,7 +49,7 @@ __all__ = [
     "build_timelines", "classify", "compute_indices", "constants_a",
     "derive_p0", "estimate_p1", "evaluate_run", "fit_model", "fit_popularity_bins",
     "fit_rewards", "format_rank_grid", "generate_markov_stream",
-    "generate_stream", "load_config", "load_event_log", "ndcg", "occupancy",
+    "generate_stream", "load_config", "load_event_log", "mean_std", "ndcg", "occupancy",
     "parse_event_log", "pearson", "rank_items", "rank_states", "rank_window",
     "read_model", "serialize_event_log", "utility_relevance", "write_model",
 ]

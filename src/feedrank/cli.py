@@ -29,18 +29,10 @@ from .ranking import write_snapshots_csv
 from .synth import GeneratorConfig, generate_stream
 
 
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    return with_overrides(cfg, vars(args))
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     flags = {key: getattr(args, key) for key in ("seed", "days", "n_accounts", "posts_per_day")
              if getattr(args, key) is not None}
     gen = dataclasses.replace(cfg.generator or GeneratorConfig(), **flags)
-    if cfg.events_path is None:
-        raise ConfigError("simulate needs an events path (--events or config)")
     batch = generate_stream(gen)
     with open(cfg.events_path, "w", encoding="utf-8") as fh:
         serialize_event_log(batch, fh)
@@ -49,10 +41,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
-    if cfg.events_path is None or cfg.model_path is None:
-        raise ConfigError("fit needs --events and --model")
+def cmd_fit(args: argparse.Namespace, cfg: RunConfig) -> int:
     bundle = fit_model(build_timelines(load_event_log(cfg.events_path)), cfg)
     write_model(bundle, cfg.model_path)
     print(f"fitted model on {bundle.meta['items_used']} items "
@@ -60,10 +49,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_indices(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
-    if cfg.model_path is None:
-        raise ConfigError("indices needs --model")
+def cmd_indices(args: argparse.Namespace, cfg: RunConfig) -> int:
     bundle = read_model(cfg.model_path)
     bundle.index = compute_indices(bundle.transition_model(), bundle.state_space().reward)
     write_model(bundle, cfg.model_path)
@@ -73,10 +59,7 @@ def cmd_indices(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
-    if cfg.events_path is None or cfg.model_path is None or cfg.report_dir is None:
-        raise ConfigError("evaluate needs --events, --model, and --report-dir")
+def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     bundle = read_model(cfg.model_path)
     if "index" in cfg.policies and bundle.index is None:
         raise ConfigError("model has no index table; run the indices subcommand first")
@@ -109,10 +92,7 @@ def _describe_epsilon(epsilon: np.ndarray) -> str:
     return "per-state"
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
-    if cfg.report_dir is None:
-        raise ConfigError("report needs --report-dir")
+def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     summary_path = os.path.join(cfg.report_dir, "summary.csv")
     header_path = os.path.join(cfg.report_dir, "header.txt")
     try:
@@ -203,12 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each subcommand and the RunConfig fields it needs, checked before any input is opened.
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "indices": cmd_indices,
-    "evaluate": cmd_evaluate,
-    "report": cmd_report,
+    "simulate": (cmd_simulate, ("events_path",)),
+    "fit": (cmd_fit, ("events_path", "model_path")),
+    "indices": (cmd_indices, ("model_path",)),
+    "evaluate": (cmd_evaluate, ("events_path", "model_path", "report_dir", "eval_window")),
+    "report": (cmd_report, ("report_dir",)),
 }
 
 
@@ -220,8 +201,15 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; fold usage
         # errors into exit code 1 per our convention.
         return 0 if exc.code == 0 else 1
+    command, required = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        cfg = with_overrides(load_config(args.config) if args.config else RunConfig(), vars(args))
+        missing = [name for name in required if getattr(cfg, name) is None]
+        if missing:  # each field's flag is its name without ``_path``, dashed
+            raise ConfigError(f"{args.command} needs " + ", ".join(
+                f"--{name.removesuffix('_path').replace('_', '-')} (config key {name})"
+                for name in missing))
+        return command(args, cfg)
     except OSError as exc:  # every read wraps its own, so this one is from an output
         error = DataError(f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}")
     except FeedrankError as exc:

@@ -82,7 +82,7 @@ def parse_hours(value) -> tuple[int, ...]:
             hours += [a, *((a + k) % 24 for k in range(1, (b - a) % 24)), b]
         elif not isinstance(token, str) or token.strip():
             hours.append(_parse_int(token, "peak_hours"))
-    return tuple(sorted(set(hours)))
+    return tuple(hours)
 
 
 def parse_field(name: str, value):
@@ -165,6 +165,8 @@ class RunConfig:
         if hours is not None and not (isinstance(hours, tuple) and hours and all(
                 _is_int(h) and 0 <= h <= 23 for h in hours)):
             raise ConfigError("peak_hours must be one or more hours in 0..23")
+        if hours is not None:  # one hour set, however it was listed
+            object.__setattr__(self, "peak_hours", tuple(sorted(set(hours))))
         if not isinstance(self.dump_snapshots, bool):
             raise ConfigError("dump_snapshots must be true or false")
         for name, noun, known in (("policies", "policy", POLICIES),

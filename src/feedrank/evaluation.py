@@ -25,7 +25,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -102,21 +103,40 @@ def ndcg(gains, which: np.ndarray | None = None):
     return np.divide(dcg[:-1], dcg[-1], out=np.ones_like(dcg[:-1]), where=dcg[-1] != 0.0)
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation; nan when either series is degenerate."""
-    n = len(x)
-    if n != len(y):
+def _sum(values: np.ndarray) -> np.ndarray:
+    """Sums along the last axis of a non-empty array, adding left to right
+    from 0 as Python 3.11's ``sum`` does (3.12's compensates)."""
+    return np.cumsum(values, axis=-1)[..., -1] + 0.0
+
+
+def mean_std(values) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population standard deviation along the last axis; nan for
+    empty series. Every sum adds left to right, so each bit is the same on
+    every Python version."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    if n == 0:
+        return (np.full(values.shape[:-1], math.nan)[()],) * 2
+    mean = _sum(values) / n
+    # libm's pow, as Python's ``**`` uses: ``x * x`` can differ in the last bit.
+    return mean, np.sqrt(_sum(np.float_power(values - mean[..., None], 2.0)) / n)
+
+
+def pearson(x, y) -> np.ndarray:
+    """Pearson correlation along the last axis of ``x`` and ``y``, which
+    broadcast against each other (a float for two series); nan where
+    either series is degenerate. Sums add as in ``mean_std``."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = x.shape[-1]
+    if n != y.shape[-1]:
         raise ValueError("series lengths differ")
-    if n < 2:
-        return math.nan
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
-    if sxx == 0.0 or syy == 0.0:
-        return math.nan
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    return sxy / math.sqrt(sxx * syy)
+    x, y = np.broadcast_arrays(x, y)
+    corr = np.full(x.shape[:-1], math.nan)
+    if n >= 2:
+        dx, dy = x - (_sum(x) / n)[..., None], y - (_sum(y) / n)[..., None]
+        sxx, syy = _sum(np.float_power(dx, 2.0)), _sum(np.float_power(dy, 2.0))
+        np.divide(_sum(dx * dy), np.sqrt(sxx * syy), out=corr, where=(sxx != 0.0) & (syy != 0.0))
+    return corr[()]
 
 
 def rank_window(table: ItemTable, state_space: StateSpace, index_table: IndexTable | None,
@@ -179,15 +199,16 @@ def rank_window(table: ItemTable, state_space: StateSpace, index_table: IndexTab
 
 @dataclass
 class EvaluationReport:
-    """The ranking batch and its nDCG series plus aggregate statistics.
+    """The ranking batch and its nDCG scores.
 
-    ``series[(policy, signal)][i]`` scores minute ``rankings.minutes[i]``.
+    ``scores[i, j, k]`` scores ``policies[i]`` against ``signals[j]`` at
+    minute ``rankings.minutes[k]``.
     """
 
     policies: tuple[str, ...]
     signals: tuple[str, ...]
     rankings: Rankings
-    series: dict[tuple[str, str], list[float]]
+    scores: np.ndarray
     skipped_empty: int
     warnings: list[str]
     fingerprint: dict[str, str] = field(default_factory=dict)
@@ -196,26 +217,10 @@ class EvaluationReport:
     def minutes(self) -> list[int]:
         return self.rankings.minutes.tolist()
 
-    @property
-    def active_counts(self) -> list[int]:
-        return np.bincount(self.rankings.which, minlength=len(self.rankings.minutes)).tolist()
-
-    def mean_std(self, policy: str, signal: str) -> tuple[float, float]:
-        values = self.series[(policy, signal)]
-        if not values:
-            return math.nan, math.nan
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        return mean, math.sqrt(var)
-
-    def pearson_active(self, policy: str, signal: str) -> float:
-        return pearson(self.series[(policy, signal)], [float(c) for c in self.active_counts])
-
-    def summary(self) -> dict[tuple[str, str], tuple[float, float]]:
-        return {
-            (p, s): self.mean_std(p, s)
-            for p in self.policies for s in self.signals
-        }
+    @cached_property
+    def active_counts(self) -> np.ndarray:
+        """The number of active items at each minute."""
+        return np.bincount(self.rankings.which, minlength=len(self.rankings.minutes))
 
 
 def evaluate_run(table: ItemTable, state_space: StateSpace, index_table: IndexTable | None,
@@ -242,16 +247,15 @@ def evaluate_run(table: ItemTable, state_space: StateSpace, index_table: IndexTa
 
     utility_gain = _gains(state_space.reward)
     attention_gain = _gains(range(cap + 1))
-    series: dict[tuple[str, str], list[float]] = {}
-    for s in signals:
+    scores = np.empty((len(policies), len(signals), len(rankings.minutes)))
+    for j, s in enumerate(signals):
         if s == "utility":
             gain = utility_gain[utility_relevance(rankings, counts, table, state_space)]
         else:
             gain = attention_gain[attention_relevance(counts, s, cap)]
         # Only the ranked gains are alive in ndcg, and nothing past it.
         gain = gain[rankings.orders]
-        for p, scores in zip(policies, ndcg(gain, rankings.which)):
-            series[(p, s)] = scores.tolist()
+        scores[:, j] = ndcg(gain, rankings.which)
         del gain
 
     fingerprint = {
@@ -259,7 +263,7 @@ def evaluate_run(table: ItemTable, state_space: StateSpace, index_table: IndexTa
         "decision_interval": str(cfg.decision_interval),
         "horizon": str(cfg.horizon),
         "relevance_cap": str(cap),
-        "peak_hours": ",".join(map(str, sorted(set(cfg.peak_hours or ())))) or "none",
+        "peak_hours": ",".join(map(str, cfg.peak_hours or ())) or "none",
         "policies": ",".join(policies),
         "signals": ",".join(signals),
     }
@@ -270,7 +274,7 @@ def evaluate_run(table: ItemTable, state_space: StateSpace, index_table: IndexTa
         policies=policies,
         signals=signals,
         rankings=rankings,
-        series=series,
+        scores=scores,
         skipped_empty=n_decision - len(rankings.minutes),
         warnings=warnings,
         fingerprint=fingerprint,
@@ -278,28 +282,31 @@ def evaluate_run(table: ItemTable, state_space: StateSpace, index_table: IndexTa
 
 
 def write_series_csv(report: EvaluationReport, path) -> None:
-    """Per-minute nDCG rows: minute, policy, signal, ndcg, active_count."""
+    """Per-minute nDCG rows, minute by minute: minute, policy, signal, ndcg, active_count."""
+    n_pairs, n_minutes = len(report.policies) * len(report.signals), len(report.rankings.minutes)
+    columns = (np.repeat(report.rankings.minutes, n_pairs).tolist(),
+               [p for p in report.policies for _ in report.signals] * n_minutes,
+               list(report.signals) * len(report.policies) * n_minutes,
+               report.scores.transpose(2, 0, 1).ravel().tolist(),
+               np.repeat(report.active_counts, n_pairs).tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["minute", "policy", "signal", "ndcg", "active_count"])
-        for i, (minute, count) in enumerate(zip(report.minutes, report.active_counts)):
-            writer.writerows([minute, p, s, format(report.series[(p, s)][i], ".17g"), count]
-                             for p in report.policies for s in report.signals)
+        fh.write("minute,policy,signal,ndcg,active_count\r\n")
+        fh.writelines("%d,%s,%s,%.17g,%d\r\n" % row for row in zip(*columns))
 
 
 def write_summary_csv(report: EvaluationReport, path) -> None:
     """Signal rows with mean/std columns per policy."""
+    mean, std = (stat.tolist() for stat in mean_std(report.scores))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         header = ["signal"]
         for p in report.policies:
             header.extend([f"{p}_mean", f"{p}_std"])
         writer.writerow(header)
-        for s in report.signals:
+        for j, s in enumerate(report.signals):
             row = [s]
-            for p in report.policies:
-                mean, std = report.mean_std(p, s)
-                row.extend([format(mean, ".17g"), format(std, ".17g")])
+            for i in range(len(report.policies)):
+                row.extend([format(mean[i][j], ".17g"), format(std[i][j], ".17g")])
             writer.writerow(row)
 
 
@@ -316,9 +323,8 @@ def write_header_text(report: EvaluationReport, path, extra: Mapping[str, str] |
     lines.append(f"minutes_skipped_empty = {report.skipped_empty}")
     for w in report.warnings:
         lines.append(f"warning: {w}")
-    for p in report.policies:
-        for s in report.signals:
-            corr = report.pearson_active(p, s)
-            lines.append(f"pearson_active[{p},{s}] = {format(corr, '.17g')}")
+    corr = pearson(report.scores, report.active_counts).tolist()
+    lines.extend(f"pearson_active[{p},{s}] = {format(corr[i][j], '.17g')}"
+                 for i, p in enumerate(report.policies) for j, s in enumerate(report.signals))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -19,6 +19,7 @@ from feedrank.config import MAX_MINUTES, RunConfig, parse_field
 from feedrank.errors import ConfigError
 from feedrank.events import build_timelines, load_event_log
 from feedrank.model_io import fit_model, read_model
+from feedrank.synth import PEAK_HOURS
 from oracles import greedy_indices_reference
 
 
@@ -209,6 +210,12 @@ def test_peak_hours_fit_changes_model(tmp_path, pipeline):
     assert int(peak.meta["items_used"]) < int(full.meta["items_used"])
 
 
+def test_library_fit_records_the_hour_set_of_the_flag(pipeline):
+    table = build_timelines(load_event_log(pipeline["events"]))
+    bundle = fit_model(table, RunConfig(train_window=(0, 2880), peak_hours=PEAK_HOURS))
+    assert bundle.meta["peak_hours"] == "0,1,12,13,14,15,16,17,18,19,20,21,22,23"
+
+
 def test_exit_codes():
     assert main([]) == 1                        # no subcommand
     assert main(["--help"]) == 0
@@ -343,6 +350,8 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
     ({"output": "missing/m.txt"}, 2),
     # The report dir is the edited log's own path: an existing file.
     ({"evaluate": True, "events": lambda b: b, "output": "e.jsonl"}, 2),
+    # A missing field is refused before any input is read.
+    ({"evaluate": True, "events": None, "eval_window": []}, 1),
 ], ids=["config-beta-string", "config-beta-bool", "config-novelty-limits",
         "flag-novelty-limits", "flag-peak-hours", "flag-peak-hours-range",
         "flag-beta-1", "meta-window-letters", "meta-window-no-comma",
@@ -358,7 +367,7 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
         "flag-popularity-bins-huge", "config-popularity-bins-huge", "flag-novelty-limits-many",
         "model-too-many-states", "config-relevance-cap-huge", "flag-smoothing-huge",
         "config-smoothing-huge", "simulate-events-unwritable", "fit-model-unwritable",
-        "evaluate-report-dir-is-a-file"])
+        "evaluate-report-dir-is-a-file", "evaluate-no-window-events-missing"])
 def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline):
     def edited(name, src, edit):
         path = tmp_path / name
@@ -366,8 +375,10 @@ def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline)
         return str(path)
 
     events = pipeline["events"]
-    if "events" in case:
+    if case.get("events"):
         events = edited("e.jsonl", events, case["events"])
+    elif "events" in case:
+        events = str(tmp_path / "missing.jsonl")
     if "report" in case:
         report = tmp_path / "report"
         shutil.copytree(pipeline["report"], report)
@@ -379,7 +390,8 @@ def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline)
                  else pipeline["model"])
         args = ["evaluate", "--events", events, "--model", model,
                 "--report-dir", str(tmp_path / case.get("output", "r")),
-                "--eval-window", "2880:2940", *case.get("flags", [])]
+                *case.get("eval_window", ["--eval-window", "2880:2940"]),
+                *case.get("flags", [])]
     elif "simulate" in case:
         args = ["simulate", "--events", str(tmp_path / case.get("output", "e.jsonl")),
                 *case.get("flags", [])]

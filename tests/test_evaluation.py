@@ -4,13 +4,13 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from feedrank.config import RunConfig
 from feedrank.errors import ConfigError, DataError
 from feedrank.events import ItemTable, build_timelines, hour_of_minute, parse_event_log
 from feedrank.evaluation import (
-    attention_relevance, evaluate_run, ndcg, pearson, rank_window,
+    attention_relevance, evaluate_run, mean_std, ndcg, pearson, rank_window,
     utility_relevance, write_header_text, write_series_csv, write_summary_csv,
 )
 from feedrank.indices import IndexTable
@@ -98,6 +98,59 @@ def test_pearson_matches_bruteforce():
         pearson([1.0, 2.0], [1.0])
 
 
+def _left_to_right(values):
+    acc = 0
+    for v in values:
+        acc = acc + v
+    return acc
+
+
+def loop_mean_std(values):
+    n = len(values)
+    mean = _left_to_right(values) / n
+    return mean, math.sqrt(_left_to_right((v - mean) ** 2 for v in values) / n)
+
+
+def loop_pearson(x, y):
+    n = len(x)
+    mx, my = _left_to_right(x) / n, _left_to_right(y) / n
+    sxx = _left_to_right((a - mx) ** 2 for a in x)
+    syy = _left_to_right((b - my) ** 2 for b in y)
+    if sxx == 0.0 or syy == 0.0:
+        return math.nan
+    return _left_to_right((a - mx) * (b - my) for a, b in zip(x, y)) / math.sqrt(sxx * syy)
+
+
+@st.composite
+def series_pairs(draw):
+    n = draw(st.integers(1, 40))
+    # No magnitude below 1e-30, so no product of squares underflows to 0.
+    values = (st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) >= 1e-30)
+              | st.sampled_from([0.0, -0.0, 1e-16, 1.0]))
+    return tuple(draw(st.lists(values, min_size=n, max_size=n)) for _ in range(2))
+
+
+# Added left to right, the first series sums to exactly 1.0; pairwise (np.sum)
+# or compensated (Python 3.12's sum) addition does not. In the second,
+# ``x * x`` and Python's ``x ** 2`` differ in the last bit. The third sums
+# to +0.0, as ``sum`` starts from 0.
+@example(([1.0] + [1e-16] * 10, [float(k) for k in range(11)]))
+@example(([0.3493787908695549, -0.3493787908695549, 0.0], [1.0, 2.0, 4.0]))
+@example(([-0.0, -0.0], [1.0, 2.0]))
+@settings(max_examples=300, deadline=None)
+@given(pair=series_pairs())
+def test_statistics_add_left_to_right(pair):
+    x, y = pair
+    both = np.array(pair)
+    means, stds = mean_std(both)
+    for row, mean, std in zip(pair, means.tolist(), stds.tolist()):
+        assert (mean.hex(), std.hex()) == tuple(v.hex() for v in loop_mean_std(row))
+    expected = loop_pearson(x, y).hex()
+    assert float(pearson(x, y)).hex() == expected
+    assert float(pearson(both, y)[0]).hex() == expected  # broadcast over a batch
+    assert float(pearson(both, y)[1]).hex() == loop_pearson(y, y).hex()
+
+
 def test_attention_relevance_slots_and_cap():
     events = [line("post", "a", "a", 0)]
     events += [line("retweet", "a", f"a-r{k}", 65) for k in range(40)]
@@ -164,13 +217,12 @@ def test_evaluate_run_counts_and_series_shapes():
                           config((700, 750), POLICIES, ("utility", "rt")))
     assert report.minutes == list(range(700, 750))
     assert all(c > 0 for c in report.active_counts)
-    for key, values in report.series.items():
-        assert len(values) == len(report.minutes)
-        assert all(0.0 <= v <= 1.0 + 1e-12 for v in values)
-    mean, std = report.mean_std("novelty", "utility")
-    values = report.series[("novelty", "utility")]
-    assert mean == pytest.approx(np.mean(values))
-    assert std == pytest.approx(np.std(values))  # population std
+    assert report.scores.shape == (len(POLICIES), 2, len(report.minutes))
+    assert all(0.0 <= v <= 1.0 + 1e-12 for v in report.scores.ravel())
+    mean, std = mean_std(report.scores)
+    values = report.scores[POLICIES.index("novelty"), 0]  # novelty, utility
+    assert mean[POLICIES.index("novelty"), 0] == pytest.approx(np.mean(values))
+    assert std[POLICIES.index("novelty"), 0] == pytest.approx(np.std(values))  # population std
 
 
 def test_evaluate_run_skips_empty_minutes():
@@ -213,11 +265,11 @@ def test_window_with_no_active_entry(tmp_path):
     report = evaluate_run(timelines, space, make_table(space),
                           config((600, 1000), POLICIES, ("utility", "rt"), decision_interval=7,
                                  peak_hours=(3, 16)))
-    assert report.minutes == [] and report.active_counts == []
+    assert report.minutes == [] and report.active_counts.tolist() == []
     assert report.skipped_empty == len([t for t in range(600, 1000, 7)
                                         if hour_of_minute(t) in (3, 16)])
     assert report.rankings.orders.shape == (3, 0)
-    assert all(values == [] for values in report.series.values())
+    assert report.scores.shape == (3, 2, 0)
     write_series_csv(report, tmp_path / "series.csv")
     write_summary_csv(report, tmp_path / "summary.csv")
     assert (tmp_path / "series.csv").read_text().splitlines() == [
@@ -234,8 +286,8 @@ def test_peak_hours_filter_is_subset_of_full_run():
                         config((700, 850), ("index",), ("utility",), peak_hours=(12, 13)))
     assert peak.minutes == [t for t in full.minutes
                             if hour_of_minute(t) in (12, 13)]
-    lookup = dict(zip(full.minutes, full.series[("index", "utility")]))
-    for t, v in zip(peak.minutes, peak.series[("index", "utility")]):
+    lookup = dict(zip(full.minutes, full.scores[0, 0].tolist()))
+    for t, v in zip(peak.minutes, peak.scores[0, 0].tolist()):
         assert v == lookup[t]
     assert peak.fingerprint["peak_hours"] == "12,13"
 
@@ -301,10 +353,10 @@ def test_report_writers_round_trip(tmp_path):
     summary_lines = summary_path.read_text().splitlines()
     assert summary_lines[0] == "signal,index_mean,index_std,novelty_mean,novelty_std"
     first = summary_lines[1].split(",")
-    mean, std = report.mean_std("index", "utility")
+    mean, std = mean_std(report.scores)
     # The 17-significant-digit format round-trips float64 exactly.
-    assert float(first[1]) == mean
-    assert float(first[2]) == std
+    assert float(first[1]) == mean[0, 0]  # index, utility
+    assert float(first[2]) == std[0, 0]
 
     header = header_path.read_text()
     assert header.splitlines()[1] == "beta = 0.9"
@@ -363,9 +415,10 @@ def test_batch_evaluation_matches_the_per_minute_reference(inputs, tmp_path_fact
         posts, engagement, space.bins.novelty_limits, space.bins.popularity_limits,
         space.reward.tolist(), g, policies, signals, **run)
     assert report.minutes == minutes
-    assert report.active_counts == counts
+    assert report.active_counts.tolist() == counts
     assert report.skipped_empty == skipped
-    assert report.series == series  # exact: every float bit for bit
+    assert {(p, s): report.scores[i, j].tolist() for i, p in enumerate(policies)
+            for j, s in enumerate(signals)} == series  # exact: every float bit for bit
     path = tmp_path_factory.mktemp("snapshots") / "snapshots.csv"
     write_snapshots_csv(table, policies, report.rankings, path)
     with open(path, newline="") as fh:

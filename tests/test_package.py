@@ -1,7 +1,26 @@
+import re
+from pathlib import Path
+
 import feedrank
+from feedrank.events import serialize_event_log
+from feedrank.synth import GeneratorConfig, generate_stream
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in feedrank.__all__ if not hasattr(feedrank, name)]
     assert missing == []
     assert len(set(feedrank.__all__)) == len(feedrank.__all__)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    # A small 30-day log: the example fits days 0-14 and evaluates days 15-29.
+    batch = generate_stream(GeneratorConfig(seed=11, days=30, n_accounts=2, posts_per_day=8))
+    with open(tmp_path / "month.jsonl", "w", encoding="utf-8") as fh:
+        serialize_event_log(batch, fh)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:]] == ["index", "novelty", "popularity"]
