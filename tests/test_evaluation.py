@@ -220,9 +220,10 @@ def test_evaluate_run_counts_and_series_shapes():
     assert report.scores.shape == (len(POLICIES), 2, len(report.minutes))
     assert all(0.0 <= v <= 1.0 + 1e-12 for v in report.scores.ravel())
     mean, std = mean_std(report.scores)
-    values = report.scores[POLICIES.index("novelty"), 0]  # novelty, utility
-    assert mean[POLICIES.index("novelty"), 0] == pytest.approx(np.mean(values))
-    assert std[POLICIES.index("novelty"), 0] == pytest.approx(np.std(values))  # population std
+    novelty_utility = (POLICIES.index("novelty"), 0)
+    values = report.scores[novelty_utility]
+    assert mean[novelty_utility] == pytest.approx(np.mean(values))
+    assert std[novelty_utility] == pytest.approx(np.std(values))  # population std
 
 
 def test_evaluate_run_skips_empty_minutes():
