@@ -33,7 +33,7 @@ from .evaluation import (
     EvaluationReport, attention_relevance, evaluate_run, mean_std, ndcg, pearson,
     rank_window, utility_relevance,
 )
-from .synth import GeneratorConfig, generate_markov_stream, generate_stream
+from .synth import GeneratorConfig, generate_stream
 from .model_io import ModelBundle, fit_model, read_model, write_model
 from .config import RunConfig, load_config
 
@@ -48,8 +48,8 @@ __all__ = [
     "attention_relevance", "build_model", "build_state_space",
     "build_timelines", "classify", "compute_indices", "constants_a",
     "derive_p0", "estimate_p1", "evaluate_run", "fit_model", "fit_popularity_bins",
-    "fit_rewards", "format_rank_grid", "generate_markov_stream",
-    "generate_stream", "load_config", "load_event_log", "mean_std", "ndcg", "occupancy",
+    "fit_rewards", "format_rank_grid", "generate_stream", "load_config", "load_event_log",
+    "mean_std", "ndcg", "occupancy",
     "parse_event_log", "pearson", "rank_items", "rank_states", "rank_window",
     "read_model", "serialize_event_log", "utility_relevance", "write_model",
 ]

@@ -45,6 +45,11 @@ DEFAULT_RELEVANCE_CAP = 30
 # The largest relevance cap: a gain 2**cap - 1 above it overflows a float.
 MAX_RELEVANCE_CAP = 1023
 
+# The most item-minutes one run ranks. They are all held at once, at about
+# 124 bytes each, so this bound (about 40 times a 30-day log's 825,967)
+# keeps the peak near 4 GB instead of failing mid-allocation.
+MAX_ENTRIES = 2**25
+
 # Each attention signal counts the first this many of ENGAGEMENT_KINDS,
 # the row of ``rank_window``'s counts that holds their sum.
 _SIGNAL_KINDS = {"rt": 1, "rt_replies": 2, "rt_replies_favs": 3}
@@ -167,6 +172,10 @@ def rank_window(table: ItemTable, state_space: StateSpace, index_table: IndexTab
     k_lo = -(-(np.maximum(post + 1, start) - start) // interval)
     k_hi = -(-(np.minimum(post + cfg.horizon + 1, end) - start) // interval)
     steps = np.maximum(k_hi - k_lo, 0)
+    n_entries = sum(steps.tolist())  # a Python int: it cannot wrap
+    if n_entries > MAX_ENTRIES:
+        raise ConfigError(f"the eval window and horizon give {n_entries} active item-minutes, "
+                          f"more than {MAX_ENTRIES}; narrow --eval-window or --horizon")
     rows = np.repeat(np.arange(len(post)), steps)
     ks = np.repeat(k_lo - np.cumsum(steps) + steps, steps) + np.arange(len(rows))
     keep = passes[ks % period]

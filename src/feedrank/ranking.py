@@ -12,7 +12,7 @@ ties break toward the more recently posted item, then ascending item id.
 
 from __future__ import annotations
 
-import csv
+import re
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,6 +23,10 @@ from .indices import IndexTable
 
 POLICIES = ("index", "novelty", "popularity")
 DEFAULT_HORIZON = 60
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+# Snapshot rows formatted per write, so a month's rows are never all held as strings.
+_ROWS_PER_WRITE = 2**16
 
 
 class Rankings(NamedTuple):
@@ -54,17 +58,33 @@ def rank_items(policy: str, which: np.ndarray, post_ts: np.ndarray, states: np.n
     return np.lexsort((-post_ts, -retweets, which))
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a field of ``csv.writer``'s default dialect: quoted, its
+    quotes doubled, when it holds a comma, a quote or a line break."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_snapshots_csv(table: ItemTable, policies: Sequence[str],
                         rankings: Rankings, path) -> None:
-    """Write rankings to a CSV with one row per ranked item."""
-    r = rankings
-    bounds = r.which.searchsorted(np.arange(len(r.minutes) + 1)).tolist()
+    """Write rankings to a CSV with one row per ranked item: minute by
+    minute, policy by policy, best first."""
+    r, n_policies = rankings, len(policies)
+    starts = r.which.searchsorted(np.arange(len(r.minutes)))
+    sizes = np.diff(starts, append=len(r.rows))
+    ids = [_csv_field(item_id) for item_id in table.ids]
+    n_rows = n_policies * len(r.rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["minute", "policy", "rank", "item_id", "state_index"])
-        for minute, lo, hi in zip(r.minutes.tolist(), bounds, bounds[1:]):
-            for policy, order in zip(policies, r.orders):
-                writer.writerows(
-                    (minute, policy, rank, table.ids[row], state)
-                    for rank, (row, state) in enumerate(zip(
-                        r.rows[order[lo:hi]].tolist(), r.states[order[lo:hi]].tolist()), start=1))
+        fh.write("minute,policy,rank,item_id,state_index\r\n")
+        for lo in range(0, n_rows, _ROWS_PER_WRITE):
+            # Row ``o`` lies in minute ``which[o // n_policies]``, whose
+            # rows hold each policy's ranking in turn.
+            o = np.arange(lo, min(lo + _ROWS_PER_WRITE, n_rows))
+            k = r.which[o // n_policies]
+            policy, rank = np.divmod(o - n_policies * starts[k], sizes[k])
+            entry = r.orders[policy, starts[k] + rank]
+            columns = (r.minutes[k].tolist(), [policies[p] for p in policy.tolist()],
+                       (rank + 1).tolist(), [ids[row] for row in r.rows[entry].tolist()],
+                       r.states[entry].tolist())
+            fh.writelines("%d,%s,%d,%s,%d\r\n" % row for row in zip(*columns))

@@ -21,10 +21,10 @@ from feedrank.evaluation import evaluate_run, mean_std, ndcg, pearson, write_hea
 from feedrank.indices import compute_indices, occupancy
 from feedrank.model_io import fit_model
 from feedrank.states import BinSpec, build_state_space
-from feedrank.synth import GeneratorConfig, PEAK_HOURS, generate_markov_stream, \
-    generate_stream
+from feedrank.synth import GeneratorConfig, PEAK_HOURS, generate_stream
 from feedrank.transitions import build_model, derive_p0, estimate_p1
 from oracles import gittins_restart, mc_occupancy
+from samplers import generate_markov_stream
 
 MASTER_SEED = 20260815
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -133,6 +134,39 @@ def test_evaluate_accepts_values_at_the_minute_bound(pipeline, tmp_path):
                          "--horizon", bound, "--interval", bound])
         assert code == 0 and err.getvalue() == "", err.getvalue()
         assert out.getvalue().startswith(f"evaluated {evaluated} minutes"), out.getvalue()
+
+
+def _limit_address_space():
+    limit = 3 * 2**30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_evaluate_refuses_more_entries_than_it_may_hold(tmp_path):
+    # 120 posts active for a billion minutes each: about 1.2e11 entries.
+    events, model = str(tmp_path / "e.jsonl"), str(tmp_path / "m.txt")
+    assert main(["simulate", "--events", events, "--seed", "11", "--days", "3",
+                 "--accounts", "2", "--posts-per-day", "20"]) == 0
+    assert main(["fit", "--events", events, "--model", model, "--train-window", "0:2880"]) == 0
+    assert main(["indices", "--model", model]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "feedrank.cli", "evaluate", "--events", events, "--model", model,
+         "--report-dir", str(tmp_path / "r"), "--eval-window", "0:100000000000",
+         "--horizon", "1000000000"],
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1 and len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: ") and "--horizon" in lines[0], proc.stderr
+
+
+def test_simulate_refuses_a_generator_key_that_is_a_constant(tmp_path):
+    cfg_path = tmp_path / "gen.json"
+    cfg_path.write_text(json.dumps({"generator": {"start_day": 3}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "feedrank.cli", "simulate", "--config", str(cfg_path),
+         "--events", str(tmp_path / "e.jsonl")], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: unknown generator key(s): start_day"]
+    assert not (tmp_path / "e.jsonl").exists()
 
 
 def test_evaluate_writes_reports(pipeline):

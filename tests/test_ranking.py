@@ -1,7 +1,10 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feedrank import evaluation
 from feedrank.config import RunConfig
@@ -9,7 +12,7 @@ from feedrank.errors import ConfigError
 from feedrank.evaluation import rank_window
 from feedrank.events import build_timelines, parse_event_log
 from feedrank.indices import IndexTable
-from feedrank.ranking import rank_items, write_snapshots_csv
+from feedrank.ranking import POLICIES, rank_items, write_snapshots_csv
 from feedrank.states import BinSpec, build_state_space
 from eventlog import line
 
@@ -176,3 +179,30 @@ def test_snapshot_csv_layout(tmp_path):
         "3,index,1,c,5", "3,index,2,b,0", "3,index,3,a,0",
         "3,novelty,1,c,5", "3,novelty,2,b,0", "3,novelty,3,a,0",
     ]
+
+
+def snapshots_reference(table, policies, rankings):
+    """The snapshot file's bytes, written row by row through ``csv.writer``."""
+    r, out = rankings, io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["minute", "policy", "rank", "item_id", "state_index"])
+    for k, minute in enumerate(r.minutes.tolist()):
+        for policy, order in zip(policies, r.orders):
+            ranked = order[r.which == k]
+            writer.writerows([minute, policy, rank, table.ids[r.rows[e]], r.states[e]]
+                             for rank, e in enumerate(ranked.tolist(), start=1))
+    return out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(posts=st.dictionaries(
+    st.text(st.sampled_from(',"\r\n a') | st.characters(), min_size=1, max_size=6),
+    st.integers(0, 5), min_size=1, max_size=8))
+def test_snapshot_ids_are_quoted_as_csv_writer_quotes_them(posts, tmp_path_factory):
+    table = build_timelines(parse_event_log(
+        [line("post", iid, iid, minute * 60) for iid, minute in posts.items()]))
+    rankings = rank_window(table, make_space(), make_table(),
+                           RunConfig(eval_window=(0, 8), horizon=3))[0]
+    out = tmp_path_factory.mktemp("snaps") / "snaps.csv"
+    write_snapshots_csv(table, POLICIES, rankings, out)
+    assert out.read_bytes() == snapshots_reference(table, POLICIES, rankings)

@@ -1,18 +1,20 @@
+import hashlib
+import io
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from feedrank.config import generator_from_dict
 from feedrank.errors import ConfigError, DataError
-from feedrank.events import build_timelines
+from feedrank.events import build_timelines, serialize_event_log
 from feedrank.states import BinSpec, build_state_space
-from feedrank.synth import (
-    GeneratorConfig, generate_markov_stream, generate_stream, sample_power_law,
-)
+from feedrank.synth import GeneratorConfig, generate_stream
 from feedrank.transitions import estimate_p1
 from eventlog import rows
 from oracles import powerlaw_alpha_mle
+from samplers import generate_markov_stream, sample_power_law
 
 
 def final_counts(table):
@@ -107,12 +109,23 @@ def test_peak_magnitude_boost_raises_peak_counts():
         2.0 * mean_peak_count(generate_stream(base))
 
 
+def test_stream_bytes_are_pinned():
+    # Any change to a draw, its order or the id and account formats moves the digest.
+    out = io.StringIO()
+    serialize_event_log(generate_stream(small_config()), out)
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == \
+        "ed8ed3c1b35141cb00a0a2d9551f9ee573af477b5829aac84eb1caa6c94f5c2b"
+
+
 def test_generator_validation():
     # Out-of-range values are refused when the config is built.
-    for bad in ({"alpha": 1.0}, {"zero_fraction": 1.0}, {"weekday_factors": (1.0,)},
-                {"gamma": 0.0}, {"boost_hours": (24,)}):
+    for bad in ({"alpha": 1.0}, {"zero_fraction": 1.0}, {"gamma": 0.0}):
         with pytest.raises(ConfigError):
             small_config(**bad)
+    # The weekly and daily profiles and the peak hours are constants, not keys.
+    for fixed in ({"weekday_factors": [1.0]}, {"boost_hours": [24]}):
+        with pytest.raises(ConfigError, match="unknown generator key"):
+            generator_from_dict(fixed)
     with pytest.raises(ConfigError):
         GeneratorConfig(days=-3)
     with pytest.raises(DataError):
