@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, repeat
@@ -48,6 +49,16 @@ _FIELDS = tuple(map(itemgetter, _REQUIRED_KEYS))
 _DECODE = json.JSONDecoder().raw_decode
 # One serialized event; json.dumps gives the same bytes.
 _LINE = '{"kind":"%s","item_id":%s,"event_id":%s,"ts":%d,"account":%s}\n'
+# A JSON string body with no escape, no quote and no control character.
+_PLAIN = r'[^"\\\x00-\x1f]'
+# One ``_LINE`` whose strings are plain, ended by the NUL that
+# ``_decode_block`` puts after every line. A match is valid JSON with
+# exactly the five keys, the kind one of ``EVENT_KINDS``, non-empty ids
+# and a ts in 0..10**12 - 1; the groups are the five values.
+_CANONICAL = re.compile(
+    r'\{"kind":"(' + "|".join(EVENT_KINDS) + r')","item_id":"(' + _PLAIN + r'+)",'
+    r'"event_id":"(' + _PLAIN + r'+)","ts":(0|[1-9][0-9]{0,11}),'
+    r'"account":"(' + _PLAIN + r'*)"\}\n?\x00')
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +78,12 @@ class EventBatch:
 
     def __len__(self) -> int:
         return len(self.ts)
+
+
+def _posts_match(codes: Sequence[int], item_ids: Sequence[str], event_ids: Sequence[str]) -> bool:
+    """Whether every post (code 0) has its item_id equal to its event_id."""
+    posts = list(map(not_, codes))
+    return not any(map(ne, compress(item_ids, posts), compress(event_ids, posts)))
 
 
 def _columns(recs: Sequence) -> tuple[list, ...] | str:
@@ -94,16 +111,49 @@ def _columns(recs: Sequence) -> tuple[list, ...] | str:
     if min(ts) < 0 or max(ts) > MAX_TS:
         return f"ts must lie in 0..{MAX_TS}"
     codes = list(map(_KIND_CODES.__getitem__, kinds))
-    posts = list(map(not_, codes))
-    if any(map(ne, compress(item_ids, posts), compress(event_ids, posts))):
+    if not _posts_match(codes, item_ids, event_ids):
         return "post events must have item_id equal to event_id"
     return codes, item_ids, event_ids, ts, accounts
 
 
+def _enter_ids(event_ids: Sequence[str], numbers: Iterable[int],
+               first_line: dict[str, int]) -> bool:
+    """Enter the event ids, on lines ``numbers``, into ``first_line`` if
+    none repeats or was seen before; whether they were entered."""
+    lines = dict(zip(event_ids, numbers))
+    if len(lines) < len(event_ids) or not first_line.keys().isdisjoint(lines):
+        return False
+    first_line.update(lines)
+    return True
+
+
 def _decode_block(block: list[str], start: int, first_line: dict[str, int]):
     """The columns of the lines ``block``, numbered from ``start``, or None
-    if a line is bad; only a good block enters its event ids into
-    ``first_line``."""
+    if a line is bad or none holds an event, and the line-numbered errors.
+
+    A block of canonical lines is decoded by one regex split; any other
+    block line by line. Good lines enter their event ids into ``first_line``.
+    """
+    # Each match ends with one of the n NULs and holds no other, so n
+    # matches and no text between them means n canonical lines.
+    parts = _CANONICAL.split("\x00".join(block + [""]))
+    if len(parts) == 6 * len(block) + 1 and not any(parts[::6]):
+        item_ids, event_ids, accounts = parts[2::6], parts[3::6], parts[5::6]
+        codes = list(map(_KIND_CODES.__getitem__, parts[1::6]))
+        ts = list(map(int, parts[4::6]))
+        if (max(ts) <= MAX_TS and _posts_match(codes, item_ids, event_ids)
+                and _enter_ids(event_ids, range(start, start + len(block)), first_line)):
+            return (codes, item_ids, event_ids, ts, accounts), []
+    return _decode_lines(block, start, first_line)
+
+
+def _decode_lines(block: list[str], start: int, first_line: dict[str, int]):
+    """``_decode_block`` for a block with a line that is not canonical.
+
+    Each line is decoded by json and the records are checked as whole
+    columns; only a block that fails is taken again line by line, for
+    the messages.
+    """
     numbers, texts = [], []
     for lineno, text in enumerate(map(str.strip, block), start):
         if text and text[0] != "#":
@@ -112,25 +162,14 @@ def _decode_block(block: list[str], start: int, first_line: dict[str, int]):
     try:
         recs, ends = zip(*map(_DECODE, texts))
     except (ValueError, RecursionError):  # a line that is not JSON, or no event lines
-        return None
-    columns = _columns(recs)
-    if list(ends) != list(map(len, texts)) or isinstance(columns, str):
-        return None
-    lines = dict(zip(columns[2], numbers))
-    if len(lines) < len(numbers) or not first_line.keys().isdisjoint(lines):
-        return None
-    first_line.update(lines)
-    return columns
-
-
-def _block_errors(block: list[str], start: int, first_line: dict[str, int]):
-    """The line-numbered errors of a block that ``_decode_block`` refused."""
-    for lineno, raw in enumerate(block, start):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        recs = ends = ()
+    columns = _columns(recs) if list(ends) == list(map(len, texts)) else None
+    if isinstance(columns, tuple) and _enter_ids(columns[2], numbers, first_line):
+        return columns, []
+    errors = []
+    for lineno, text in zip(numbers, texts):
         try:
-            found = _columns([json.loads(line)])
+            found = _columns([json.loads(text)])
         except json.JSONDecodeError as exc:
             found = f"invalid JSON ({exc.msg})"
         except RecursionError:
@@ -141,7 +180,8 @@ def _block_errors(block: list[str], start: int, first_line: dict[str, int]):
             if prev == lineno:
                 continue
             found = f"duplicate event_id {event_id!r} (first at line {prev})"
-        yield lineno, found
+        errors.append((lineno, found))
+    return None, errors
 
 
 def parse_event_log(source: str | bytes | Iterable[str]) -> EventBatch:
@@ -167,10 +207,9 @@ def parse_event_log(source: str | bytes | Iterable[str]) -> EventBatch:
     first_line: dict[str, int] = {}
     start = 1
     while block := list(islice(lines, _BLOCK_LINES)):
-        decoded = _decode_block(block, start, first_line)
-        if decoded is None:
-            errors.extend(_block_errors(block, start, first_line))
-        elif not errors:
+        decoded, bad = _decode_block(block, start, first_line)
+        errors += bad
+        if decoded and not errors:
             for column, values in zip(columns, decoded):
                 column.extend(values)
         start += len(block)

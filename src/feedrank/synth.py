@@ -127,29 +127,31 @@ def generate_stream(config: GeneratorConfig) -> EventBatch:
     decay = _decay_weights(config)
     cdf = _power_law_cdf(config.alpha, config.x_min, config.magnitude_cap)
 
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    kinds, item_ids, event_ids, stamps, accounts = columns
-    item_seq = 0
+    # The loop only draws. It keeps the post stamps and accounts, the
+    # seconds of every retweet, and each account-day's nonzero cells: one
+    # cell per (item, kind, minute offset), numbered over all items, with
+    # its event count and the number of its first user. One call draws
+    # all of an item's seconds, in offset order: numpy draws each bounded
+    # integer below 2**32 from one 32-bit output, so this is the stream
+    # that one call per minute offset draws.
+    post_ts, post_account, seconds, cells, sizes, first_users = [], [], [], [], [], []
+    n_items = 0
     for day in range(config.days):
         day_rate = config.posts_per_day * WEEKDAY_FACTORS[_weekday(day)]
         for acct in range(config.n_accounts):
-            account = f"acct{acct:02d}"
             n_posts = int(rng.poisson(day_rate))
             if n_posts == 0:
                 continue
             hours = rng.choice(24, size=n_posts, p=diurnal)
-            seconds = rng.integers(0, 3600, size=n_posts)
-            for k in range(n_posts):
-                hour = int(hours[k])
-                ts = day * _SECONDS_PER_DAY + hour * 3600 + int(seconds[k])
-                item_id = f"t{item_seq:06d}"
-                item_seq += 1
-                for column, value in zip(columns, (0, item_id, item_id, ts, account)):
-                    column.append(value)
-
+            post_ts.append(day * _SECONDS_PER_DAY + hours * 3600
+                           + rng.integers(0, 3600, size=n_posts))
+            post_account += [acct] * n_posts
+            # Retweets, replies and favorites of each item at each offset.
+            drawn = np.zeros((n_posts, 3, decay.size), dtype=np.int64)
+            for k, hour in enumerate(hours.tolist()):
                 if rng.random() < config.zero_fraction:
                     continue
-                magnitude = int(config.x_min + np.searchsorted(cdf, rng.random()))
+                magnitude = int(config.x_min + cdf.searchsorted(rng.random()))
                 if config.peak_magnitude_scale != 1.0 and hour in PEAK_HOURS:
                     magnitude = max(
                         config.x_min,
@@ -157,36 +159,62 @@ def generate_stream(config: GeneratorConfig) -> EventBatch:
                     )
                 weights = decay * rng.lognormal(0.0, 0.35, size=decay.size)
                 per_minute = rng.multinomial(magnitude, weights / weights.sum())
-                replies = rng.binomial(per_minute, 0.3)
-                favorites = rng.binomial(per_minute, 0.2)
-                post_minute = ts // 60
-                counter = 0
-                for off in np.flatnonzero(per_minute):
-                    minute = post_minute + int(off) + 1
-                    rt = int(per_minute[off])
-                    n_replies, n_favorites = int(replies[off]), int(favorites[off])
-                    secs = rng.integers(0, 60, size=rt)
-                    # The j-th retweet, reply and favorite of a minute share user j.
-                    users = [f"user{c}" for c in range(counter, counter + rt)]
-                    kinds += [1] * rt + [2] * n_replies + [3] * n_favorites
-                    item_ids += [item_id] * (rt + n_replies + n_favorites)
-                    for tag, count in (("r", rt), ("p", n_replies), ("f", n_favorites)):
-                        event_ids += [f"{item_id}-{tag}{c}"
-                                      for c in range(counter, counter + count)]
-                    stamps += (minute * 60 + secs).tolist()
-                    stamps += [minute * 60] * (n_replies + n_favorites)
-                    accounts += users + users[:n_replies] + users[:n_favorites]
-                    counter += rt
-
-    if item_seq == 0:
+                drawn[k] = (per_minute, rng.binomial(per_minute, 0.3),
+                            rng.binomial(per_minute, 0.2))
+                seconds += rng.integers(0, 60, size=magnitude).tolist()
+            # The j-th retweet, reply and favorite of a minute share user
+            # j, and an item's users are numbered on from minute to minute.
+            first_user = np.cumsum(drawn[:, :1], axis=2) - drawn[:, :1]
+            nonzero = np.flatnonzero(drawn)
+            cells.append(nonzero + n_items * drawn[0].size)
+            sizes.append(drawn.ravel()[nonzero])
+            first_users.append(np.broadcast_to(first_user, drawn.shape).ravel()[nonzero])
+            n_items += n_posts
+    if n_items == 0:
         raise DataError("generator produced no posts; raise posts_per_day or days")
-    return _sorted_batch(*columns)
+
+    post_ts = np.concatenate(post_ts)
+    code, item, user, stamps = _engagement(np.concatenate(cells), np.concatenate(sizes),
+                                           np.concatenate(first_users), decay.size, post_ts)
+    # The retweets come in the order of the loop that drew their seconds.
+    stamps[code == 0] += np.asarray(seconds, dtype=np.int64)
+    names = [f"t{i:06d}" for i in range(n_items)]
+    owners = [f"acct{a:02d}" for a in range(config.n_accounts)]
+    n_users = int(user.max(initial=-1)) + 1
+    users = [f"user{u}" for u in range(n_users)]
+    suffixes = [f"-{tag}{u}" for tag in "rpf" for u in range(n_users)]
+    item_ids = list(map(names.__getitem__, item.tolist()))
+    event_ids = map(str.__add__, item_ids,
+                    map(suffixes.__getitem__, (code * n_users + user).tolist()))
+    return _sorted_batch(np.append(np.zeros(n_items, np.int64), code + 1), names + item_ids,
+                         names + list(event_ids), np.append(post_ts, stamps),
+                         list(map(owners.__getitem__, post_account))
+                         + list(map(users.__getitem__, user.tolist())))
+
+
+def _engagement(cells, sizes, first_users, n_offsets, post_ts):
+    """The kind (0-2 for retweet, reply, favorite), item, user and minute
+    stamp of every event of the cells, in cell order.
+
+    A function of its own so that its event-sized temporaries are freed
+    before the sort.
+    """
+    at = np.repeat(np.arange(cells.size), sizes)
+    item, code_off = np.divmod(cells[at], 3 * n_offsets)
+    code, off = np.divmod(code_off, n_offsets)
+    user = first_users[at] + np.arange(at.size) - (np.cumsum(sizes) - sizes)[at]
+    return code, item, user, (post_ts[item] // 60 + off + 1) * 60
 
 
 def _sorted_batch(kinds, item_ids, event_ids, stamps, accounts) -> EventBatch:
-    """The batch of these columns, sorted by (ts, post first, item_id, event_id)."""
-    keys = list(zip(stamps, map(bool, kinds), item_ids, event_ids))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return EventBatch(np.array(kinds, dtype=np.int8)[order], [item_ids[i] for i in order],
-                      [event_ids[i] for i in order], np.array(stamps, dtype=np.int64)[order],
-                      [accounts[i] for i in order])
+    """The batch of these columns, sorted by (ts, post first, item_id, event_id).
+
+    The ids are compared as numpy strings, which ignore trailing NULs;
+    no generated id holds one.
+    """
+    kinds = np.asarray(kinds, dtype=np.int8)
+    stamps = np.asarray(stamps, dtype=np.int64)
+    order = np.lexsort((np.array(event_ids), np.array(item_ids), kinds != 0, stamps))
+    column = [np.array(ids, dtype=object)[order].tolist()
+              for ids in (item_ids, event_ids, accounts)]
+    return EventBatch(kinds[order], column[0], column[1], stamps[order], column[2])

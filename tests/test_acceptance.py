@@ -2,9 +2,11 @@
 
 Each test prints a single verdict line (visible with ``pytest -rA`` or
 ``-s``) and asserts it. The synthetic-month pipeline fixtures are built
-once and shared by the later criteria.
+once and shared by the later criteria, and by a pin of the month's bytes.
 """
 
+import hashlib
+import io
 import math
 import subprocess
 import sys
@@ -16,7 +18,7 @@ import pytest
 
 from feedrank.config import RunConfig
 from feedrank.errors import DataError
-from feedrank.events import build_timelines
+from feedrank.events import build_timelines, serialize_event_log
 from feedrank.evaluation import evaluate_run, mean_std, ndcg, pearson, write_header_text
 from feedrank.indices import compute_indices, occupancy
 from feedrank.model_io import fit_model
@@ -312,6 +314,15 @@ def test_criterion_09_runtime_budgets(month):
     _verdict(9, "runtime budgets", ok,
              f"indices {month['indices_seconds']:.2f}s, "
              f"month fit+evaluate {fit_eval:.1f}s")
+
+
+def test_month_stream_bytes_are_pinned(month):
+    # The month's serialized log, 442,656 events; any change to a draw,
+    # its order, an id or the sort moves the digest.
+    out = io.StringIO()
+    serialize_event_log(month["events"], out)
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == \
+        "907a3b56d955b6f6b50279b6b304bad5c1024eab091964be544964ec87186ba1"
 
 
 # -- criterion 10: byte-identical CLI runs ------------------------------------

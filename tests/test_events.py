@@ -1,5 +1,6 @@
 import io
 import json
+from json.encoder import encode_basestring_ascii
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from eventlog import line as make_line, rows
 from feedrank import events
 from feedrank.errors import DataError, EventLogError
 from feedrank.events import (
-    MAX_TS, build_timelines, parse_event_log, serialize_event_log,
+    MAX_TS, EventBatch, build_timelines, parse_event_log, serialize_event_log,
 )
 from oracles import parse_reference
 
@@ -303,3 +304,99 @@ def test_parse_and_build_match_the_per_line_reference(lines, block):
                    separators=(",", ":")) + "\n"
         for row in rows(batch))
     assert rows(parse_event_log(text)) == rows(batch)
+
+
+def assert_matches_reference(text):
+    """Parse and build ``text``; the table or the errors are the reference's."""
+    try:
+        expected = parse_reference(text)
+    except ValueError as exc:
+        expected = exc.args[0]
+    try:
+        table = build_timelines(parse_event_log(text))
+    except EventLogError as exc:
+        assert exc.line_errors == expected
+        return
+    except DataError as exc:
+        assert str(exc) == expected
+        return
+    ids, post_ts, keys, stride = expected
+    assert table.ids == ids and table.stride == stride
+    assert table.post_ts.tolist() == post_ts.tolist()
+    assert {k: v.tolist() for k, v in table.keys.items()} == \
+        {k: v.tolist() for k, v in keys.items()}
+
+
+# Strings that ``_LINE`` may hold as they are: no quote, no backslash and
+# no control character, but any other code point (non-ASCII included).
+_PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, blacklist_categories=("Cs",),
+                                    blacklist_characters='"\\'), max_size=3)
+
+
+@st.composite
+def canonical_logs(draw):
+    """A log in the ``_LINE`` form with unescaped strings, with up to two
+    near-canonical changes and comment and blank lines mixed in."""
+    records = []
+    for k in range(draw(st.integers(1, 6))):
+        item = f"i{k}{draw(_PLAIN_TEXT)}"
+        post_ts = draw(st.integers(0, 5000))
+        records.append(["post", item, item, str(post_ts), draw(_PLAIN_TEXT)])
+        for j in range(draw(st.integers(0, 4))):
+            records.append([draw(st.sampled_from(events.EVENT_KINDS[1:])), item,
+                            f"e{k}.{j}.{draw(_PLAIN_TEXT)}",
+                            str(post_ts // 60 * 60 + draw(st.integers(0, 3000))),
+                            draw(_PLAIN_TEXT)])
+    records = draw(st.permutations(records))
+    for _ in range(draw(st.integers(0, 2))):
+        rec = records[draw(st.integers(0, len(records) - 1))]
+        how = draw(st.sampled_from(["ts", "raw", "escape", "text"]))
+        if how == "ts":
+            rec[3] = draw(st.sampled_from(["0" + rec[3], "1" + "0" * 12, str(MAX_TS + 1), "-1",
+                                           str(MAX_TS)]))
+            continue
+        piece = draw(st.sampled_from({"raw": ["\t", "\x00"],
+                                      "escape": ['\\"', "\\u00e9", "\\u0041", "\\\\"],
+                                      "text": ["é", "☃", "\U0001f600", "\x7f"]}[how]))
+        field = draw(st.sampled_from([1, 2, 4]))
+        at = draw(st.integers(0, len(rec[field])))
+        rec[field] = rec[field][:at] + piece + rec[field][at:]
+        if rec[0] == "post" and field < 4 and draw(st.booleans()):
+            rec[3 - field] = rec[field]  # a post whose ids still agree
+    lines = ['{"kind":"%s","item_id":"%s","event_id":"%s","ts":%s,"account":"%s"}' % tuple(rec)
+             for rec in records]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] += "\r"
+    # Blank and comment lines, one of them perhaps an event commented out.
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "# a comment", "#" + lines[0]])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=canonical_logs(), block=st.sampled_from([1, 7, events._BLOCK_LINES]))
+def test_near_canonical_lines_match_the_per_line_reference(text, block):
+    with mock.patch.object(events, "_BLOCK_LINES", block):
+        assert_matches_reference(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.text(min_size=1, max_size=4),
+                          st.text(min_size=1, max_size=4), st.integers(0, MAX_TS),
+                          st.text(max_size=4)), min_size=1, max_size=8))
+def test_written_lines_are_canonical_exactly_when_their_strings_need_no_escape(drawn):
+    # A post's event_id is its item_id.
+    drawn = [(k, item, item if k == 0 else event, ts, account)
+             for k, item, event, ts, account in drawn]
+    batch = EventBatch(np.array([row[0] for row in drawn], dtype=np.int8),
+                       [row[1] for row in drawn], [row[2] for row in drawn],
+                       np.array([row[3] for row in drawn], dtype=np.int64),
+                       [row[4] for row in drawn])
+    for line, row in zip(serialized(batch).splitlines(keepends=True), drawn):
+        plain = all(encode_basestring_ascii(s) == f'"{s}"' for s in (row[1], row[2], row[4]))
+        assert bool(events._CANONICAL.fullmatch(line + "\x00")) == plain
+        by_lines = events._decode_lines([line], 1, {})
+        assert by_lines == (tuple([value] for value in row), [])
+        assert events._decode_block([line], 1, {}) == by_lines

@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feedrank.config import generator_from_dict
 from feedrank.errors import ConfigError, DataError
 from feedrank.events import build_timelines, serialize_event_log
 from feedrank.states import BinSpec, build_state_space
+from feedrank import synth
 from feedrank.synth import GeneratorConfig, generate_stream
 from feedrank.transitions import estimate_p1
 from eventlog import rows
@@ -115,6 +117,98 @@ def test_stream_bytes_are_pinned():
     serialize_event_log(generate_stream(small_config()), out)
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == \
         "ed8ed3c1b35141cb00a0a2d9551f9ee573af477b5829aac84eb1caa6c94f5c2b"
+
+
+def per_event_stream(config):
+    """The rows of ``generate_stream``, from one loop per event with one
+    seconds draw per minute offset, sorted by the tuple sort."""
+    rng = np.random.default_rng(config.seed)
+    diurnal = np.asarray(synth.DIURNAL_WEIGHTS, dtype=float)
+    diurnal = diurnal / diurnal.sum()
+    decay = synth._decay_weights(config)
+    cdf = synth._power_law_cdf(config.alpha, config.x_min, config.magnitude_cap)
+    events, item_seq = [], 0
+    for day in range(config.days):
+        day_rate = config.posts_per_day * synth.WEEKDAY_FACTORS[synth._weekday(day)]
+        for acct in range(config.n_accounts):
+            n_posts = int(rng.poisson(day_rate))
+            if n_posts == 0:
+                continue
+            hours = rng.choice(24, size=n_posts, p=diurnal)
+            seconds = rng.integers(0, 3600, size=n_posts)
+            for k in range(n_posts):
+                hour = int(hours[k])
+                ts = day * 86400 + hour * 3600 + int(seconds[k])
+                item_id = f"t{item_seq:06d}"
+                item_seq += 1
+                events.append(("post", item_id, item_id, ts, f"acct{acct:02d}"))
+                if rng.random() < config.zero_fraction:
+                    continue
+                magnitude = int(config.x_min + np.searchsorted(cdf, rng.random()))
+                if config.peak_magnitude_scale != 1.0 and hour in synth.PEAK_HOURS:
+                    magnitude = max(config.x_min,
+                                    int(round(magnitude * config.peak_magnitude_scale)))
+                weights = decay * rng.lognormal(0.0, 0.35, size=decay.size)
+                per_minute = rng.multinomial(magnitude, weights / weights.sum())
+                replies = rng.binomial(per_minute, 0.3)
+                favorites = rng.binomial(per_minute, 0.2)
+                counter = 0
+                for off in np.flatnonzero(per_minute):
+                    minute = ts // 60 + int(off) + 1
+                    secs = rng.integers(0, 60, size=int(per_minute[off]))
+                    for c, sec in enumerate(secs.tolist(), counter):
+                        events.append(("retweet", item_id, f"{item_id}-r{c}", minute * 60 + sec,
+                                       f"user{c}"))
+                    for kind, tag, n in (("reply", "p", replies[off]),
+                                         ("favorite", "f", favorites[off])):
+                        for c in range(counter, counter + int(n)):
+                            events.append((kind, item_id, f"{item_id}-{tag}{c}", minute * 60,
+                                           f"user{c}"))
+                    counter += secs.size
+    return sorted(events, key=lambda e: (e[3], e[0] != "post", e[1], e[2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), n_accounts=st.integers(1, 3), days=st.integers(1, 3),
+       posts_per_day=st.sampled_from([0.5, 3.0, 12.0]), alpha=st.sampled_from([1.5, 2.3]),
+       x_min=st.integers(1, 4), zero_fraction=st.sampled_from([0.0, 0.35, 0.95]),
+       peak_magnitude_scale=st.sampled_from([1.0, 0.3, 2.5]), cap=st.integers(0, 300))
+def test_stream_matches_the_per_event_loop(seed, n_accounts, days, posts_per_day, alpha, x_min,
+                                           zero_fraction, peak_magnitude_scale, cap):
+    config = GeneratorConfig(seed=seed, n_accounts=n_accounts, days=days,
+                             posts_per_day=posts_per_day, alpha=alpha, x_min=x_min,
+                             zero_fraction=zero_fraction,
+                             peak_magnitude_scale=peak_magnitude_scale,
+                             magnitude_cap=x_min + cap)
+    expected = per_event_stream(config)
+    if not expected:
+        with pytest.raises(DataError):
+            generate_stream(config)
+        return
+    assert rows(generate_stream(config)) == expected
+
+
+# Ids that share prefixes ("t000001-r10" against "t000001-r2"), and any
+# other text without NUL.
+_ITEMS = st.sampled_from(["t000001", "t00000", "t0000010", "t000001-r1"]) | \
+    st.text(st.characters(blacklist_characters="\x00"), max_size=3)
+_SUFFIXES = st.sampled_from(["", "-r1", "-r2", "-r10", "-r20", "-p2", "-f10"]) | \
+    st.text(st.characters(blacklist_characters="\x00"), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), _ITEMS, _SUFFIXES, st.integers(0, 2),
+                          st.text(max_size=2)), min_size=1, max_size=30))
+def test_sorted_batch_orders_as_the_tuple_sort(drawn):
+    kinds, items, suffixes, stamps, accounts = map(list, zip(*drawn))
+    event_ids = list(map(str.__add__, items, suffixes))
+    keys = list(zip(stamps, map(bool, kinds), items, event_ids))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    batch = synth._sorted_batch(kinds, items, event_ids, stamps, accounts)
+    assert batch.kind.dtype == np.int8 and batch.ts.dtype == np.int64
+    assert list(zip(batch.kind.tolist(), batch.item_id, batch.event_id, batch.ts.tolist(),
+                    batch.account)) == \
+        [(kinds[i], items[i], event_ids[i], stamps[i], accounts[i]) for i in order]
 
 
 def test_generator_validation():
