@@ -6,6 +6,12 @@ seconds), and ``account``. Lines starting with ``#`` are comments. A
 parsed or generated log is one ``EventBatch``, a column per key, and
 ``build_timelines`` turns it into the ``ItemTable``.
 
+``parse_event_log`` reads the log in blocks and has two decode paths. A
+block whose every line has the writer's own form with unescaped strings
+is decoded by one regex split; any other block by ``json.loads`` line by
+line, which also words the errors. Duplicate event ids are checked once,
+over the whole log, after the last block.
+
 Time is discretized to minutes: an event with timestamp ``ts`` belongs to
 minute ``ts // 60``. Events inside minute ``t`` count toward the interval
 ``[t, t+1)``, so the popularity of an item at decision minute ``t`` is the
@@ -19,9 +25,9 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, ne, not_
+from operator import ne, not_
 from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -45,8 +51,6 @@ MAX_TS = 2**31 * SECONDS_PER_MINUTE - 1
 _BLOCK_LINES = 2048
 
 _KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
-_FIELDS = tuple(map(itemgetter, _REQUIRED_KEYS))
-_DECODE = json.JSONDecoder().raw_decode
 # One serialized event; json.dumps gives the same bytes.
 _LINE = '{"kind":"%s","item_id":%s,"event_id":%s,"ts":%d,"account":%s}\n'
 # A JSON string body with no escape, no quote and no control character.
@@ -80,59 +84,41 @@ class EventBatch:
         return len(self.ts)
 
 
-def _posts_match(codes: Sequence[int], item_ids: Sequence[str], event_ids: Sequence[str]) -> bool:
-    """Whether every post (code 0) has its item_id equal to its event_id."""
-    posts = list(map(not_, codes))
-    return not any(map(ne, compress(item_ids, posts), compress(event_ids, posts)))
-
-
-def _columns(recs: Sequence) -> tuple[list, ...] | str:
-    """The kind codes, item ids, event ids, ts and accounts of decoded
-    records, or the message of the first check they fail.
-
-    Every check runs over whole columns; the message words the failure
-    for a single record, the only case that reports it.
-    """
-    if set(map(type, recs)) != {dict}:
+def _record(rec) -> tuple | str:
+    """The kind code, item id, event id, ts and account of one decoded
+    record, or the message of the first check it fails."""
+    if type(rec) is not dict:
         return "record is not a JSON object"
     try:
-        kinds, item_ids, event_ids, ts, accounts = [list(map(get, recs)) for get in _FIELDS]
+        kind, item_id, event_id, ts, account = map(rec.__getitem__, _REQUIRED_KEYS)
     except KeyError:
-        return f"missing key(s): {', '.join(k for k in _REQUIRED_KEYS if k not in recs[0])}"
-    if set(map(type, kinds)) != {str} or not _KIND_CODES.keys() >= set(kinds):
-        return f"unknown kind {kinds[0]!r}"
-    for key, column in zip(("item_id", "event_id", "account"), (item_ids, event_ids, accounts)):
-        if set(map(type, column)) != {str}:
-            return f"{key} must be a string"
-    if "" in item_ids or "" in event_ids:
+        return f"missing key(s): {', '.join(k for k in _REQUIRED_KEYS if k not in rec)}"
+    if type(kind) is not str or kind not in _KIND_CODES:
+        return f"unknown kind {kind!r}"
+    if type(item_id) is not str:
+        return "item_id must be a string"
+    if type(event_id) is not str:
+        return "event_id must be a string"
+    if type(account) is not str:
+        return "account must be a string"
+    if not item_id or not event_id:
         return "item_id and event_id must be non-empty"
-    if set(map(type, ts)) != {int}:
+    if type(ts) is not int:
         return "ts must be an integer"
-    if min(ts) < 0 or max(ts) > MAX_TS:
+    if not 0 <= ts <= MAX_TS:
         return f"ts must lie in 0..{MAX_TS}"
-    codes = list(map(_KIND_CODES.__getitem__, kinds))
-    if not _posts_match(codes, item_ids, event_ids):
+    if kind == "post" and item_id != event_id:
         return "post events must have item_id equal to event_id"
-    return codes, item_ids, event_ids, ts, accounts
+    return _KIND_CODES[kind], item_id, event_id, ts, account
 
 
-def _enter_ids(event_ids: Sequence[str], numbers: Iterable[int],
-               first_line: dict[str, int]) -> bool:
-    """Enter the event ids, on lines ``numbers``, into ``first_line`` if
-    none repeats or was seen before; whether they were entered."""
-    lines = dict(zip(event_ids, numbers))
-    if len(lines) < len(event_ids) or not first_line.keys().isdisjoint(lines):
-        return False
-    first_line.update(lines)
-    return True
+def _decode_block(block: list[str], start: int):
+    """The columns of the good lines of ``block``, numbered from ``start``,
+    their line numbers, and the line-numbered errors of the bad ones.
 
-
-def _decode_block(block: list[str], start: int, first_line: dict[str, int]):
-    """The columns of the lines ``block``, numbered from ``start``, or None
-    if a line is bad or none holds an event, and the line-numbered errors.
-
-    A block of canonical lines is decoded by one regex split; any other
-    block line by line. Good lines enter their event ids into ``first_line``.
+    A block of canonical lines is decoded by one regex split and its line
+    numbers are a range; any other block goes line by line. Neither path
+    compares event ids: ``parse_event_log`` does that once, for the log.
     """
     # Each match ends with one of the n NULs and holds no other, so n
     # matches and no text between them means n canonical lines.
@@ -141,47 +127,47 @@ def _decode_block(block: list[str], start: int, first_line: dict[str, int]):
         item_ids, event_ids, accounts = parts[2::6], parts[3::6], parts[5::6]
         codes = list(map(_KIND_CODES.__getitem__, parts[1::6]))
         ts = list(map(int, parts[4::6]))
-        if (max(ts) <= MAX_TS and _posts_match(codes, item_ids, event_ids)
-                and _enter_ids(event_ids, range(start, start + len(block)), first_line)):
-            return (codes, item_ids, event_ids, ts, accounts), []
-    return _decode_lines(block, start, first_line)
+        posts = list(map(not_, codes))  # posts have kind code 0
+        if max(ts) <= MAX_TS and not any(map(ne, compress(item_ids, posts),
+                                             compress(event_ids, posts))):
+            return (codes, item_ids, event_ids, ts, accounts), range(start, start + len(block)), []
+    return _decode_lines(block, start)
 
 
-def _decode_lines(block: list[str], start: int, first_line: dict[str, int]):
-    """``_decode_block`` for a block with a line that is not canonical.
-
-    Each line is decoded by json and the records are checked as whole
-    columns; only a block that fails is taken again line by line, for
-    the messages.
-    """
-    numbers, texts = [], []
+def _decode_lines(block: list[str], start: int):
+    """``_decode_block`` line by line: each line that is not blank or a
+    comment is decoded by ``json.loads`` and checked by ``_record``.
+    With no good line, the columns are the empty tuple."""
+    rows, numbers, errors = [], [], []
     for lineno, text in enumerate(map(str.strip, block), start):
-        if text and text[0] != "#":
-            numbers.append(lineno)
-            texts.append(text)
-    try:
-        recs, ends = zip(*map(_DECODE, texts))
-    except (ValueError, RecursionError):  # a line that is not JSON, or no event lines
-        recs = ends = ()
-    columns = _columns(recs) if list(ends) == list(map(len, texts)) else None
-    if isinstance(columns, tuple) and _enter_ids(columns[2], numbers, first_line):
-        return columns, []
-    errors = []
-    for lineno, text in zip(numbers, texts):
+        if not text or text[0] == "#":
+            continue
         try:
-            found = _columns([json.loads(text)])
+            found = _record(json.loads(text))
         except json.JSONDecodeError as exc:
             found = f"invalid JSON ({exc.msg})"
+        except ValueError as exc:  # an integer of more than 4,300 digits
+            found = f"invalid JSON ({exc})"
         except RecursionError:
             found = "invalid JSON (nested too deeply)"
-        if not isinstance(found, str):
-            event_id = found[2][0]
-            prev = first_line.setdefault(event_id, lineno)
-            if prev == lineno:
-                continue
-            found = f"duplicate event_id {event_id!r} (first at line {prev})"
-        errors.append((lineno, found))
-    return None, errors
+        if isinstance(found, str):
+            errors.append((lineno, found))
+        else:
+            rows.append(found)
+            numbers.append(lineno)
+    return tuple(map(list, zip(*rows))), numbers, errors
+
+
+def _duplicates(event_ids: Iterable[str], numbers: Iterable[int]) -> list[tuple[int, str]]:
+    """The line-numbered errors of the event ids, on lines ``numbers``,
+    that an earlier line already holds."""
+    first_line: dict[str, int] = {}
+    errors = []
+    for event_id, lineno in zip(event_ids, numbers):
+        prev = first_line.setdefault(event_id, lineno)
+        if prev != lineno:
+            errors.append((lineno, f"duplicate event_id {event_id!r} (first at line {prev})"))
+    return errors
 
 
 def parse_event_log(source: str | bytes | Iterable[str]) -> EventBatch:
@@ -203,19 +189,21 @@ def parse_event_log(source: str | bytes | Iterable[str]) -> EventBatch:
         lines = iter(source)
 
     columns: tuple[list, ...] = ([], [], [], [], [])
+    numbers: list[Sequence[int]] = []
     errors: list[tuple[int, str]] = []
-    first_line: dict[str, int] = {}
     start = 1
     while block := list(islice(lines, _BLOCK_LINES)):
-        decoded, bad = _decode_block(block, start, first_line)
+        decoded, block_numbers, bad = _decode_block(block, start)
+        for column, values in zip(columns, decoded):
+            column.extend(values)
+        numbers.append(block_numbers)
         errors += bad
-        if decoded and not errors:
-            for column, values in zip(columns, decoded):
-                column.extend(values)
         start += len(block)
+    kind, item_id, event_id, ts, account = columns
+    if len(set(event_id)) < len(event_id):
+        errors = sorted(errors + _duplicates(event_id, chain.from_iterable(numbers)))
     if errors:
         raise EventLogError(errors)
-    kind, item_id, event_id, ts, account = columns
     return EventBatch(np.array(kind, dtype=np.int8), item_id, event_id,
                       np.array(ts, dtype=np.int64), account)
 

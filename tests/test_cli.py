@@ -348,6 +348,8 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
     ({"events": lambda b: b + _first_line_with(b, b'"retweet"')}, 2),
     ({"events": lambda b: _with_line(b, '{"kind":"post","item_id":"x","event_id":"x",'
                                         f'"ts":{10 ** 23},"account":"a"}}')}, 2),
+    ({"events": lambda b: _with_line(b, '{"kind":"post","item_id":"x","event_id":"x",'
+                                        f'"ts":{"1" * 5000},"account":"a"}}')}, 2),
     ({"events": lambda b: b + _JOINED_ONLY}, 2),
     ({"events": lambda b: _with_line(b, "[" * 100_000)}, 2),
     ({"model": lambda b: b.replace(b"\nbeta = ", b"\nbeta = 0.5\nbeta = ", 1)}, 2),
@@ -362,6 +364,8 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
     ({"evaluate": True, "flags": ["--policies", "index,index"]}, 1),
     ({"config": {"signals": []}}, 1),
     ({"config": b'{"beta": "\xff"}'}, 1),
+    ({"config": b'{"beta": ' + b"1" * 5000 + b"}"}, 1),
+    ({"config": b"[" * 100_000}, 1),
     ({"report": {"header.txt": lambda b: b"\xff" + b}}, 2),
     ({"report": {"summary.csv": lambda b: b.replace(b"utility,", b"utility,x", 1)}}, 2),
     ({"report": {"summary.csv": lambda b: b + b"rt,0.5\n"}}, 2),
@@ -391,10 +395,12 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
         "flag-beta-1", "meta-window-letters", "meta-window-no-comma",
         "config-generator-days", "flag-posts-per-day-nan", "flag-seed-negative",
         "events-not-utf8", "events-repeated-retweet", "events-ts-too-large",
-        "events-valid-only-joined", "events-nested-too-deeply", "model-duplicate-key",
+        "events-int-5000-digits", "events-valid-only-joined", "events-nested-too-deeply",
+        "model-duplicate-key",
         "model-not-utf8", "model-r_n-nan", "model-epsilon-nan", "model-beta-2",
         "model-beta-1", "model-format-v2", "model-no-header", "flag-novelty-limits-order",
-        "flag-policies-repeated", "config-signals-empty", "config-not-utf8", "header-not-utf8",
+        "flag-policies-repeated", "config-signals-empty", "config-not-utf8",
+        "config-int-5000-digits", "config-nested-too-deeply", "header-not-utf8",
         "summary-non-numeric", "summary-short-row", "flag-horizon-huge",
         "flag-horizon-near-int64-max", "flag-interval-huge", "flag-eval-window-huge",
         "config-horizon-huge", "config-interval-huge", "config-eval-window-huge",

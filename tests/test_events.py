@@ -268,6 +268,10 @@ def event_logs(draw):
         rec["ts"] -= 120
     if rec != records[i]:
         lines[i] = json.dumps(rec)
+    # A line copied further down as well, so a repeat may share a block with the corruption.
+    if lines and draw(st.booleans()):
+        j = draw(st.integers(0, len(lines) - 1))
+        lines.insert(draw(st.integers(j + 1, len(lines))), lines[j])
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(["", "   ", "# a comment", "  #{not json"])))
@@ -336,7 +340,8 @@ _PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, blacklist_categories=("C
 @st.composite
 def canonical_logs(draw):
     """A log in the ``_LINE`` form with unescaped strings, with up to two
-    near-canonical changes and comment and blank lines mixed in."""
+    near-canonical changes or repeated lines and comment and blank lines
+    mixed in."""
     records = []
     for k in range(draw(st.integers(1, 6))):
         item = f"i{k}{draw(_PLAIN_TEXT)}"
@@ -348,9 +353,11 @@ def canonical_logs(draw):
                             str(post_ts // 60 * 60 + draw(st.integers(0, 3000))),
                             draw(_PLAIN_TEXT)])
     records = draw(st.permutations(records))
-    for _ in range(draw(st.integers(0, 2))):
+    hows = draw(st.lists(st.sampled_from(["ts", "raw", "escape", "text", "repeat"]), max_size=2))
+    for how in hows:
+        if how == "repeat":
+            continue
         rec = records[draw(st.integers(0, len(records) - 1))]
-        how = draw(st.sampled_from(["ts", "raw", "escape", "text"]))
         if how == "ts":
             rec[3] = draw(st.sampled_from(["0" + rec[3], "1" + "0" * 12, str(MAX_TS + 1), "-1",
                                            str(MAX_TS)]))
@@ -365,6 +372,9 @@ def canonical_logs(draw):
             rec[3 - field] = rec[field]  # a post whose ids still agree
     lines = ['{"kind":"%s","item_id":"%s","event_id":"%s","ts":%s,"account":"%s"}' % tuple(rec)
              for rec in records]
+    for _ in range(hows.count("repeat")):  # a line copied further down
+        i = draw(st.integers(0, len(lines) - 1))
+        lines.insert(draw(st.integers(i + 1, len(lines))), lines[i])
     if draw(st.booleans()):
         i = draw(st.integers(0, len(lines) - 1))
         lines[i] += "\r"
@@ -397,6 +407,6 @@ def test_written_lines_are_canonical_exactly_when_their_strings_need_no_escape(d
     for line, row in zip(serialized(batch).splitlines(keepends=True), drawn):
         plain = all(encode_basestring_ascii(s) == f'"{s}"' for s in (row[1], row[2], row[4]))
         assert bool(events._CANONICAL.fullmatch(line + "\x00")) == plain
-        by_lines = events._decode_lines([line], 1, {})
-        assert by_lines == (tuple([value] for value in row), [])
-        assert events._decode_block([line], 1, {}) == by_lines
+        for decode in (events._decode_lines, events._decode_block):
+            columns, numbers, errors = decode([line], 1)
+            assert (columns, list(numbers), errors) == (tuple([value] for value in row), [1], [])
