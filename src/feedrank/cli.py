@@ -28,10 +28,12 @@ from .model_io import fit_model, format_limits, read_model, write_model
 from .ranking import write_snapshots_csv
 from .synth import GeneratorConfig, generate_stream
 
+_GENERATOR_FIELDS = {f.name for f in dataclasses.fields(GeneratorConfig)}
+
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    flags = {key: getattr(args, key) for key in ("seed", "days", "n_accounts", "posts_per_day")
-             if getattr(args, key) is not None}
+    flags = {key: value for key, value in vars(args).items()
+             if key in _GENERATOR_FIELDS and value is not None}
     gen = dataclasses.replace(cfg.generator or GeneratorConfig(), **flags)
     batch = generate_stream(gen)
     with open(cfg.events_path, "w", encoding="utf-8") as fh:
@@ -126,90 +128,81 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="feedrank",
-        description="dual-speed restless-bandit feed ranking pipeline",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Every flag: the RunConfig or GeneratorConfig field it sets, its type, its help.
+_FLAGS = {
+    "--events": ("events_path", str, "event log path"),
+    "--model": ("model_path", str, "model file path"),
+    "--report-dir": ("report_dir", str, "report directory"),
+    "--seed": ("seed", int, "generator seed"),
+    "--days": ("days", int, "days to simulate"),
+    "--accounts": ("n_accounts", int, "accounts to simulate"),
+    "--posts-per-day": ("posts_per_day", float, "weekday mean posts per account"),
+    "--train-window": ("train_window", str, "START:END minutes or dates"),
+    "--eval-window": ("eval_window", str, "START:END minutes or dates"),
+    "--beta": ("beta", float, "discount factor in (0, 1)"),
+    "--epsilon": ("epsilon", float, "hidden-clock speed in [0, 1]"),
+    "--novelty-limits": ("novelty_limits", str, "comma-separated ages"),
+    "--n-popularity-bins": ("n_popularity_bins", int, "popularity bins per age bin"),
+    "--peak-hours": ("peak_hours", str, "UTC hours, e.g. 12-1"),
+    "--smoothing": ("smoothing", float, "added to every transition count"),
+    "--policies": ("policies", str, "comma-separated policy names"),
+    "--signals": ("signals", str, "comma-separated signal names"),
+    "--interval": ("decision_interval", int, "minutes between decisions"),
+    "--horizon": ("horizon", int, "minutes after its post an item is ranked"),
+    "--relevance-cap": ("relevance_cap", int, "cap on an attention signal's relevance"),
+    "--dump-snapshots": ("dump_snapshots", bool, "also write snapshots.csv"),
+}
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file")
-
-    p_sim = sub.add_parser("simulate", help="write a synthetic event stream")
-    add_common(p_sim)
-    p_sim.add_argument("--events", dest="events_path", help="output event log path")
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--days", type=int)
-    p_sim.add_argument("--accounts", dest="n_accounts", type=int)
-    p_sim.add_argument("--posts-per-day", dest="posts_per_day", type=float)
-
-    p_fit = sub.add_parser("fit", help="fit bins, rewards, and transitions")
-    add_common(p_fit)
-    p_fit.add_argument("--events", dest="events_path")
-    p_fit.add_argument("--model", dest="model_path", help="output model path")
-    p_fit.add_argument("--train-window", dest="train_window", help="START:END minutes or dates")
-    p_fit.add_argument("--beta", type=float)
-    p_fit.add_argument("--epsilon", type=float)
-    p_fit.add_argument("--novelty-limits", dest="novelty_limits", help="comma-separated ages")
-    p_fit.add_argument("--n-popularity-bins", dest="n_popularity_bins", type=int)
-    p_fit.add_argument("--peak-hours", dest="peak_hours", help="UTC hours, e.g. 12-1")
-    p_fit.add_argument("--smoothing", type=float)
-
-    p_idx = sub.add_parser("indices", help="compute priority indices into the model")
-    add_common(p_idx)
-    p_idx.add_argument("--model", dest="model_path")
-
-    p_eval = sub.add_parser("evaluate", help="score policies against signals")
-    add_common(p_eval)
-    p_eval.add_argument("--events", dest="events_path")
-    p_eval.add_argument("--model", dest="model_path")
-    p_eval.add_argument("--report-dir", dest="report_dir")
-    p_eval.add_argument("--eval-window", dest="eval_window", help="START:END minutes or dates")
-    p_eval.add_argument("--train-window", dest="train_window", help="for the overlap warning")
-    p_eval.add_argument("--policies", help="comma-separated policy names")
-    p_eval.add_argument("--signals", help="comma-separated signal names")
-    p_eval.add_argument("--peak-hours", dest="peak_hours")
-    p_eval.add_argument("--interval", dest="decision_interval", type=int)
-    p_eval.add_argument("--horizon", type=int)
-    p_eval.add_argument("--relevance-cap", dest="relevance_cap", type=int)
-    p_eval.add_argument("--dump-snapshots", dest="dump_snapshots", action="store_true",
-                        default=None)
-
-    p_rep = sub.add_parser("report", help="pretty-print a written report")
-    add_common(p_rep)
-    p_rep.add_argument("--report-dir", dest="report_dir")
-
-    return parser
-
-
-# Each subcommand and the RunConfig fields it needs, checked before any input is opened.
+# Each subcommand: its function, help, flags in usage order, and the flags
+# it needs, checked before any input is opened.
 _COMMANDS = {
-    "simulate": (cmd_simulate, ("events_path",)),
-    "fit": (cmd_fit, ("events_path", "model_path")),
-    "indices": (cmd_indices, ("model_path",)),
-    "evaluate": (cmd_evaluate, ("events_path", "model_path", "report_dir", "eval_window")),
-    "report": (cmd_report, ("report_dir",)),
+    "simulate": (cmd_simulate, "write a synthetic event stream",
+                 ("--events", "--seed", "--days", "--accounts", "--posts-per-day"), ("--events",)),
+    "fit": (cmd_fit, "fit bins, rewards, and transitions",
+            ("--events", "--model", "--train-window", "--beta", "--epsilon", "--novelty-limits",
+             "--n-popularity-bins", "--peak-hours", "--smoothing"),
+            ("--events", "--model", "--train-window")),
+    "indices": (cmd_indices, "compute priority indices into the model", ("--model",), ("--model",)),
+    "evaluate": (cmd_evaluate, "score policies against signals",
+                 ("--events", "--model", "--report-dir", "--eval-window", "--train-window",
+                  "--policies", "--signals", "--peak-hours", "--interval", "--horizon",
+                  "--relevance-cap", "--dump-snapshots"),
+                 ("--events", "--model", "--report-dir", "--eval-window")),
+    "report": (cmd_report, "pretty-print a written report", ("--report-dir",), ("--report-dir",)),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error: one line, exit 1
+        raise ConfigError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="feedrank",
+                     description="dual-speed restless-bandit feed ranking pipeline")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, about, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--config", help="JSON config file")
+        for flag in flags:
+            field, kind, text = _FLAGS[flag]
+            p.add_argument(flag, dest=field, help=text, **(
+                {"action": "store_true", "default": None} if kind is bool else {"type": kind}))
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; fold usage
-        # errors into exit code 1 per our convention.
-        return 0 if exc.code == 0 else 1
-    command, required = _COMMANDS[args.command]
-    try:
+        args = build_parser().parse_args(argv)
+        command, _, _, required = _COMMANDS[args.command]
         cfg = with_overrides(load_config(args.config) if args.config else RunConfig(), vars(args))
-        missing = [name for name in required if getattr(cfg, name) is None]
-        if missing:  # each field's flag is its name without ``_path``, dashed
+        missing = [flag for flag in required if getattr(cfg, _FLAGS[flag][0]) is None]
+        if missing:
             raise ConfigError(f"{args.command} needs " + ", ".join(
-                f"--{name.removesuffix('_path').replace('_', '-')} (config key {name})"
-                for name in missing))
+                f"{flag} (config key {_FLAGS[flag][0]})" for flag in missing))
         return command(args, cfg)
+    except SystemExit:  # only --help exits the parser; a usage error raises ConfigError
+        return 0
     except OSError as exc:  # every read wraps its own, so this one is from an output
         error = DataError(f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}")
     except FeedrankError as exc:

@@ -31,6 +31,10 @@ WEEKDAY_FACTORS = (1.0, 1.0, 1.0, 1.0, 1.0, 0.8, 0.65)
 
 _SECONDS_PER_DAY = 86400
 
+# Bounds the mean post count, the account-days the loop visits and
+# ``magnitude_cap``, whose CDF table holds three float arrays that long.
+MAX_POSTS = 2**20
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -95,6 +99,12 @@ class GeneratorConfig:
             raise ConfigError("peak_magnitude_scale must be positive")
         if self.magnitude_cap < self.x_min:
             raise ConfigError("magnitude_cap must be >= x_min")
+        if self.days * self.n_accounts > MAX_POSTS:  # exact ints before the float product
+            raise ConfigError(f"days x n_accounts must not exceed {MAX_POSTS}")
+        if self.days * self.n_accounts * self.posts_per_day > MAX_POSTS:
+            raise ConfigError(f"days x n_accounts x posts_per_day must not exceed {MAX_POSTS}")
+        if self.magnitude_cap > MAX_POSTS:
+            raise ConfigError(f"magnitude_cap must not exceed {MAX_POSTS}")
 
 
 def _power_law_cdf(alpha: float, x_min: int, cap: int) -> np.ndarray:

@@ -288,6 +288,9 @@ def parse_reference(text):
         except json.JSONDecodeError as exc:
             errors.append((lineno, f"invalid JSON ({exc.msg})"))
             continue
+        except ValueError as exc:  # an integer of more than 4,300 digits
+            errors.append((lineno, f"invalid JSON ({exc})"))
+            continue
         problem = _reference_record_problem(rec)
         if problem is not None:
             errors.append((lineno, problem))

@@ -1,6 +1,8 @@
+import argparse
 import collections
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -15,12 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feedrank import evaluation, indices
-from feedrank.cli import main
+from feedrank.cli import build_parser, main
 from feedrank.config import MAX_MINUTES, RunConfig, parse_field
 from feedrank.errors import ConfigError
 from feedrank.events import build_timelines, load_event_log
 from feedrank.model_io import fit_model, read_model
-from feedrank.synth import PEAK_HOURS
+from feedrank.synth import PEAK_HOURS, GeneratorConfig
 from oracles import greedy_indices_reference
 
 
@@ -250,8 +252,10 @@ def test_library_fit_records_the_hour_set_of_the_flag(pipeline):
     assert bundle.meta["peak_hours"] == "0,1,12,13,14,15,16,17,18,19,20,21,22,23"
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     assert main([]) == 1                        # no subcommand
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the following arguments are required: command"]
     assert main(["--help"]) == 0
     assert main(["simulate", "--help"]) == 0
     assert main(["frobnicate"]) == 1            # unknown subcommand
@@ -261,6 +265,66 @@ def test_exit_codes():
     assert main(["indices", "--model", "/no/such/model"]) == 2
     assert main(["evaluate", "--events", "e", "--model", "m"]) == 1
     assert main(["report", "--report-dir", "/no/such/dir"]) == 2
+
+
+# Each subcommand's flags, in usage order.
+_SURFACE = {
+    "simulate": ("--events", "--seed", "--days", "--accounts", "--posts-per-day"),
+    "fit": ("--events", "--model", "--train-window", "--beta", "--epsilon", "--novelty-limits",
+            "--n-popularity-bins", "--peak-hours", "--smoothing"),
+    "indices": ("--model",),
+    "evaluate": ("--events", "--model", "--report-dir", "--eval-window", "--train-window",
+                 "--policies", "--signals", "--peak-hours", "--interval", "--horizon",
+                 "--relevance-cap", "--dump-snapshots"),
+    "report": ("--report-dir",),
+}
+# Each flag: its field, a value as typed (None: the flag takes none) and as parsed.
+_FLAG_VALUES = {
+    "--events": ("events_path", "e.jsonl", "e.jsonl"),
+    "--model": ("model_path", "m.txt", "m.txt"),
+    "--report-dir": ("report_dir", "r", "r"),
+    "--seed": ("seed", "7", 7),
+    "--days": ("days", "3", 3),
+    "--accounts": ("n_accounts", "2", 2),
+    "--posts-per-day": ("posts_per_day", "2.5", 2.5),
+    "--train-window": ("train_window", "0:10", "0:10"),
+    "--eval-window": ("eval_window", "10:20", "10:20"),
+    "--beta": ("beta", "0.5", 0.5),
+    "--epsilon": ("epsilon", "0.25", 0.25),
+    "--novelty-limits": ("novelty_limits", "1,5", "1,5"),
+    "--n-popularity-bins": ("n_popularity_bins", "4", 4),
+    "--peak-hours": ("peak_hours", "12-1", "12-1"),
+    "--smoothing": ("smoothing", "0.5", 0.5),
+    "--policies": ("policies", "index", "index"),
+    "--signals": ("signals", "rt", "rt"),
+    "--interval": ("decision_interval", "2", 2),
+    "--horizon": ("horizon", "30", 30),
+    "--relevance-cap": ("relevance_cap", "9", 9),
+    "--dump-snapshots": ("dump_snapshots", None, True),
+}
+
+
+def test_every_flag_sets_its_field_and_only_its_subcommands_take_it(capsys):
+    fields = {f.name for cls in (RunConfig, GeneratorConfig) for f in dataclasses.fields(cls)}
+    assert {field for field, _, _ in _FLAG_VALUES.values()} <= fields
+
+    def typed(namespace):
+        return {key: (value, type(value)) for key, value in vars(namespace).items()}
+
+    for command, flags in _SURFACE.items():
+        unset = {_FLAG_VALUES[flag][0]: None for flag in flags}
+        assert typed(build_parser().parse_args([command])) == typed(
+            argparse.Namespace(command=command, config=None, **unset))
+        argv = [command, "--config", "c.json"]
+        for flag in flags:
+            argv += [flag, *filter(None, [_FLAG_VALUES[flag][1]])]
+        parsed = {_FLAG_VALUES[flag][0]: _FLAG_VALUES[flag][2] for flag in flags}
+        assert typed(build_parser().parse_args(argv)) == typed(
+            argparse.Namespace(command=command, config="c.json", **parsed))
+        for flag in sorted(set(_FLAG_VALUES) - set(flags)):
+            assert main([command, flag, *filter(None, [_FLAG_VALUES[flag][1]])]) == 1
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert f"error: unrecognized arguments: {flag}" in last, (command, last)
 
 
 def test_evaluate_requires_indices(tmp_path, pipeline):
@@ -390,6 +454,15 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
     ({"evaluate": True, "events": lambda b: b, "output": "e.jsonl"}, 2),
     # A missing field is refused before any input is read.
     ({"evaluate": True, "events": None, "eval_window": []}, 1),
+    ({"events": None, "train_window": []}, 1),
+    ({"simulate": True, "flags": ["--posts-per-day", "1e19"]}, 1),
+    ({"simulate": True, "flags": ["--posts-per-day", "1e12"]}, 1),
+    ({"simulate": True, "config": {"generator": {"magnitude_cap": 10 ** 12}}}, 1),
+    ({"simulate": True, "flags": ["--days", "1000000000", "--posts-per-day", "0"]}, 1),
+    ({"flags": ["--beta", "abc"]}, 1),
+    ({"evaluate": True, "flags": ["--horizon", "1.5"]}, 1),
+    ({"flags": ["--bogus"]}, 1),
+    ({"argv": ["frobnicate"]}, 1),
 ], ids=["config-beta-string", "config-beta-bool", "config-novelty-limits",
         "flag-novelty-limits", "flag-peak-hours", "flag-peak-hours-range",
         "flag-beta-1", "meta-window-letters", "meta-window-no-comma",
@@ -407,7 +480,10 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
         "flag-popularity-bins-huge", "config-popularity-bins-huge", "flag-novelty-limits-many",
         "model-too-many-states", "config-relevance-cap-huge", "flag-smoothing-huge",
         "config-smoothing-huge", "simulate-events-unwritable", "fit-model-unwritable",
-        "evaluate-report-dir-is-a-file", "evaluate-no-window-events-missing"])
+        "evaluate-report-dir-is-a-file", "evaluate-no-window-events-missing",
+        "fit-no-window-events-missing", "flag-posts-per-day-1e19", "flag-posts-per-day-1e12",
+        "config-magnitude-cap-huge", "flag-days-huge-no-posts", "flag-beta-not-a-number",
+        "flag-horizon-not-an-integer", "flag-unknown", "subcommand-unknown"])
 def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline):
     def edited(name, src, edit):
         path = tmp_path / name
@@ -419,7 +495,9 @@ def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline)
         events = edited("e.jsonl", events, case["events"])
     elif "events" in case:
         events = str(tmp_path / "missing.jsonl")
-    if "report" in case:
+    if "argv" in case:
+        args = case["argv"]
+    elif "report" in case:
         report = tmp_path / "report"
         shutil.copytree(pipeline["report"], report)
         for name, edit in case["report"].items():
@@ -437,7 +515,7 @@ def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline)
                 *case.get("flags", [])]
     else:
         args = ["fit", "--events", events, "--model", str(tmp_path / case.get("output", "m.txt")),
-                "--train-window", "0:2880", *case.get("flags", [])]
+                *case.get("train_window", ["--train-window", "0:2880"]), *case.get("flags", [])]
     if "config" in case:
         cfg_path = tmp_path / "run.json"
         config = case["config"]

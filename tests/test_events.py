@@ -359,8 +359,9 @@ def canonical_logs(draw):
             continue
         rec = records[draw(st.integers(0, len(records) - 1))]
         if how == "ts":
+            # "1" * 5000 is past int()'s 4,300-digit limit, so json.dumps cannot write it.
             rec[3] = draw(st.sampled_from(["0" + rec[3], "1" + "0" * 12, str(MAX_TS + 1), "-1",
-                                           str(MAX_TS)]))
+                                           str(MAX_TS), "1" * 5000]))
             continue
         piece = draw(st.sampled_from({"raw": ["\t", "\x00"],
                                       "escape": ['\\"', "\\u00e9", "\\u0041", "\\\\"],
