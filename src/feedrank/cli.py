@@ -15,23 +15,22 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
+# numpy reads this when it loads, in a subcommand's first import. The only
+# BLAS work is the indices sweep, a sequential pass over at most MAX_STATES
+# states: more threads only add start-up cost to every process, and its
+# inverse rounds differently on more threads, so one thread also keeps the
+# model file independent of the host's core count. A value already set
+# wins; library callers keep their own threading.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .config import RunConfig, load_config, with_overrides
+from .config import _GENERATOR_FIELDS, GeneratorConfig, RunConfig, load_config, with_overrides
 from .errors import ConfigError, DataError, FeedrankError
-from .evaluation import (
-    evaluate_run, write_header_text, write_series_csv, write_summary_csv,
-)
-from .events import build_timelines, load_event_log, serialize_event_log
-from .indices import compute_indices, format_rank_grid
-from .model_io import fit_model, format_limits, read_model, write_model
-from .ranking import write_snapshots_csv
-from .synth import GeneratorConfig, generate_stream
-
-_GENERATOR_FIELDS = {f.name for f in dataclasses.fields(GeneratorConfig)}
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .events import serialize_event_log
+    from .synth import generate_stream
+
     flags = {key: value for key, value in vars(args).items()
              if key in _GENERATOR_FIELDS and value is not None}
     gen = dataclasses.replace(cfg.generator or GeneratorConfig(), **flags)
@@ -44,6 +43,9 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_fit(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .events import build_timelines, load_event_log
+    from .model_io import fit_model, write_model
+
     bundle = fit_model(build_timelines(load_event_log(cfg.events_path)), cfg)
     write_model(bundle, cfg.model_path)
     print(f"fitted model on {bundle.meta['items_used']} items "
@@ -52,6 +54,9 @@ def cmd_fit(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_indices(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .indices import compute_indices, format_rank_grid
+    from .model_io import read_model, write_model
+
     bundle = read_model(cfg.model_path)
     bundle.index = compute_indices(bundle.transition_model(), bundle.state_space().reward)
     write_model(bundle, cfg.model_path)
@@ -62,6 +67,11 @@ def cmd_indices(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .evaluation import evaluate_run, write_header_text, write_series_csv, write_summary_csv
+    from .events import build_timelines, load_event_log
+    from .model_io import format_limits, read_model
+    from .ranking import write_snapshots_csv
+
     bundle = read_model(cfg.model_path)
     if "index" in cfg.policies and bundle.index is None:
         raise ConfigError("model has no index table; run the indices subcommand first")
@@ -87,8 +97,8 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _describe_epsilon(epsilon: np.ndarray) -> str:
-    values = set(float(v) for v in epsilon)
+def _describe_epsilon(epsilon) -> str:
+    values = set(map(float, epsilon))
     if len(values) == 1:
         return format(values.pop(), ".17g")
     return "per-state"

@@ -1,4 +1,9 @@
-"""Run configuration: JSON file plus command-line overrides."""
+"""Run configuration: JSON file plus command-line overrides.
+
+``RunConfig``, ``GeneratorConfig`` and ``BinSpec`` check every value when
+built. They and the defaults and bounds they check are pure Python, so
+that checking a config loads no numpy.
+"""
 
 from __future__ import annotations
 
@@ -11,17 +16,193 @@ from numbers import Integral, Real
 from typing import Mapping
 
 from .errors import ConfigError, DataError
-from .evaluation import DEFAULT_RELEVANCE_CAP, MAX_RELEVANCE_CAP, SIGNALS
-from .ranking import DEFAULT_HORIZON, POLICIES
-from .states import DEFAULT_NOVELTY_LIMITS, DEFAULT_POPULARITY_BINS, MAX_STATES, BinSpec
-from .synth import GeneratorConfig
-from .transitions import DEFAULT_BETA, DEFAULT_EPSILON, MAX_SMOOTHING
 
 _EPOCH = date(1970, 1, 1)
 MINUTES_PER_DAY = 1440
+SECONDS_PER_MINUTE = 60
 
 # Bounds |window endpoints|, horizons and intervals, so evaluation's int64 sums stay exact.
 MAX_MINUTES = 2**60
+
+# The largest accepted timestamp. It keeps every minute below 2**31, so
+# the item table's int64 keys ``row * stride + minute`` cannot overflow
+# for fewer than 2**32 items.
+MAX_TS = 2**31 * SECONDS_PER_MINUTE - 1
+MAX_MINUTE = MAX_TS // SECONDS_PER_MINUTE
+
+POLICIES = ("index", "novelty", "popularity")
+SIGNALS = ("utility", "rt", "rt_replies", "rt_replies_favs")
+DEFAULT_HORIZON = 60
+DEFAULT_RELEVANCE_CAP = 30
+DEFAULT_NOVELTY_LIMITS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 60)
+DEFAULT_POPULARITY_BINS = 10
+DEFAULT_EPSILON = 0.1
+DEFAULT_BETA = 0.9
+
+# The largest relevance cap: a gain 2**cap - 1 above it overflows a float.
+MAX_RELEVANCE_CAP = 1023
+
+# The most states a bin grid may give: fit, sweep and model file are dense n x n.
+MAX_STATES = 4096
+
+# The largest smoothing: a row of MAX_STATES smoothed cells still sums to a finite total.
+MAX_SMOOTHING = 1e300
+
+# Bounds the mean post count, the account-days the generator's loop visits,
+# and its largest retweet draw: ``magnitude_cap``, whose CDF table holds
+# three float arrays that long, times the peak-hour boost.
+MAX_POSTS = 2**20
+
+
+@dataclass(frozen=True)
+class BinSpec:
+    """Bin limits for novelty (ages) and popularity (retweet counts).
+
+    ``novelty_limits`` has one more entry than there are novelty bins;
+    bin ``i`` covers ages ``[novelty_limits[i-1], novelty_limits[i] - 1]``
+    (1-based bins). Ages outside the covered range map to state 0.
+
+    ``popularity_limits`` is analogous for counts, non-strictly
+    ascending, starting at 0 and terminated by an ``inf`` sentinel so
+    every count >= 0 lands in some bin. When limits collapse (repeated
+    values), classification picks the first bin whose range contains
+    the count.
+    """
+
+    novelty_limits: tuple[int, ...]
+    popularity_limits: tuple[float, ...]
+
+    def __post_init__(self):
+        nov = tuple(self.novelty_limits)
+        pop = tuple(float(x) for x in self.popularity_limits)
+        object.__setattr__(self, "novelty_limits", nov)
+        object.__setattr__(self, "popularity_limits", pop)
+        if len(nov) < 2:
+            raise DataError("novelty_limits needs at least two entries")
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in nov):
+            raise DataError("novelty_limits must be integers")
+        if nov[0] < 1:
+            raise DataError("novelty_limits must start at age >= 1")
+        if any(a >= b for a, b in zip(nov, nov[1:])):
+            raise DataError("novelty_limits must be strictly ascending")
+        if nov[-1] > MAX_MINUTE:
+            raise DataError(f"novelty_limits must not exceed {MAX_MINUTE}")
+        if len(pop) < 2:
+            raise DataError("popularity_limits needs at least two entries")
+        if pop[0] != 0:
+            raise DataError("popularity_limits must start at 0")
+        if pop[-1] != math.inf:
+            raise DataError("popularity_limits must end with inf")
+        if any(x == math.inf for x in pop[:-1]):
+            raise DataError("only the final popularity limit may be inf")
+        if any(x != int(x) or x < 0 for x in pop[:-1]):
+            raise DataError("popularity_limits must be non-negative integers")
+        if any(a > b for a, b in zip(pop, pop[1:])):
+            raise DataError("popularity_limits must be non-strictly ascending")
+        if self.n_states > MAX_STATES:
+            raise DataError(f"the bins give {self.n_states} states, more than {MAX_STATES}")
+
+    @property
+    def n_novelty_bins(self) -> int:
+        return len(self.novelty_limits) - 1
+
+    @property
+    def n_popularity_bins(self) -> int:
+        return len(self.popularity_limits) - 1
+
+    @property
+    def n_states(self) -> int:
+        return self.n_novelty_bins * self.n_popularity_bins + 1
+
+    # numpy is imported by the two methods that use it, so that checking a
+    # config (every CLI process does) loads no numpy.
+    def novelty_bin(self, ages):
+        """1-based novelty bin of each age, or 0 outside the window."""
+        import numpy as np
+
+        ages = np.asarray(ages)
+        lim = self.novelty_limits
+        inside = (ages >= lim[0]) & (ages <= lim[-1] - 1)
+        return np.where(inside, np.searchsorted(lim, ages, side="right"), 0)
+
+    def popularity_bin(self, counts):
+        """1-based popularity bin containing each retweet count."""
+        import numpy as np
+
+        return np.searchsorted(self.popularity_limits, counts, side="right")
+
+
+@dataclass(frozen=True)
+class GeneratorConfig:
+    """Knobs for the synthetic stream of ``synth.generate_stream``.
+
+    ``posts_per_day`` is the weekday mean per account; day 0 is the
+    epoch's Thursday, and ``synth.WEEKDAY_FACTORS`` and
+    ``synth.DIURNAL_WEIGHTS`` shape the week and the day. Retweet totals
+    mix a point mass at zero with a discrete power law of exponent
+    ``alpha`` starting at ``x_min``. A tweet's retweets spread over
+    minute offsets 1..59 after the post with explicit weights for the
+    first three minutes (the empirical peak sits at minutes 2 and 3) and
+    a ``offset^-gamma`` tail after them, each tweet's weights jittered
+    by a log-normal factor of sigma 0.35. Each minute's replies and
+    favorites are thinned from its retweets with probabilities 0.3 and
+    0.2.
+    """
+
+    seed: int = 1
+    n_accounts: int = 5
+    days: int = 14
+    posts_per_day: float = 40.0
+    alpha: float = 2.3
+    x_min: int = 1
+    zero_fraction: float = 0.15
+    gamma: float = 1.0
+    early_weights: tuple[float, float, float] = (0.55, 1.0, 0.92)
+    peak_magnitude_scale: float = 1.0
+    magnitude_cap: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        # Checked when built. Each field holds the number type of its default
+        # (tuple fields: of their entries); bools are not numbers here.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            is_tuple = isinstance(f.default, tuple)
+            sample = f.default[0] if is_tuple else f.default
+            if is_tuple and not isinstance(value, tuple):
+                raise ConfigError(f"{f.name} must be a list of numbers, got {value!r}")
+            for v in value if is_tuple else (value,):
+                if isinstance(sample, int):
+                    if isinstance(v, bool) or not isinstance(v, Integral):
+                        raise ConfigError(f"{f.name} must hold integers, got {v!r}")
+                elif isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must hold finite numbers, got {v!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.n_accounts < 1 or self.days < 1:
+            raise ConfigError("need at least one account and one day")
+        if self.posts_per_day < 0:
+            raise ConfigError("posts_per_day must be >= 0")
+        if self.alpha <= 1:
+            raise ConfigError("alpha must exceed 1")
+        if self.x_min < 1:
+            raise ConfigError("x_min must be >= 1")
+        if not 0 <= self.zero_fraction < 1:
+            raise ConfigError("zero_fraction must lie in [0, 1)")
+        if self.gamma <= 0:
+            raise ConfigError("gamma must be positive")
+        if len(self.early_weights) != 3 or any(w <= 0 for w in self.early_weights):
+            raise ConfigError("early_weights must be 3 positive values")
+        if self.peak_magnitude_scale <= 0:
+            raise ConfigError("peak_magnitude_scale must be positive")
+        if self.magnitude_cap < self.x_min:
+            raise ConfigError("magnitude_cap must be >= x_min")
+        if self.days * self.n_accounts > MAX_POSTS:  # exact ints before the float product
+            raise ConfigError(f"days x n_accounts must not exceed {MAX_POSTS}")
+        if self.days * self.n_accounts * self.posts_per_day > MAX_POSTS:
+            raise ConfigError(f"days x n_accounts x posts_per_day must not exceed {MAX_POSTS}")
+        if self.magnitude_cap * max(1, self.peak_magnitude_scale) > MAX_POSTS:
+            raise ConfigError("magnitude_cap x max(1, peak_magnitude_scale) "
+                              f"must not exceed {MAX_POSTS}")
 
 
 def _parse_int(value, name: str) -> int:

@@ -26,24 +26,16 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
+from .config import DEFAULT_RELEVANCE_CAP, MAX_RELEVANCE_CAP, RunConfig
 from .errors import ConfigError, DataError
 from .events import ENGAGEMENT_KINDS, ItemTable
 from .indices import IndexTable
 from .ranking import Rankings, rank_items
 from .states import StateSpace, classify
-
-if TYPE_CHECKING:  # config imports this module
-    from .config import RunConfig
-
-SIGNALS = ("utility", "rt", "rt_replies", "rt_replies_favs")
-DEFAULT_RELEVANCE_CAP = 30
-
-# The largest relevance cap: a gain 2**cap - 1 above it overflows a float.
-MAX_RELEVANCE_CAP = 1023
 
 # The most item-minutes one run ranks. They are all held at once, at about
 # 124 bytes each, so this bound (about 40 times a 30-day log's 825,967)

@@ -32,19 +32,13 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
+from .config import MAX_TS, SECONDS_PER_MINUTE
 from .errors import DataError, EventLogError
 
 EVENT_KINDS = ("post", "retweet", "reply", "favorite")
 ENGAGEMENT_KINDS = ("retweet", "reply", "favorite")
-SECONDS_PER_MINUTE = 60
 
 _REQUIRED_KEYS = ("kind", "item_id", "event_id", "ts", "account")
-
-# The largest accepted timestamp. It keeps every minute below 2**31, so
-# the item table's int64 keys ``row * stride + minute`` cannot overflow
-# for fewer than 2**32 items.
-MAX_TS = 2**31 * SECONDS_PER_MINUTE - 1
-
 
 # Lines that ``parse_event_log`` decodes and checks together, and that
 # ``serialize_event_log`` writes with one call.
@@ -53,8 +47,12 @@ _BLOCK_LINES = 2048
 _KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 # One serialized event; json.dumps gives the same bytes.
 _LINE = '{"kind":"%s","item_id":%s,"event_id":%s,"ts":%d,"account":%s}\n'
-# A JSON string body with no escape, no quote and no control character.
-_PLAIN = r'[^"\\\x00-\x1f]'
+# A JSON string body with no escape, no quote, no control character and
+# no surrogate.
+_PLAIN = r'[^"\\\x00-\x1f\ud800-\udfff]'
+# A surrogate left unpaired by ``json.loads``: UTF-8 cannot encode it, so
+# an id holding one could not be written to the snapshot CSV.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 # One ``_LINE`` whose strings are plain, ended by the NUL that
 # ``_decode_block`` puts after every line. A match is valid JSON with
 # exactly the five keys, the kind one of ``EVENT_KINDS``, non-empty ids
@@ -103,6 +101,9 @@ def _record(rec) -> tuple | str:
         return "account must be a string"
     if not item_id or not event_id:
         return "item_id and event_id must be non-empty"
+    for key, text in (("item_id", item_id), ("event_id", event_id), ("account", account)):
+        if _SURROGATE.search(text):
+            return f"{key} holds a lone surrogate"
     if type(ts) is not int:
         return "ts must be an integer"
     if not 0 <= ts <= MAX_TS:

@@ -27,13 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, parse_window
+from .config import BinSpec, RunConfig, parse_window
 from .errors import ConfigError, DataError
 from .events import ItemTable, hour_of_minute
 from .indices import IndexTable
-from .states import (
-    BinSpec, StateSpace, build_state_space, fit_popularity_bins, fit_rewards,
-)
+from .states import StateSpace, build_state_space, fit_popularity_bins, fit_rewards
 from .transitions import TransitionModel, build_model, estimate_p1
 
 FORMAT_HEADER = "# feedrank model, format v3"

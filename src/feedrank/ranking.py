@@ -17,12 +17,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import POLICIES
 from .errors import ConfigError
 from .events import ItemTable
 from .indices import IndexTable
-
-POLICIES = ("index", "novelty", "popularity")
-DEFAULT_HORIZON = 60
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 # Snapshot rows formatted per write, so a month's rows are never all held as strings.

@@ -21,87 +21,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_POPULARITY_BINS, BinSpec
 from .errors import DataError
-from .events import MAX_TS, SECONDS_PER_MINUTE, ItemTable
-
-DEFAULT_NOVELTY_LIMITS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 60)
-DEFAULT_POPULARITY_BINS = 10
-MAX_MINUTE = MAX_TS // SECONDS_PER_MINUTE
-
-# The most states a bin grid may give: fit, sweep and model file are dense n x n.
-MAX_STATES = 4096
-
-
-@dataclass(frozen=True)
-class BinSpec:
-    """Bin limits for novelty (ages) and popularity (retweet counts).
-
-    ``novelty_limits`` has one more entry than there are novelty bins;
-    bin ``i`` covers ages ``[novelty_limits[i-1], novelty_limits[i] - 1]``
-    (1-based bins). Ages outside the covered range map to state 0.
-
-    ``popularity_limits`` is analogous for counts, non-strictly
-    ascending, starting at 0 and terminated by an ``inf`` sentinel so
-    every count >= 0 lands in some bin. When limits collapse (repeated
-    values), classification picks the first bin whose range contains
-    the count.
-    """
-
-    novelty_limits: tuple[int, ...]
-    popularity_limits: tuple[float, ...]
-
-    def __post_init__(self):
-        nov = tuple(self.novelty_limits)
-        pop = tuple(float(x) for x in self.popularity_limits)
-        object.__setattr__(self, "novelty_limits", nov)
-        object.__setattr__(self, "popularity_limits", pop)
-        if len(nov) < 2:
-            raise DataError("novelty_limits needs at least two entries")
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in nov):
-            raise DataError("novelty_limits must be integers")
-        if nov[0] < 1:
-            raise DataError("novelty_limits must start at age >= 1")
-        if any(a >= b for a, b in zip(nov, nov[1:])):
-            raise DataError("novelty_limits must be strictly ascending")
-        if nov[-1] > MAX_MINUTE:
-            raise DataError(f"novelty_limits must not exceed {MAX_MINUTE}")
-        if len(pop) < 2:
-            raise DataError("popularity_limits needs at least two entries")
-        if pop[0] != 0:
-            raise DataError("popularity_limits must start at 0")
-        if pop[-1] != math.inf:
-            raise DataError("popularity_limits must end with inf")
-        if any(x == math.inf for x in pop[:-1]):
-            raise DataError("only the final popularity limit may be inf")
-        if any(x != int(x) or x < 0 for x in pop[:-1]):
-            raise DataError("popularity_limits must be non-negative integers")
-        if any(a > b for a, b in zip(pop, pop[1:])):
-            raise DataError("popularity_limits must be non-strictly ascending")
-        if self.n_states > MAX_STATES:
-            raise DataError(f"the bins give {self.n_states} states, more than {MAX_STATES}")
-
-    @property
-    def n_novelty_bins(self) -> int:
-        return len(self.novelty_limits) - 1
-
-    @property
-    def n_popularity_bins(self) -> int:
-        return len(self.popularity_limits) - 1
-
-    @property
-    def n_states(self) -> int:
-        return self.n_novelty_bins * self.n_popularity_bins + 1
-
-    def novelty_bin(self, ages):
-        """1-based novelty bin of each age, or 0 outside the window."""
-        ages = np.asarray(ages)
-        lim = self.novelty_limits
-        inside = (ages >= lim[0]) & (ages <= lim[-1] - 1)
-        return np.where(inside, np.searchsorted(lim, ages, side="right"), 0)
-
-    def popularity_bin(self, counts):
-        """1-based popularity bin containing each retweet count."""
-        return np.searchsorted(self.popularity_limits, counts, side="right")
+from .events import ItemTable
 
 
 def classify(ages, counts, bins: BinSpec) -> np.ndarray:

@@ -8,13 +8,10 @@ window (within an hour of the post).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
-from numbers import Integral, Real
-
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .config import GeneratorConfig
+from .errors import DataError
 from .events import EventBatch
 
 # UTC hours whose posts ``peak_magnitude_scale`` boosts.
@@ -30,81 +27,6 @@ DIURNAL_WEIGHTS = (
 WEEKDAY_FACTORS = (1.0, 1.0, 1.0, 1.0, 1.0, 0.8, 0.65)
 
 _SECONDS_PER_DAY = 86400
-
-# Bounds the mean post count, the account-days the loop visits and
-# ``magnitude_cap``, whose CDF table holds three float arrays that long.
-MAX_POSTS = 2**20
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Knobs for the synthetic stream.
-
-    ``posts_per_day`` is the weekday mean per account; day 0 is the
-    epoch's Thursday, and ``WEEKDAY_FACTORS`` and ``DIURNAL_WEIGHTS``
-    shape the week and the day. Retweet totals mix a point mass at zero
-    with a discrete power law of exponent ``alpha`` starting at
-    ``x_min``. A tweet's retweets spread over minute offsets 1..59 after
-    the post with explicit weights for the first three minutes (the
-    empirical peak sits at minutes 2 and 3) and a ``offset^-gamma`` tail
-    after them, each tweet's weights jittered by a log-normal factor of
-    sigma 0.35. Each minute's replies and favorites are thinned from its
-    retweets with probabilities 0.3 and 0.2.
-    """
-
-    seed: int = 1
-    n_accounts: int = 5
-    days: int = 14
-    posts_per_day: float = 40.0
-    alpha: float = 2.3
-    x_min: int = 1
-    zero_fraction: float = 0.15
-    gamma: float = 1.0
-    early_weights: tuple[float, float, float] = (0.55, 1.0, 0.92)
-    peak_magnitude_scale: float = 1.0
-    magnitude_cap: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        # Checked when built. Each field holds the number type of its default
-        # (tuple fields: of their entries); bools are not numbers here.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            is_tuple = isinstance(f.default, tuple)
-            sample = f.default[0] if is_tuple else f.default
-            if is_tuple and not isinstance(value, tuple):
-                raise ConfigError(f"{f.name} must be a list of numbers, got {value!r}")
-            for v in value if is_tuple else (value,):
-                if isinstance(sample, int):
-                    if isinstance(v, bool) or not isinstance(v, Integral):
-                        raise ConfigError(f"{f.name} must hold integers, got {v!r}")
-                elif isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
-                    raise ConfigError(f"{f.name} must hold finite numbers, got {v!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.n_accounts < 1 or self.days < 1:
-            raise ConfigError("need at least one account and one day")
-        if self.posts_per_day < 0:
-            raise ConfigError("posts_per_day must be >= 0")
-        if self.alpha <= 1:
-            raise ConfigError("alpha must exceed 1")
-        if self.x_min < 1:
-            raise ConfigError("x_min must be >= 1")
-        if not 0 <= self.zero_fraction < 1:
-            raise ConfigError("zero_fraction must lie in [0, 1)")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
-        if len(self.early_weights) != 3 or any(w <= 0 for w in self.early_weights):
-            raise ConfigError("early_weights must be 3 positive values")
-        if self.peak_magnitude_scale <= 0:
-            raise ConfigError("peak_magnitude_scale must be positive")
-        if self.magnitude_cap < self.x_min:
-            raise ConfigError("magnitude_cap must be >= x_min")
-        if self.days * self.n_accounts > MAX_POSTS:  # exact ints before the float product
-            raise ConfigError(f"days x n_accounts must not exceed {MAX_POSTS}")
-        if self.days * self.n_accounts * self.posts_per_day > MAX_POSTS:
-            raise ConfigError(f"days x n_accounts x posts_per_day must not exceed {MAX_POSTS}")
-        if self.magnitude_cap > MAX_POSTS:
-            raise ConfigError(f"magnitude_cap must not exceed {MAX_POSTS}")
 
 
 def _power_law_cdf(alpha: float, x_min: int, cap: int) -> np.ndarray:

@@ -18,16 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_BETA, DEFAULT_EPSILON, MAX_SMOOTHING
 from .errors import DataError
 from .events import ItemTable
 from .states import StateSpace, classify
 
 ROW_SUM_TOL = 1e-12
-DEFAULT_EPSILON = 0.1
-DEFAULT_BETA = 0.9
-
-# The largest smoothing: a row of MAX_STATES smoothed cells still sums to a finite total.
-MAX_SMOOTHING = 1e300
 
 
 def estimate_p1(table: ItemTable, state_space: StateSpace,

@@ -260,6 +260,9 @@ def _reference_record_problem(rec):
             return f"{key} must be a string"
     if not rec["item_id"] or not rec["event_id"]:
         return "item_id and event_id must be non-empty"
+    for key in ("item_id", "event_id", "account"):
+        if any(0xD800 <= ord(c) <= 0xDFFF for c in rec[key]):
+            return f"{key} holds a lone surrogate"
     ts = rec["ts"]
     if isinstance(ts, bool) or not isinstance(ts, int):
         return "ts must be an integer"

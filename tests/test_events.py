@@ -123,6 +123,27 @@ def test_parse_bounds_timestamps():
     assert table.count("retweet", [0], 0, MAX_TS // 60 + 1).tolist() == [1]
 
 
+def test_parse_rejects_lone_surrogates():
+    # UTF-8 cannot encode an unpaired surrogate, so an id holding one could
+    # not be written out; a pair that JSON escapes is one code point and fine.
+    # Unescaped, the lines have the writer's own form and take the regex path.
+    pair = make_line("post", "\ud83d\ude00", "\ud83d\ude00", 0)
+    assert parse_event_log(pair).item_id == ["\U0001f600"]
+    good = json.dumps({"kind": "post", "item_id": "a", "event_id": "a", "ts": 0, "account": ""},
+                      separators=(",", ":"))
+    for ensure_ascii in (True, False):
+        lines = [good] + [json.dumps({"kind": "retweet", "item_id": "a", "event_id": f"e{k}",
+                                      "ts": 60, "account": "", **{key: "x\ud800"}},
+                                     ensure_ascii=ensure_ascii, separators=(",", ":"))
+                          for k, key in enumerate(["item_id", "event_id", "account"])]
+        with pytest.raises(EventLogError) as exc_info:
+            parse_event_log(lines)
+        assert exc_info.value.line_errors == [
+            (2, "item_id holds a lone surrogate"), (3, "event_id holds a lone surrogate"),
+            (4, "account holds a lone surrogate")]
+        assert_matches_reference("\n".join(lines))
+
+
 def test_parse_rejects_bytes_that_are_not_utf8():
     with pytest.raises(DataError):
         parse_event_log(b"\xff\xfe" + make_line("post", "a", "a", 0).encode())

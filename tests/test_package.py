@@ -1,7 +1,11 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import feedrank
+from feedrank import config, states, synth
 from feedrank.events import serialize_event_log
 from feedrank.synth import GeneratorConfig, generate_stream
 
@@ -12,6 +16,29 @@ def test_every_exported_name_resolves():
     missing = [name for name in feedrank.__all__ if not hasattr(feedrank, name)]
     assert missing == []
     assert len(set(feedrank.__all__)) == len(feedrank.__all__)
+
+
+def test_moved_names_keep_their_old_paths():
+    assert synth.GeneratorConfig is config.GeneratorConfig
+    assert states.BinSpec is config.BinSpec
+
+
+def _python(code: str, **env: str) -> str:
+    """What ``code`` prints in a fresh interpreter, with OPENBLAS_NUM_THREADS
+    unset unless ``env`` sets it."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code], env={**environ, **env},
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+
+
+def test_import_loads_no_numpy():
+    assert _python("import sys, feedrank; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_cli_gives_numpy_one_blas_thread_unless_one_is_set():
+    code = "import os, feedrank.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(code) == "1\n"
+    assert _python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from feedrank.config import DEFAULT_NOVELTY_LIMITS, MAX_STATES
 from feedrank.errors import DataError
 from feedrank.events import build_timelines, parse_event_log
 from feedrank.states import (
-    DEFAULT_NOVELTY_LIMITS, MAX_STATES, BinSpec, build_state_space, classify,
-    fit_popularity_bins, fit_rewards, state_bins, state_label,
+    BinSpec, build_state_space, classify, fit_popularity_bins, fit_rewards, state_bins,
+    state_label,
 )
 from eventlog import line
 from oracles import quantile_limits_bruteforce

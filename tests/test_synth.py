@@ -97,7 +97,8 @@ def test_diurnal_profile_peaks_after_noon():
 
 
 def test_peak_magnitude_boost_raises_peak_counts():
-    base = small_config(days=14, posts_per_day=40.0, zero_fraction=0.0)
+    # The boosted draws must stay within MAX_POSTS, so the cap falls from 1e6.
+    base = small_config(days=14, posts_per_day=40.0, zero_fraction=0.0, magnitude_cap=200_000)
     boosted = replace(base, peak_magnitude_scale=4.0)
     peak_hours = set(range(12, 24)) | {0, 1}
 
