@@ -28,8 +28,7 @@ _EXPORTS = {
                 "format_rank_grid", "occupancy", "rank_states"),
     "model_io": ("ModelBundle", "fit_model", "read_model", "write_model"),
     "ranking": ("Rankings", "rank_items"),
-    "states": ("StateSpace", "build_state_space", "classify", "fit_popularity_bins",
-               "fit_rewards"),
+    "states": ("StateSpace", "classify", "fit_popularity_bins", "fit_rewards"),
     "synth": ("generate_stream",),
     "transitions": ("TransitionModel", "build_model", "derive_p0", "estimate_p1"),
 }

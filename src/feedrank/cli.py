@@ -18,10 +18,10 @@ import sys
 # numpy reads this when it loads, in a subcommand's first import. The only
 # BLAS work is the indices sweep, a sequential pass over at most MAX_STATES
 # states: more threads only add start-up cost to every process, and its
-# inverse rounds differently on more threads, so one thread also keeps the
-# model file independent of the host's core count. A value already set
-# wins; library callers keep their own threading.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# inverse rounds differently on more threads, so one thread, whatever the
+# environment says, also keeps the model file independent of the host.
+# Library callers keep their own threading.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .config import _GENERATOR_FIELDS, GeneratorConfig, RunConfig, load_config, with_overrides
 from .errors import ConfigError, DataError, FeedrankError

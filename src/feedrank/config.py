@@ -53,6 +53,15 @@ MAX_SMOOTHING = 1e300
 # three float arrays that long, times the peak-hour boost.
 MAX_POSTS = 2**20
 
+# Bounds a run's expected retweet total: about 12.6M events, or 3.9 GB at 311 B each.
+MAX_RETWEETS = 2**23
+
+
+def _power_integral(ratio: float, s: float) -> float:
+    """The integral of u**-s over [1, ratio]; expm1 keeps it accurate for s near 1."""
+    z = (1.0 - s) * math.log(ratio)
+    return math.log(ratio) * (math.expm1(z) / z if z else 1.0)
+
 
 @dataclass(frozen=True)
 class BinSpec:
@@ -66,7 +75,8 @@ class BinSpec:
     ascending, starting at 0 and terminated by an ``inf`` sentinel so
     every count >= 0 lands in some bin. When limits collapse (repeated
     values), classification picks the first bin whose range contains
-    the count.
+    the count. ``states.novelty_bin`` and ``states.popularity_bin`` bin
+    ages and counts by these limits.
     """
 
     novelty_limits: tuple[int, ...]
@@ -113,23 +123,6 @@ class BinSpec:
     @property
     def n_states(self) -> int:
         return self.n_novelty_bins * self.n_popularity_bins + 1
-
-    # numpy is imported by the two methods that use it, so that checking a
-    # config (every CLI process does) loads no numpy.
-    def novelty_bin(self, ages):
-        """1-based novelty bin of each age, or 0 outside the window."""
-        import numpy as np
-
-        ages = np.asarray(ages)
-        lim = self.novelty_limits
-        inside = (ages >= lim[0]) & (ages <= lim[-1] - 1)
-        return np.where(inside, np.searchsorted(lim, ages, side="right"), 0)
-
-    def popularity_bin(self, counts):
-        """1-based popularity bin containing each retweet count."""
-        import numpy as np
-
-        return np.searchsorted(self.popularity_limits, counts, side="right")
 
 
 @dataclass(frozen=True)
@@ -203,6 +196,13 @@ class GeneratorConfig:
         if self.magnitude_cap * max(1, self.peak_magnitude_scale) > MAX_POSTS:
             raise ConfigError("magnitude_cap x max(1, peak_magnitude_scale) "
                               f"must not exceed {MAX_POSTS}")
+        # Bound the power law's mean by first terms and integrals, all scaled by x_min**alpha.
+        a, cap, alpha = self.x_min, self.magnitude_cap, self.alpha
+        mean = (a + a * a * _power_integral(cap / a, alpha - 1)) / (
+            1 + (a + 1) * (a / (a + 1)) ** alpha * _power_integral((cap + 1) / (a + 1), alpha))
+        if (self.days * self.n_accounts * self.posts_per_day * (1 - self.zero_fraction)
+                * max(1, self.peak_magnitude_scale) * mean > MAX_RETWEETS):
+            raise ConfigError(f"the run's expected retweets must not exceed {MAX_RETWEETS}")
 
 
 def _parse_int(value, name: str) -> int:

@@ -121,8 +121,8 @@ class SweepStats:
     """Extraction trace and numerical health of one adaptive-greedy sweep.
 
     ``pi_order[k]`` is the state extracted at step ``k`` (highest index
-    first) and ``y_values[k]`` the ratio extracted with it, so
-    ``g[pi_order] == cumsum(y_values)`` exactly.
+    first) and ``y_values[k]`` the ratio extracted with it; the sweep
+    derives ``g`` from them, so ``g[pi_order] == cumsum(y_values)`` exactly.
     ``min_a`` is the smallest constant A of a state still in the active
     set, over every step (the margin of the indexability condition
     A > 0), found at ``min_a_state`` in step ``min_a_step``. With a
@@ -193,14 +193,11 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
     identity = np.eye(n)
     m = identity - beta * model.p0  # occupancy's system with no state extracted
     m_inv = _inverse(m)
-    b = np.zeros(n)
     v = np.zeros(n)
     remaining = np.ones(n, dtype=bool)
     adjust = np.zeros(n)
-    g = np.zeros(n)
     pi_order = np.empty(n, dtype=int)
     y_values = np.empty(n)
-    running = 0.0
     min_a = (np.inf, 0, 0)
     min_pivot, max_residual = np.inf, 0.0
     refinements = refactorizations = 0
@@ -223,8 +220,6 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
         pick = int(np.argmax(ratios))  # first maximum: lowest state index
         state = int(members[pick])
         y = float(ratios[pick])
-        running += y
-        g[state] = running
         pi_order[step] = state
         y_values[step] = y
         adjust += a * y
@@ -236,7 +231,7 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
         # becomes the p1 row, built as ``occupancy`` builds it.
         row = identity[state] - beta * model.p1[state]
         u = row - m[state]
-        b[state] = 1.0
+        b = (~remaining).astype(float)  # the extracted set
         # Equal p1 and p0 rows (absorbing state, or epsilon 1) leave M and its inverse as is.
         if u.any():
             m[state] = row
@@ -255,14 +250,15 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
                 raise _residual_error(residual, tol)
         max_residual = max(max_residual, residual)
 
+    g = np.empty(n)
+    g[pi_order] = np.cumsum(y_values)
     return IndexTable(g=g, sweep=SweepStats(pi_order, y_values, *min_a, float(min_pivot),
                                             max_residual, refinements, refactorizations))
 
 
 def rank_states(table: IndexTable) -> list[int]:
     """States sorted by descending G, ties broken by lowest index."""
-    g = table.g
-    return sorted(range(len(g)), key=lambda i: (-g[i], i))
+    return np.argsort(-table.g, kind="stable").tolist()
 
 
 def format_rank_grid(table: IndexTable, bins) -> str:
@@ -272,18 +268,14 @@ def format_rank_grid(table: IndexTable, bins) -> str:
     bins from newest to oldest, with the out-of-window state listed
     separately.
     """
-    order = rank_states(table)
-    rank_of = {state: pos + 1 for pos, state in enumerate(order)}
-    n_nov = bins.n_novelty_bins
-    n_pop = bins.n_popularity_bins
+    rank = np.empty(bins.n_states, dtype=int)
+    rank[rank_states(table)] = np.arange(1, bins.n_states + 1)
+    # In classify's numbering, row n - 1 holds novelty bin n and column p - 1 popularity bin p.
+    grid = rank[1:].reshape(bins.n_novelty_bins, bins.n_popularity_bins)
     width = max(4, len(str(bins.n_states)) + 1)
-    lines = ["state ranks by priority index (1 = ranked first)"]
-    header = "pop\\nov" + "".join(f"{n:>{width}}" for n in range(1, n_nov + 1))
-    lines.append(header)
-    for p in range(n_pop, 0, -1):
-        cells = "".join(
-            f"{rank_of[(n - 1) * n_pop + p]:>{width}}" for n in range(1, n_nov + 1)
-        )
-        lines.append(f"{p:>7}" + cells)
-    lines.append(f"state 0 rank: {rank_of[0]}")
+    lines = ["state ranks by priority index (1 = ranked first)",
+             "pop\\nov" + "".join(f"{n:>{width}}" for n in range(1, bins.n_novelty_bins + 1))]
+    for p in range(bins.n_popularity_bins, 0, -1):
+        lines.append(f"{p:>7}" + "".join(f"{r:>{width}}" for r in grid[:, p - 1].tolist()))
+    lines.append(f"state 0 rank: {rank[0]}")
     return "\n".join(lines)

@@ -16,8 +16,8 @@ written with 17 significant digits so every value round-trips exactly.
 ``read_model`` reads this format only; a file without its header line,
 such as one in format v1 or v2, is refused and must be written again by
 ``feedrank fit``. Every loaded
-value is range-checked once, by the same ``StateSpace`` and
-``TransitionModel`` checks a fit meets.
+value is range-checked once, by the ``BinSpec``, ``StateSpace`` and
+``TransitionModel`` checks that every fitted model passes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .config import BinSpec, RunConfig, parse_window
 from .errors import ConfigError, DataError
 from .events import ItemTable, hour_of_minute
 from .indices import IndexTable
-from .states import StateSpace, build_state_space, fit_popularity_bins, fit_rewards
+from .states import StateSpace, fit_popularity_bins, fit_rewards
 from .transitions import TransitionModel, build_model, estimate_p1
 
 FORMAT_HEADER = "# feedrank model, format v3"
@@ -72,7 +72,7 @@ class ModelBundle:
     index: IndexTable | None = None
 
     def state_space(self) -> StateSpace:
-        return build_state_space(self.bins, self.r_n, self.r_p)
+        return StateSpace(self.bins, self.r_n, self.r_p)
 
     def transition_model(self) -> TransitionModel:
         return build_model(self.p1, self.epsilon, self.beta)
@@ -110,8 +110,7 @@ def fit_model(table: ItemTable, cfg: RunConfig) -> ModelBundle:
             cfg.n_popularity_bins),
     )
     r_n, r_p = fit_rewards(train, bins)
-    p1 = estimate_p1(train, build_state_space(bins, r_n, r_p), cfg.train_window,
-                     smoothing=cfg.smoothing)
+    p1 = estimate_p1(train, bins, cfg.train_window, smoothing=cfg.smoothing)
     model = build_model(p1, cfg.epsilon, cfg.beta)
 
     meta = {
@@ -128,7 +127,7 @@ def fit_model(table: ItemTable, cfg: RunConfig) -> ModelBundle:
 
 
 def write_model(bundle: ModelBundle, path) -> None:
-    n = bundle.state_space().n_states
+    n = bundle.bins.n_states
     lines = [FORMAT_HEADER, "[meta]"]
     for key, value in bundle.meta.items():
         lines.append(f"{key} = {value}")
@@ -226,8 +225,8 @@ def read_model(path) -> ModelBundle:
         bins=bins, r_n=r_n, r_p=r_p, epsilon=epsilon, beta=beta, p1=p1,
         meta=dict(sections.get("meta", {})), index=None if g is None else IndexTable(g),
     )
-    # The checks a fit meets, run once here so that every subcommand
-    # accepts the same files.
+    # The checks every fitted model passes, run once here so that every
+    # subcommand accepts the same files.
     bundle.state_space()
     bundle.transition_model()
     bundle.train_window()

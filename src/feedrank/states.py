@@ -16,14 +16,27 @@ corpus and combined multiplicatively: reward(n, p) = r_n[n] * r_p[p].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_POPULARITY_BINS, BinSpec
 from .errors import DataError
 from .events import ItemTable
+
+
+def novelty_bin(ages, bins: BinSpec) -> np.ndarray:
+    """1-based novelty bin of each age, or 0 outside the window."""
+    ages = np.asarray(ages)
+    lim = bins.novelty_limits
+    inside = (ages >= lim[0]) & (ages <= lim[-1] - 1)
+    return np.where(inside, np.searchsorted(lim, ages, side="right"), 0)
+
+
+def popularity_bin(counts, bins: BinSpec) -> np.ndarray:
+    """1-based popularity bin containing each retweet count."""
+    return np.searchsorted(bins.popularity_limits, counts, side="right")
 
 
 def classify(ages, counts, bins: BinSpec) -> np.ndarray:
@@ -34,8 +47,8 @@ def classify(ages, counts, bins: BinSpec) -> np.ndarray:
     This is the one state classifier: callers pass every item-minute
     they need at once.
     """
-    nb = bins.novelty_bin(ages)
-    return np.where(nb > 0, (nb - 1) * bins.n_popularity_bins + bins.popularity_bin(counts), 0)
+    nb = novelty_bin(ages, bins)
+    return np.where(nb > 0, (nb - 1) * bins.n_popularity_bins + popularity_bin(counts, bins), 0)
 
 
 def state_bins(index: int, bins: BinSpec) -> tuple[int, int]:
@@ -96,7 +109,7 @@ def fit_rewards(table: ItemTable,
         raise DataError("cannot fit rewards from an empty corpus")
 
     rows, minutes = table.events("retweet")
-    nb = bins.novelty_bin(minutes - table.post_minute[rows])
+    nb = novelty_bin(minutes - table.post_minute[rows], bins)
     raw_n = np.bincount(nb, minlength=bins.n_novelty_bins + 1)[1:] / len(table)
     top_n = raw_n.max()
     if top_n <= 0:
@@ -104,46 +117,42 @@ def fit_rewards(table: ItemTable,
     r_n = tuple(float(v) for v in raw_n / top_n)
 
     final = np.bincount(rows, minlength=len(table))
-    pb = bins.popularity_bin(final) - 1
+    pb = popularity_bin(final, bins) - 1
     n_pop = bins.n_popularity_bins
     sums = np.bincount(pb, weights=final, minlength=n_pop)
     sizes = np.bincount(pb, minlength=n_pop)
     raw_p = np.divide(sums, sizes, out=np.zeros(n_pop), where=sizes > 0)
-    raw_p[bins.popularity_bin(0) - 1] = 1.0
+    raw_p[popularity_bin(0, bins) - 1] = 1.0
     r_p = tuple(float(v) for v in raw_p / raw_p.max())
     return r_n, r_p
 
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
-    """Bins plus fitted rewards, with the flat reward vector attached."""
+    """Bins plus fitted reward factors, checked when built.
+
+    ``reward`` is derived: 0 for state 0, and ``r_n[n-1] * r_p[p-1]`` for
+    the state ``classify`` numbers (n, p).
+    """
 
     bins: BinSpec
     r_n: tuple[float, ...]
     r_p: tuple[float, ...]
-    reward: np.ndarray
+    reward: np.ndarray = field(init=False)
 
-    @property
-    def n_states(self) -> int:
-        return self.bins.n_states
+    def __post_init__(self):
+        r_n = tuple(float(v) for v in self.r_n)
+        r_p = tuple(float(v) for v in self.r_p)
+        if len(r_n) != self.bins.n_novelty_bins:
+            raise DataError("r_n length does not match the novelty bin count")
+        if len(r_p) != self.bins.n_popularity_bins:
+            raise DataError("r_p length does not match the popularity bin count")
+        if not all(0 <= v <= 1 for v in r_n + r_p):
+            raise DataError("reward factors must lie in [0, 1]")
+        object.__setattr__(self, "r_n", r_n)
+        object.__setattr__(self, "r_p", r_p)
+        # Row n - 1 of the outer product holds novelty bin n, in classify's order.
+        object.__setattr__(self, "reward", np.concatenate([[0.0], np.outer(r_n, r_p).ravel()]))
 
     def label(self, index: int) -> str:
         return state_label(index, self.bins)
-
-
-def build_state_space(bins: BinSpec, r_n: Iterable[float],
-                      r_p: Iterable[float]) -> StateSpace:
-    r_n = tuple(float(v) for v in r_n)
-    r_p = tuple(float(v) for v in r_p)
-    if len(r_n) != bins.n_novelty_bins:
-        raise DataError("r_n length does not match the novelty bin count")
-    if len(r_p) != bins.n_popularity_bins:
-        raise DataError("r_p length does not match the popularity bin count")
-    if not all(0 <= v <= 1 for v in r_n + r_p):
-        raise DataError("reward factors must lie in [0, 1]")
-    reward = np.zeros(bins.n_states)
-    n_pop = bins.n_popularity_bins
-    for n in range(1, bins.n_novelty_bins + 1):
-        for p in range(1, n_pop + 1):
-            reward[(n - 1) * n_pop + p] = r_n[n - 1] * r_p[p - 1]
-    return StateSpace(bins=bins, r_n=r_n, r_p=r_p, reward=reward)

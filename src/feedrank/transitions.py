@@ -18,16 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_BETA, DEFAULT_EPSILON, MAX_SMOOTHING
+from .config import DEFAULT_BETA, DEFAULT_EPSILON, MAX_SMOOTHING, BinSpec
 from .errors import DataError
 from .events import ItemTable
-from .states import StateSpace, classify
+from .states import classify
 
 ROW_SUM_TOL = 1e-12
 
 
-def estimate_p1(table: ItemTable, state_space: StateSpace,
-                window: tuple[int, int], *, smoothing: float = 0.0) -> np.ndarray:
+def estimate_p1(table: ItemTable, bins: BinSpec, window: tuple[int, int], *,
+                smoothing: float = 0.0) -> np.ndarray:
     """Estimate ``p1`` by counting per-minute state transitions.
 
     Every item contributes one transition for each minute ``t`` with
@@ -54,7 +54,7 @@ def estimate_p1(table: ItemTable, state_space: StateSpace,
     # minute lo to minute hi; every other minute in the window is a
     # 0 -> 0 loop. Clamping the window to the table's minutes changes
     # no lo or hi and keeps the arithmetic inside int64.
-    max_age = state_space.bins.novelty_limits[-1] - 1
+    max_age = bins.novelty_limits[-1] - 1
     floor, ceil = int(post.min()), int(post.max()) + max_age + 2
     lo = np.maximum(post, min(max(start, floor), ceil))
     hi = np.minimum(post + max_age, min(max(end, floor), ceil) - 2)
@@ -65,8 +65,8 @@ def estimate_p1(table: ItemTable, state_space: StateSpace,
     t = np.arange(rows.size) - np.repeat(np.cumsum(steps) - steps - lo, steps)
     pairs = t[:, None] + (0, 1)
     states = classify(pairs - post[rows, None],
-                      table.count("retweet", rows[:, None], 0, pairs), state_space.bins)
-    n = state_space.n_states
+                      table.count("retweet", rows[:, None], 0, pairs), bins)
+    n = bins.n_states
     counts = np.zeros((n, n))
     np.add.at(counts, (states[:, 0], states[:, 1]), 1.0)
     counts[0, 0] += len(table) * (end - start - 1) - int(steps.sum())

@@ -9,7 +9,7 @@ import numpy as np
 
 from feedrank.errors import ConfigError, DataError
 from feedrank.events import EventBatch
-from feedrank.states import StateSpace
+from feedrank.states import StateSpace, popularity_bin
 from feedrank.synth import _power_law_cdf, _sorted_batch
 
 
@@ -28,7 +28,7 @@ def sample_power_law(rng: np.random.Generator, alpha: float, x_min: int,
 def _min_count_for_bin(bins, p: int) -> int:
     """Smallest retweet count classified into popularity bin ``p``."""
     candidate = int(bins.popularity_limits[p - 1])
-    if bins.popularity_bin(candidate) != p:
+    if popularity_bin(candidate, bins) != p:
         raise DataError(
             f"popularity bin {p} is unreachable: no count classifies into it"
         )
@@ -67,7 +67,7 @@ def generate_markov_stream(state_space: StateSpace, p1: np.ndarray, n_items: int
         )
     n_nov = bins.n_novelty_bins
     n_pop = bins.n_popularity_bins
-    n = state_space.n_states
+    n = state_space.bins.n_states
     p1 = np.asarray(p1, dtype=float)
     if p1.shape != (n, n):
         raise DataError(f"p1 must be {n}x{n} for this state space")

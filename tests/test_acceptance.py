@@ -22,7 +22,7 @@ from feedrank.events import build_timelines, serialize_event_log
 from feedrank.evaluation import evaluate_run, mean_std, ndcg, pearson, write_header_text
 from feedrank.indices import compute_indices, occupancy
 from feedrank.model_io import fit_model
-from feedrank.states import BinSpec, build_state_space
+from feedrank.states import BinSpec, StateSpace
 from feedrank.synth import GeneratorConfig, PEAK_HOURS, generate_stream
 from feedrank.transitions import build_model, derive_p0, estimate_p1
 from oracles import gittins_restart, mc_occupancy
@@ -146,7 +146,7 @@ def test_criterion_03_dual_speed_algebra():
 def _recovery_space():
     bins = BinSpec(tuple(range(1, 12)), tuple(range(10)) + (math.inf,))
     r = tuple(np.linspace(1.0, 0.1, 10))
-    return build_state_space(bins, r, r)
+    return StateSpace(bins, r, r)
 
 
 def _recovery_chain(rng):
@@ -174,7 +174,7 @@ def test_criterion_04_transition_estimator_recovery():
                                     seed=MASTER_SEED + 40, start_minute=120)
     timelines = build_timelines(events)
     window = (120, 120 + space.bins.n_novelty_bins + 2)
-    p1_hat = estimate_p1(timelines, space, window)
+    p1_hat = estimate_p1(timelines, space.bins, window)
     err = np.abs(p1_hat - p1_true).max()
     _verdict(4, "estimator recovers a known 101-state chain",
              err < 0.05, f"max-norm error {err:.4f}")

@@ -15,18 +15,18 @@ from feedrank.evaluation import (
 )
 from feedrank.indices import IndexTable
 from feedrank.ranking import POLICIES, write_snapshots_csv
-from feedrank.states import BinSpec, build_state_space
+from feedrank.states import BinSpec, StateSpace
 from eventlog import line
 from oracles import evaluate_reference, ndcg_bruteforce, pearson_bruteforce
 
 
 def make_space():
     bins = BinSpec((1, 2, 3), (0.0, 1.0, math.inf))
-    return build_state_space(bins, (1.0, 0.5), (0.2, 1.0))
+    return StateSpace(bins, (1.0, 0.5), (0.2, 1.0))
 
 
 def make_table(space):
-    return IndexTable(g=np.linspace(1.0, 0.1, space.n_states))
+    return IndexTable(g=np.linspace(1.0, 0.1, space.bins.n_states))
 
 
 def config(window, policies=("novelty",), signals=("rt",), **fields):
@@ -380,14 +380,14 @@ def evaluation_inputs(draw):
     if len(novelty) < 2:
         novelty.append(novelty[0] + 1)
     popularity = [0, *sorted(draw(st.lists(st.integers(0, 6), max_size=3))), math.inf]
-    space = build_state_space(BinSpec(tuple(novelty), tuple(popularity)),
+    space = StateSpace(BinSpec(tuple(novelty), tuple(popularity)),
                               draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]),
                                             min_size=len(novelty) - 1, max_size=len(novelty) - 1)),
                               draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
                                             min_size=len(popularity) - 1,
                                             max_size=len(popularity) - 1)))
     g = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-                      min_size=space.n_states, max_size=space.n_states))
+                      min_size=space.bins.n_states, max_size=space.bins.n_states))
     policies = draw(st.permutations(POLICIES).map(tuple))[:draw(st.integers(1, 3))]
     signals = draw(st.permutations(("utility", "rt", "rt_replies", "rt_replies_favs"))
                    .map(tuple))[:draw(st.integers(1, 4))]

@@ -220,6 +220,8 @@ def test_dual_speed_models_are_indexable():
 def test_rank_states_breaks_ties_by_state_index():
     table = IndexTable(g=np.array([0.5, 0.9, 0.5, 1.0]))
     assert rank_states(table) == [3, 1, 0, 2]
+    g = np.random.default_rng(43).choice([0.0, 0.25, 1.0], size=401)  # long runs of ties
+    assert rank_states(IndexTable(g=g)) == sorted(range(401), key=lambda i: (-g[i], i))
 
 
 def test_format_rank_grid_mentions_every_state():
@@ -230,6 +232,19 @@ def test_format_rank_grid_mentions_every_state():
     text = format_rank_grid(table, bins)
     assert "state 0 rank:" in text
     assert text.count("\n") >= bins.n_popularity_bins + 1
+
+
+def test_format_rank_grid_text_with_ties():
+    # States 1..4 are (1,1), (1,2), (2,1), (2,2); tied g values rank by lowest state.
+    bins = BinSpec((1, 2, 3), (0.0, 1.0, float("inf")))
+    table = IndexTable(g=np.array([0.5, 0.9, 0.5, 1.0, 0.9]))
+    assert format_rank_grid(table, bins) == "\n".join([
+        "state ranks by priority index (1 = ranked first)",
+        "pop\\nov   1   2",
+        "      2   5   3",
+        "      1   2   1",
+        "state 0 rank: 4",
+    ])
 
 
 @settings(deadline=None, max_examples=25)

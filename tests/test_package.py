@@ -35,10 +35,10 @@ def test_import_loads_no_numpy():
     assert _python("import sys, feedrank; print('numpy' in sys.modules)") == "False\n"
 
 
-def test_cli_gives_numpy_one_blas_thread_unless_one_is_set():
+def test_cli_always_gives_numpy_one_blas_thread():
     code = "import os, feedrank.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _python(code) == "1\n"
-    assert _python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
+    assert _python(code, OPENBLAS_NUM_THREADS="2") == "1\n"
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -13,13 +13,13 @@ from feedrank.evaluation import rank_window
 from feedrank.events import build_timelines, parse_event_log
 from feedrank.indices import IndexTable
 from feedrank.ranking import POLICIES, rank_items, write_snapshots_csv
-from feedrank.states import BinSpec, build_state_space
+from feedrank.states import BinSpec, StateSpace
 from eventlog import line
 
 
 def make_space():
     bins = BinSpec((1, 2, 3), (0.0, 1.0, 3.0, math.inf))
-    return build_state_space(bins, (1.0, 0.5), (0.1, 0.5, 1.0))
+    return StateSpace(bins, (1.0, 0.5), (0.1, 0.5, 1.0))
 
 
 def make_table():

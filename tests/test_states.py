@@ -9,8 +9,8 @@ from feedrank.config import DEFAULT_NOVELTY_LIMITS, MAX_STATES
 from feedrank.errors import DataError
 from feedrank.events import build_timelines, parse_event_log
 from feedrank.states import (
-    BinSpec, build_state_space, classify, fit_popularity_bins, fit_rewards, state_bins,
-    state_label,
+    BinSpec, StateSpace, classify, fit_popularity_bins, fit_rewards, novelty_bin,
+    popularity_bin, state_bins, state_label,
 )
 from eventlog import line
 from oracles import quantile_limits_bruteforce
@@ -35,26 +35,26 @@ def test_default_bins_give_101_states():
 
 def test_novelty_bins_cover_documented_ranges():
     bins = month_bins()
-    assert bins.novelty_bin(0) == 0
+    assert novelty_bin(0, bins) == 0
     for age in range(1, 10):
-        assert bins.novelty_bin(age) == age
-    assert bins.novelty_bin(-1) == 0
-    assert bins.novelty_bin(9) == 9
-    assert bins.novelty_bin(19) == 9
-    assert bins.novelty_bin(20) == 10
-    assert bins.novelty_bin(59) == 10
-    assert bins.novelty_bin(60) == 0
-    assert bins.novelty_bin(61) == 0
+        assert novelty_bin(age, bins) == age
+    assert novelty_bin(-1, bins) == 0
+    assert novelty_bin(9, bins) == 9
+    assert novelty_bin(19, bins) == 9
+    assert novelty_bin(20, bins) == 10
+    assert novelty_bin(59, bins) == 10
+    assert novelty_bin(60, bins) == 0
+    assert novelty_bin(61, bins) == 0
 
 
 def test_popularity_bins_on_month_limits():
     bins = month_bins()
-    assert bins.popularity_bin(0) == 1
-    assert bins.popularity_bin(1) == 2
-    assert bins.popularity_bin(18) == 2
-    assert bins.popularity_bin(19) == 3
-    assert bins.popularity_bin(131) == 10
-    assert bins.popularity_bin(10 ** 9) == 10
+    assert popularity_bin(0, bins) == 1
+    assert popularity_bin(1, bins) == 2
+    assert popularity_bin(18, bins) == 2
+    assert popularity_bin(19, bins) == 3
+    assert popularity_bin(131, bins) == 10
+    assert popularity_bin(10 ** 9, bins) == 10
 
 
 def test_classify_documented_states():
@@ -97,13 +97,29 @@ def test_classify_arrays_match_the_scalar_loop():
 
 
 def test_reward_peaks_at_state_20():
-    space = build_state_space(month_bins(), MONTH_R_N, MONTH_R_P)
+    space = StateSpace(month_bins(), MONTH_R_N, MONTH_R_P)
     assert space.reward[0] == 0.0
     assert int(np.argmax(space.reward)) == 20
     assert space.reward[20] == pytest.approx(1.0)
     assert space.reward[90] == pytest.approx(0.21 * 1.0)
     assert space.label(20) == "(2,10)"
     assert state_bins(90, space.bins) == (9, 10)
+
+
+def test_reward_follows_classify_numbering():
+    # Distinct limits and factors, so a transposed grid cannot pass.
+    bins = BinSpec((2, 5, 9, 14), (0, 3, 7, math.inf))
+    r_n, r_p = (0.5, 0.25, 1.0), (0.3, 1.0, 0.7)
+    space = StateSpace(bins, r_n, r_p)
+    lim, pop = bins.novelty_limits, bins.popularity_limits
+    for n in range(1, bins.n_novelty_bins + 1):
+        for p in range(1, bins.n_popularity_bins + 1):
+            for age in (lim[n - 1], lim[n] - 1):
+                for count in (pop[p - 1], pop[p] - 1 if p < len(pop) - 1 else 10 ** 6):
+                    state = int(classify(age, count, bins))
+                    assert state_bins(state, bins) == (n, p)
+                    assert space.reward[state] == r_n[n - 1] * r_p[p - 1]
+    assert space.reward[0] == 0.0 and space.reward.shape == (bins.n_states,)
 
 
 def test_state_label_and_bins_round_trip():
@@ -170,9 +186,9 @@ def test_fit_popularity_bins_collapsed_limits():
     assert set(limits[1:-1]) == {5.0}
     bins = BinSpec(DEFAULT_NOVELTY_LIMITS, limits)
     # All-equal counts: every nonzero count lands in the last bin.
-    assert bins.popularity_bin(5) == 10
-    assert bins.popularity_bin(4) == 1
-    assert bins.popularity_bin(0) == 1
+    assert popularity_bin(5, bins) == 10
+    assert popularity_bin(4, bins) == 1
+    assert popularity_bin(0, bins) == 1
 
 
 def test_fit_popularity_bins_errors():
@@ -213,8 +229,8 @@ def test_fit_rewards_zero_bin_convention():
     limits = fit_popularity_bins([0, 50], n_bins=10)
     bins = BinSpec(DEFAULT_NOVELTY_LIMITS, limits)
     r_n, r_p = fit_rewards(timelines, bins)
-    zero_bin = bins.popularity_bin(0)
-    top_bin = bins.popularity_bin(50)
+    zero_bin = popularity_bin(0, bins)
+    top_bin = popularity_bin(50, bins)
     assert r_p[top_bin - 1] == 1.0
     assert r_p[zero_bin - 1] == pytest.approx(1.0 / 50.0)
 
@@ -227,12 +243,17 @@ def test_fit_rewards_requires_in_window_retweets():
         fit_rewards(timelines, bins)
 
 
-def test_build_state_space_validation():
+def test_state_space_validation():
     bins = month_bins()
-    with pytest.raises(DataError):
-        build_state_space(bins, MONTH_R_N[:-1], MONTH_R_P)
-    with pytest.raises(DataError):
-        build_state_space(bins, MONTH_R_N, MONTH_R_P[:-1] + (1.5,))
+    with pytest.raises(DataError, match="^r_n length does not match the novelty bin count$"):
+        StateSpace(bins, MONTH_R_N[:-1], MONTH_R_P)
+    with pytest.raises(DataError, match="^r_p length does not match the popularity bin count$"):
+        StateSpace(bins, MONTH_R_N, MONTH_R_P[:-1])
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(DataError, match=r"^reward factors must lie in \[0, 1\]$"):
+            StateSpace(bins, MONTH_R_N, MONTH_R_P[:-1] + (bad,))
+    with pytest.raises(TypeError):  # reward is derived, never given
+        StateSpace(bins, MONTH_R_N, MONTH_R_P, np.zeros(bins.n_states))
 
 
 @given(st.integers(min_value=0, max_value=10_000),
@@ -254,7 +275,7 @@ def test_fitted_bins_classify_every_count(counts):
     limits = fit_popularity_bins(counts, n_bins=10)
     bins = BinSpec(DEFAULT_NOVELTY_LIMITS, limits)
     for c in counts + [0, max(counts) + 1000]:
-        assert 1 <= bins.popularity_bin(c) <= 10
+        assert 1 <= popularity_bin(c, bins) <= 10
 
 
 @given(st.integers(min_value=0, max_value=200),
@@ -262,4 +283,4 @@ def test_fitted_bins_classify_every_count(counts):
 def test_popularity_bin_monotone(a, b):
     bins = month_bins()
     if a <= b:
-        assert bins.popularity_bin(a) <= bins.popularity_bin(b)
+        assert popularity_bin(a, bins) <= popularity_bin(b, bins)

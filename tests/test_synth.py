@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feedrank.config import generator_from_dict
+from feedrank.config import MAX_RETWEETS, generator_from_dict
 from feedrank.errors import ConfigError, DataError
 from feedrank.events import build_timelines, serialize_event_log
-from feedrank.states import BinSpec, build_state_space
+from feedrank.states import BinSpec, StateSpace
 from feedrank import synth
 from feedrank.synth import GeneratorConfig, generate_stream
 from feedrank.transitions import estimate_p1
@@ -225,11 +225,34 @@ def test_generator_validation():
         GeneratorConfig(days=-3)
     with pytest.raises(DataError):
         generate_stream(small_config(posts_per_day=0.0, days=1, n_accounts=1))
+    # Every other bound passes this config, which draws 6.5M retweets expected
+    # (8.9M events, a 2.8 GB peak); four times its accounts is refused.
+    heavy = dict(days=1, n_accounts=10, posts_per_day=10, zero_fraction=0, alpha=1.01)
+    GeneratorConfig(**heavy)
+    with pytest.raises(ConfigError, match="expected retweets must not exceed 8388608"):
+        GeneratorConfig(**{**heavy, "n_accounts": 40})
+    GeneratorConfig(alpha=1e300)  # the bound's powers do not underflow to 0 / 0
+
+
+@pytest.mark.parametrize("alpha, x_min, cap", [
+    (1.01, 1, 10 ** 6), (1 + 2.3e-16, 1, 10 ** 6), (2.0, 3, 200), (1.5, 10, 1000),
+    (50.0, 16, 1000)])
+def test_expected_retweet_bound_is_sound_and_near(alpha, x_min, cap):
+    # One account-day whose exact expected retweet total sits just past
+    # MAX_RETWEETS is refused; near alpha 1, one at 95% of it is allowed.
+    xs = np.arange(x_min, cap + 1, dtype=float)
+    mean = (xs ** (1 - alpha)).sum() / (xs ** -alpha).sum()
+    config = dict(days=1, n_accounts=1, zero_fraction=0, alpha=alpha, x_min=x_min,
+                  magnitude_cap=cap)
+    with pytest.raises(ConfigError, match="expected retweets"):
+        GeneratorConfig(**config, posts_per_day=1.0001 * MAX_RETWEETS / mean)
+    if alpha < 1.1:  # near 1 the bound is within 5% of the exact mean
+        GeneratorConfig(**config, posts_per_day=0.95 * MAX_RETWEETS / mean)
 
 
 def markov_space():
     bins = BinSpec((1, 2, 3), (0.0, 1.0, math.inf))
-    return build_state_space(bins, (1.0, 0.5), (0.5, 1.0))
+    return StateSpace(bins, (1.0, 0.5), (0.5, 1.0))
 
 
 def markov_chain():
@@ -250,7 +273,7 @@ def test_markov_stream_recovers_chain():
                                     start_minute=100)
     timelines = build_timelines(events)
     window = (100, 100 + space.bins.n_novelty_bins + 2)
-    p1_hat = estimate_p1(timelines, space, window)
+    p1_hat = estimate_p1(timelines, space.bins, window)
     assert np.abs(p1_hat - p1_true).max() < 0.05
     # Deterministic rows are recovered exactly.
     assert p1_hat[2, 4] == 1.0
@@ -289,7 +312,7 @@ def test_markov_stream_structural_validation():
     good = markov_chain()
 
     wide_bins = BinSpec((1, 3, 5), (0.0, 1.0, math.inf))
-    wide_space = build_state_space(wide_bins, (1.0, 0.5), (0.5, 1.0))
+    wide_space = StateSpace(wide_bins, (1.0, 0.5), (0.5, 1.0))
     with pytest.raises(DataError):
         generate_markov_stream(wide_space, good, n_items=10, seed=1)
 
@@ -326,7 +349,7 @@ def test_markov_stream_structural_validation():
 
 def test_markov_stream_rejects_unreachable_popularity_bins():
     bins = BinSpec((1, 2, 3), (0.0, 5.0, 5.0, math.inf))
-    space = build_state_space(bins, (1.0, 0.5), (0.4, 0.5, 1.0))
+    space = StateSpace(bins, (1.0, 0.5), (0.4, 0.5, 1.0))
     # Popularity bin 2 covers no count at all (collapsed limits).
     p1 = np.zeros((7, 7))
     p1[0, 2] = 1.0

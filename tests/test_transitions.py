@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from feedrank.errors import DataError
 from feedrank.events import build_timelines, parse_event_log
-from feedrank.states import BinSpec, build_state_space, classify
+from feedrank.states import BinSpec, classify
 from feedrank.transitions import (
     MAX_SMOOTHING, TransitionModel, build_model, derive_p0, estimate_p1,
 )
@@ -17,9 +17,8 @@ SMALL_NOV = (1, 2, 3, 4)          # three one-minute novelty bins
 SMALL_POP = (0.0, 1.0, math.inf)  # zero counts vs everything else
 
 
-def small_space():
-    bins = BinSpec(SMALL_NOV, SMALL_POP)
-    return build_state_space(bins, (1.0, 0.9, 0.5), (0.1, 1.0))
+def small_bins():
+    return BinSpec(SMALL_NOV, SMALL_POP)
 
 
 def post(iid, minute):
@@ -31,10 +30,10 @@ def retweet(iid, k, minute):
 
 
 def test_single_item_walk():
-    space = small_space()
+    bins = small_bins()
     events = [post("t1", 5), retweet("t1", 0, 6)]
     timelines = build_timelines(parse_event_log(events))
-    p1 = estimate_p1(timelines, space, (5, 12))
+    p1 = estimate_p1(timelines, bins, (5, 12))
     # Walk: 0 -> (1,1)=1 -> (2,2)=4 -> (3,2)=6 -> 0, then two idle
     # minutes at state 0. Unvisited rows self-loop.
     assert p1[0, 0] == pytest.approx(2 / 3)
@@ -48,10 +47,10 @@ def test_single_item_walk():
 
 
 def test_two_items_split_row():
-    space = small_space()
+    bins = small_bins()
     events = [post("a", 0), post("b", 0), retweet("a", 0, 1)]
     timelines = build_timelines(parse_event_log(events))
-    p1 = estimate_p1(timelines, space, (0, 3))
+    p1 = estimate_p1(timelines, bins, (0, 3))
     # Both items: 0 -> state 1. Then a (one retweet visible at t=2)
     # moves to (2,2)=4 while b moves to (2,1)=3.
     assert p1[0, 1] == 1.0
@@ -60,23 +59,23 @@ def test_two_items_split_row():
 
 
 def test_smoothing_adds_to_every_cell():
-    space = small_space()
+    bins = small_bins()
     events = [post("t1", 5), retweet("t1", 0, 6)]
     timelines = build_timelines(parse_event_log(events))
     s = 0.5
-    p1 = estimate_p1(timelines, space, (5, 12), smoothing=s)
-    n = space.n_states
+    p1 = estimate_p1(timelines, bins, (5, 12), smoothing=s)
+    n = bins.n_states
     assert p1[0, 0] == pytest.approx((2 + s) / (3 + s * n))
     assert p1[0, 1] == pytest.approx((1 + s) / (3 + s * n))
     # Unobserved rows become uniform instead of self-loops.
     assert np.allclose(p1[2], 1.0 / n)
     assert np.allclose(p1.sum(axis=1), 1.0, atol=1e-12)
     # The largest smoothing still gives rows that sum to 1; a larger one is refused.
-    p1 = estimate_p1(timelines, space, (5, 12), smoothing=MAX_SMOOTHING)
+    p1 = estimate_p1(timelines, bins, (5, 12), smoothing=MAX_SMOOTHING)
     assert np.allclose(p1.sum(axis=1), 1.0, atol=1e-12)
     for bad in (-0.5, math.nan, 1e308, math.inf):
         with pytest.raises(DataError):
-            estimate_p1(timelines, space, (5, 12), smoothing=bad)
+            estimate_p1(timelines, bins, (5, 12), smoothing=bad)
 
 
 def random_corpus(rng, n_items=40, window=(10, 40)):
@@ -94,7 +93,7 @@ def random_corpus(rng, n_items=40, window=(10, 40)):
 
 
 def test_estimator_matches_bruteforce_counts():
-    space = small_space()
+    bins = small_bins()
     rng = np.random.default_rng(42)
     for trial in range(10):
         events, oracle_items = random_corpus(rng)
@@ -102,10 +101,10 @@ def test_estimator_matches_bruteforce_counts():
         timelines = build_timelines(parse_event_log(events))
         if not ((10 <= timelines.post_minute) & (timelines.post_minute < 40)).any():
             continue
-        p1 = estimate_p1(timelines, space, window)
+        p1 = estimate_p1(timelines, bins, window)
         counts = count_transitions_bruteforce(
             oracle_items, SMALL_NOV, SMALL_POP,
-            space.bins.n_popularity_bins, window)
+            bins.n_popularity_bins, window)
         # Invariant: one transition per item per window minute pair.
         assert counts.sum() == len(oracle_items) * (window[1] - window[0] - 1)
         expected = rows_to_probabilities(counts)
@@ -113,23 +112,23 @@ def test_estimator_matches_bruteforce_counts():
 
 
 def test_estimator_errors():
-    space = small_space()
+    bins = small_bins()
     timelines = build_timelines(parse_event_log([post("t1", 5)]))
     with pytest.raises(DataError):
-        estimate_p1(timelines, space, (5, 6))
+        estimate_p1(timelines, bins, (5, 6))
     with pytest.raises(DataError):
-        estimate_p1(timelines, space, (20, 30))
+        estimate_p1(timelines, bins, (20, 30))
     for smoothing in (-0.1, math.nan):
         with pytest.raises(DataError):
-            estimate_p1(timelines, space, (5, 12), smoothing=smoothing)
+            estimate_p1(timelines, bins, (5, 12), smoothing=smoothing)
 
 
 def test_classify_before_post_is_state_zero():
-    space = small_space()
+    bins = small_bins()
     table = build_timelines(parse_event_log([post("t1", 10)]))
     ages = np.array([9, 10, 11]) - table.post_minute[0]
     # Before the post and at age 0 (not rankable yet) the state is 0.
-    assert classify(ages, np.zeros(3, dtype=int), space.bins).tolist() == [0, 0, 1]
+    assert classify(ages, np.zeros(3, dtype=int), bins).tolist() == [0, 0, 1]
 
 
 def test_derive_p0_worked_example():
