@@ -82,7 +82,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     os.makedirs(cfg.report_dir, exist_ok=True)
     extra = {
         "beta": format(bundle.beta, ".17g"),
-        "epsilon": _describe_epsilon(bundle.epsilon),
+        "epsilon": format(bundle.epsilon, ".17g"),
         "novelty_limits": format_limits(bundle.bins.novelty_limits),
         "popularity_limits": format_limits(bundle.bins.popularity_limits),
     }
@@ -95,13 +95,6 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     print(f"evaluated {len(report.minutes)} minutes "
           f"({report.skipped_empty} empty skipped) -> {cfg.report_dir}")
     return 0
-
-
-def _describe_epsilon(epsilon) -> str:
-    values = set(map(float, epsilon))
-    if len(values) == 1:
-        return format(values.pop(), ".17g")
-    return "per-state"
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:

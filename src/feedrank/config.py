@@ -39,8 +39,15 @@ DEFAULT_POPULARITY_BINS = 10
 DEFAULT_EPSILON = 0.1
 DEFAULT_BETA = 0.9
 
-# The largest relevance cap: a gain 2**cap - 1 above it overflows a float.
-MAX_RELEVANCE_CAP = 1023
+# The most item-minutes one evaluation ranks. They are all held at once, at
+# about 124 bytes each, so this bound (about 40 times a 30-day log's 825,967)
+# keeps the peak near 4 GB instead of failing mid-allocation.
+MAX_ENTRIES = 2**25
+
+# The largest relevance cap. A minute's DCG adds at most MAX_ENTRIES gains
+# 2**s - 1 < 2**cap, each divided by a discount of at least 1, so with
+# 2**cap * MAX_ENTRIES <= 2**1023 every DCG stays below the largest float.
+MAX_RELEVANCE_CAP = 1023 - (MAX_ENTRIES.bit_length() - 1)
 
 # The most states a bin grid may give: fit, sweep and model file are dense n x n.
 MAX_STATES = 4096

@@ -30,17 +30,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .config import DEFAULT_RELEVANCE_CAP, MAX_RELEVANCE_CAP, RunConfig
+from .config import DEFAULT_RELEVANCE_CAP, MAX_ENTRIES, MAX_RELEVANCE_CAP, BinSpec, RunConfig
 from .errors import ConfigError, DataError
 from .events import ENGAGEMENT_KINDS, ItemTable
 from .indices import IndexTable
 from .ranking import Rankings, rank_items
 from .states import StateSpace, classify
-
-# The most item-minutes one run ranks. They are all held at once, at about
-# 124 bytes each, so this bound (about 40 times a 30-day log's 825,967)
-# keeps the peak near 4 GB instead of failing mid-allocation.
-MAX_ENTRIES = 2**25
 
 # Each attention signal counts the first this many of ENGAGEMENT_KINDS,
 # the row of ``rank_window``'s counts that holds their sum.
@@ -48,7 +43,7 @@ _SIGNAL_KINDS = {"rt": 1, "rt_replies": 2, "rt_replies_favs": 3}
 
 
 def utility_relevance(rankings: Rankings, counts: np.ndarray, table: ItemTable,
-                      state_space: StateSpace) -> np.ndarray:
+                      bins: BinSpec) -> np.ndarray:
     """Each entry's state one minute later; its reward is the relevance.
 
     ``rankings`` and ``counts`` are what ``rank_window`` returns: the
@@ -56,7 +51,7 @@ def utility_relevance(rankings: Rankings, counts: np.ndarray, table: ItemTable,
     those during it.
     """
     ages = rankings.minutes[rankings.which] + 1 - table.post_minute[rankings.rows]
-    return classify(ages, counts[0] + counts[1], state_space.bins)
+    return classify(ages, counts[0] + counts[1], bins)
 
 
 def attention_relevance(counts: np.ndarray, signal: str,
@@ -136,7 +131,7 @@ def pearson(x, y) -> np.ndarray:
     return corr[()]
 
 
-def rank_window(table: ItemTable, state_space: StateSpace, index_table: IndexTable | None,
+def rank_window(table: ItemTable, bins: BinSpec, index_table: IndexTable | None,
                 cfg: RunConfig) -> tuple[Rankings, np.ndarray, int]:
     """Rank the active items of every decision minute under ``cfg.policies``.
 
@@ -189,7 +184,7 @@ def rank_window(table: ItemTable, state_space: StateSpace, index_table: IndexTab
     first[1:] = t[1:] != t[:-1]
     minutes = t[first]
     which = np.cumsum(first) - 1
-    states = classify(t - post[rows], counts[0], state_space.bins)
+    states = classify(t - post[rows], counts[0], bins)
     del t, first
     post_ts = table.post_ts[rows]
     orders = np.empty((len(cfg.policies), len(rows)), dtype=np.intp)
@@ -234,7 +229,7 @@ def evaluate_run(table: ItemTable, state_space: StateSpace, index_table: IndexTa
     filter. An overlapping ``cfg.train_window`` produces a warning, not
     an error.
     """
-    rankings, counts, n_decision = rank_window(table, state_space, index_table, cfg)
+    rankings, counts, n_decision = rank_window(table, state_space.bins, index_table, cfg)
     policies, signals = tuple(cfg.policies), tuple(cfg.signals)
     (start, end), train_window, cap = cfg.eval_window, cfg.train_window, cfg.relevance_cap
 
@@ -251,7 +246,7 @@ def evaluate_run(table: ItemTable, state_space: StateSpace, index_table: IndexTa
     scores = np.empty((len(policies), len(signals), len(rankings.minutes)))
     for j, s in enumerate(signals):
         if s == "utility":
-            gain = utility_gain[utility_relevance(rankings, counts, table, state_space)]
+            gain = utility_gain[utility_relevance(rankings, counts, table, state_space.bins)]
         else:
             gain = attention_gain[attention_relevance(counts, s, cap)]
         # Only the ranked gains are alive in ndcg, and nothing past it.

@@ -5,19 +5,19 @@ bin limits, reward factors, displayed chain ``p1``, optional priority
 index ``g``, and a fingerprint of how the model was fitted. Floats are
 written with 17 significant digits so every value round-trips exactly.
 
-    # feedrank model, format v3
+    # feedrank model, format v4
     [meta]      fit fingerprint (windows, counts, filters)
-    [config]    beta, per-state epsilon
+    [config]    beta, epsilon
     [bins]      novelty_limits, popularity_limits
     [rewards]   r_n, r_p
     [p1]        row_<i> = comma-joined probabilities
     [indices]   g (present once computed)
 
 ``read_model`` reads this format only; a file without its header line,
-such as one in format v1 or v2, is refused and must be written again by
-``feedrank fit``. Every loaded
-value is range-checked once, by the ``BinSpec``, ``StateSpace`` and
-``TransitionModel`` checks that every fitted model passes.
+such as one in format v1, v2 or v3, is refused and must be written again
+by ``feedrank fit``. A ``ModelBundle`` range-checks every value when it
+is built, fitted or read, by the ``BinSpec``, ``StateSpace`` and
+``TransitionModel`` checks.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .indices import IndexTable
 from .states import StateSpace, fit_popularity_bins, fit_rewards
 from .transitions import TransitionModel, build_model, estimate_p1
 
-FORMAT_HEADER = "# feedrank model, format v3"
+FORMAT_HEADER = "# feedrank model, format v4"
 
 
 def _fmt(x: float) -> str:
@@ -60,16 +60,31 @@ def _parse_limits(text: str) -> tuple:
 
 @dataclass
 class ModelBundle:
-    """Everything the CLI persists between fit, indices, and evaluate."""
+    """Everything the CLI persists between fit, indices, and evaluate.
+
+    Building one runs the checks every model passes, so that a fitted
+    model and a read one meet the same ranges.
+    """
 
     bins: BinSpec
     r_n: tuple[float, ...]
     r_p: tuple[float, ...]
-    epsilon: np.ndarray
+    epsilon: float
     beta: float
     p1: np.ndarray
     meta: dict[str, str] = field(default_factory=dict)
     index: IndexTable | None = None
+
+    def __post_init__(self):
+        if np.ndim(self.epsilon) != 0:
+            raise DataError("model epsilon must be one number")
+        n = self.bins.n_states
+        if self.index is not None and not (
+                self.index.g.shape == (n,) and np.isfinite(self.index.g).all()):
+            raise DataError(f"[indices] g must hold {n} finite values")
+        self.state_space()
+        self.transition_model()
+        self.train_window()
 
     def state_space(self) -> StateSpace:
         return StateSpace(self.bins, self.r_n, self.r_p)
@@ -111,7 +126,6 @@ def fit_model(table: ItemTable, cfg: RunConfig) -> ModelBundle:
     )
     r_n, r_p = fit_rewards(train, bins)
     p1 = estimate_p1(train, bins, cfg.train_window, smoothing=cfg.smoothing)
-    model = build_model(p1, cfg.epsilon, cfg.beta)
 
     meta = {
         "train_window": f"[{start}, {end})",
@@ -122,8 +136,8 @@ def fit_model(table: ItemTable, cfg: RunConfig) -> ModelBundle:
                        if cfg.peak_hours else "none"),
         "smoothing": format(cfg.smoothing, ".17g"),
     }
-    return ModelBundle(bins=bins, r_n=r_n, r_p=r_p, epsilon=model.epsilon,
-                       beta=model.beta, p1=model.p1, meta=meta)
+    return ModelBundle(bins=bins, r_n=r_n, r_p=r_p, epsilon=cfg.epsilon,
+                       beta=cfg.beta, p1=p1, meta=meta)
 
 
 def write_model(bundle: ModelBundle, path) -> None:
@@ -133,7 +147,7 @@ def write_model(bundle: ModelBundle, path) -> None:
         lines.append(f"{key} = {value}")
     lines.append("[config]")
     lines.append(f"beta = {_fmt(bundle.beta)}")
-    lines.append(f"epsilon = {_fmt_list(bundle.epsilon)}")
+    lines.append(f"epsilon = {_fmt(bundle.epsilon)}")
     lines.append("[bins]")
     lines.append(f"novelty_limits = {format_limits(bundle.bins.novelty_limits)}")
     lines.append(f"popularity_limits = {format_limits(bundle.bins.popularity_limits)}")
@@ -196,7 +210,7 @@ def _parse_matrix(rows: dict[str, str], name: str, n: int) -> np.ndarray:
 
 
 def read_model(path) -> ModelBundle:
-    """Load a format v3 model file and check every value's range."""
+    """Load a format v4 model file; the bundle checks every value's range."""
     sections = _read_sections(path)
     for required in ("config", "bins", "rewards", "p1"):
         if required not in sections:
@@ -207,27 +221,17 @@ def read_model(path) -> ModelBundle:
             popularity_limits=_parse_limits(sections["bins"]["popularity_limits"]),
         )
         beta = float(sections["config"]["beta"])
-        epsilon = np.array(_parse_floats(sections["config"]["epsilon"]))
+        epsilon = float(sections["config"]["epsilon"])
         r_n = tuple(_parse_floats(sections["rewards"]["r_n"]))
         r_p = tuple(_parse_floats(sections["rewards"]["r_p"]))
-        n = bins.n_states
-        p1 = _parse_matrix(sections["p1"], "p1", n)
+        p1 = _parse_matrix(sections["p1"], "p1", bins.n_states)
         g = (np.array(_parse_floats(sections["indices"]["g"]))
              if "indices" in sections else None)
     except KeyError as exc:
         raise DataError(f"model file is missing key {exc}") from exc
     except ValueError as exc:
         raise DataError(f"model file holds an unparseable value: {exc}") from exc
-    if g is not None and not (g.shape == (n,) and np.isfinite(g).all()):
-        raise DataError(f"[indices] g must hold {n} finite values")
-
-    bundle = ModelBundle(
+    return ModelBundle(
         bins=bins, r_n=r_n, r_p=r_p, epsilon=epsilon, beta=beta, p1=p1,
         meta=dict(sections.get("meta", {})), index=None if g is None else IndexTable(g),
     )
-    # The checks every fitted model passes, run once here so that every
-    # subcommand accepts the same files.
-    bundle.state_space()
-    bundle.transition_model()
-    bundle.train_window()
-    return bundle

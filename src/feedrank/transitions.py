@@ -1,9 +1,10 @@
 """Estimating the displayed-state Markov chain and its slowed twin.
 
 ``p1`` is the per-minute transition matrix items follow while displayed.
-The non-displayed matrix ``p0`` is derived from it with a per-state
-slowdown factor ``epsilon``: with probability ``1 - epsilon[i]`` the item
-stays put, otherwise it moves per ``p1``. Concretely
+The non-displayed matrix ``p0`` is derived from it with a slowdown
+factor ``epsilon``, one number in the pipeline or one per state here:
+with probability ``1 - epsilon[i]`` the item stays put, otherwise it
+moves per ``p1``. Concretely
 
     p0[i][j] = epsilon[i] * p1[i][j]                   for j != i
     p0[i][i] = (1 - epsilon[i]) + epsilon[i] * p1[i][i]
@@ -82,18 +83,6 @@ def estimate_p1(table: ItemTable, bins: BinSpec, window: tuple[int, int], *,
     return p1
 
 
-def _epsilon_vector(epsilon, n: int) -> np.ndarray:
-    """``epsilon`` broadcast to one slowdown factor per state, each in [0, 1]."""
-    eps = np.asarray(epsilon, dtype=float)
-    if eps.ndim == 0:
-        eps = np.full(n, float(eps))
-    if eps.shape != (n,):
-        raise DataError(f"epsilon must be a scalar or a vector of length {n}")
-    if not np.all((0 <= eps) & (eps <= 1)):
-        raise DataError("epsilon entries must lie in [0, 1]")
-    return eps
-
-
 def derive_p0(p1: np.ndarray, epsilon) -> np.ndarray:
     """Build the non-displayed matrix from ``p1`` and slowdown factors.
 
@@ -101,7 +90,13 @@ def derive_p0(p1: np.ndarray, epsilon) -> np.ndarray:
     """
     p1 = np.asarray(p1, dtype=float)
     n = p1.shape[0]
-    eps = _epsilon_vector(epsilon, n)
+    eps = np.asarray(epsilon, dtype=float)
+    if eps.ndim == 0:
+        eps = np.full(n, float(eps))
+    if eps.shape != (n,):
+        raise DataError(f"epsilon must be a scalar or a vector of length {n}")
+    if not np.all((0 <= eps) & (eps <= 1)):
+        raise DataError("epsilon entries must lie in [0, 1]")
     p0 = eps[:, None] * p1
     diag = np.arange(n)
     p0[diag, diag] = (1.0 - eps) + eps * p1[diag, diag]
@@ -112,20 +107,18 @@ def derive_p0(p1: np.ndarray, epsilon) -> np.ndarray:
 class TransitionModel:
     """Displayed/non-displayed transition matrices with the discount.
 
-    ``epsilon`` may be given as a scalar; it is stored per state. The
+    ``build_model`` derives ``p0`` from ``p1`` and ``epsilon``. The
     discount ``beta`` lies in (0, 1), which every occupancy solve needs.
     """
 
     p1: np.ndarray
     p0: np.ndarray
-    epsilon: np.ndarray
     beta: float = DEFAULT_BETA
 
     def __post_init__(self):
         self.p1 = np.asarray(self.p1, dtype=float)
         self.p0 = np.asarray(self.p0, dtype=float)
         n = self.p1.shape[0]
-        self.epsilon = _epsilon_vector(self.epsilon, n)
         for name, mat in (("p1", self.p1), ("p0", self.p0)):
             if mat.shape != (n, n):
                 raise DataError(f"{name} must be square with matching size")
@@ -145,4 +138,4 @@ class TransitionModel:
 def build_model(p1: np.ndarray, epsilon=DEFAULT_EPSILON,
                 beta: float = DEFAULT_BETA) -> TransitionModel:
     """Derive ``p0`` from ``p1`` and wrap everything in a model."""
-    return TransitionModel(p1=p1, p0=derive_p0(p1, epsilon), epsilon=epsilon, beta=beta)
+    return TransitionModel(p1=p1, p0=derive_p0(p1, epsilon), beta=beta)

@@ -74,6 +74,7 @@ def test_criterion_01_gittins_ordering_reduction():
 
 # -- criterion 2: occupancy solver versus Monte Carlo ------------------------
 
+@pytest.mark.slow
 def test_criterion_02_occupancy_matches_monte_carlo():
     beta = 0.9
     n = 5

@@ -92,7 +92,7 @@ def test_indices_prints_sweep_diagnostics_but_does_not_store_them(pipeline, tmp_
     assert 0 <= float(match[2]) <= 1e-10 / (1 - 0.9), lines[-2]
     assert lines[-3].startswith("state 0 rank:")
     text = model.read_text()
-    assert text.startswith("# feedrank model, format v3\n")
+    assert text.startswith("# feedrank model, format v4\n")
     assert "sweep" not in text and "refine" not in text
     assert read_model(str(model)).index.sweep is None
 
@@ -254,7 +254,7 @@ def test_config_file_drives_a_run(tmp_path, pipeline):
     assert main(["fit", "--config", str(cfg_path)]) == 0
     bundle = read_model(cfg["model_path"])
     assert bundle.beta == 0.8
-    assert float(bundle.epsilon[0]) == 0.2
+    assert bundle.epsilon == 0.2
     # Flags override the file.
     assert main(["fit", "--config", str(cfg_path), "--beta", "0.5"]) == 0
     assert read_model(cfg["model_path"]).beta == 0.5
@@ -452,7 +452,9 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
     ({"model": lambda b: _set_first(b, b"epsilon", b"nan")}, 2),
     ({"model": lambda b: _set_first(b, b"beta", b"2")}, 2),
     ({"model": lambda b: _set_first(b, b"beta", b"1")}, 2),
-    ({"model": lambda b: b.replace(b"format v3", b"format v2", 1)}, 2),
+    ({"model": lambda b: b.replace(b"format v4", b"format v2", 1)}, 2),
+    ({"model": lambda b: b.replace(b"format v4", b"format v3", 1)}, 2),
+    ({"model": lambda b: re.sub(rb"(?m)^epsilon = .*$", b"epsilon = 0.1,0.1", b)}, 2),
     ({"model": lambda b: b.split(b"\n", 1)[1]}, 2),
     ({"flags": ["--novelty-limits", "5,3"]}, 1),
     ({"evaluate": True, "flags": ["--policies", "index,index"]}, 1),
@@ -476,6 +478,8 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
     ({"model": lambda b: re.sub(rb"(?m)^popularity_limits = .*$", b"popularity_limits = "
                                 + ",".join(map(str, range(410))).encode() + b",inf", b)}, 2),
     ({"config": {"relevance_cap": 5000}}, 1),
+    # One above the largest cap: a minute of MAX_ENTRIES saturated gains would overflow.
+    ({"evaluate": True, "flags": ["--relevance-cap", "999"]}, 1),
     ({"flags": ["--smoothing", "1e308"]}, 1),
     ({"config": {"smoothing": 1e308}}, 1),
     ({"simulate": True, "output": "missing/e.jsonl"}, 2),
@@ -509,14 +513,16 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
         "events-int-5000-digits", "events-valid-only-joined", "events-nested-too-deeply",
         "model-duplicate-key",
         "model-not-utf8", "model-r_n-nan", "model-epsilon-nan", "model-beta-2",
-        "model-beta-1", "model-format-v2", "model-no-header", "flag-novelty-limits-order",
+        "model-beta-1", "model-format-v2", "model-format-v3", "model-epsilon-per-state",
+        "model-no-header", "flag-novelty-limits-order",
         "flag-policies-repeated", "config-signals-empty", "config-not-utf8",
         "config-int-5000-digits", "config-nested-too-deeply", "header-not-utf8",
         "summary-non-numeric", "summary-short-row", "flag-horizon-huge",
         "flag-horizon-near-int64-max", "flag-interval-huge", "flag-eval-window-huge",
         "config-horizon-huge", "config-interval-huge", "config-eval-window-huge",
         "flag-popularity-bins-huge", "config-popularity-bins-huge", "flag-novelty-limits-many",
-        "model-too-many-states", "config-relevance-cap-huge", "flag-smoothing-huge",
+        "model-too-many-states", "config-relevance-cap-huge", "flag-relevance-cap-999",
+        "flag-smoothing-huge",
         "config-smoothing-huge", "simulate-events-unwritable", "fit-model-unwritable",
         "evaluate-report-dir-is-a-file", "evaluate-no-window-events-missing",
         "fit-no-window-events-missing", "flag-posts-per-day-1e19", "flag-posts-per-day-1e12",

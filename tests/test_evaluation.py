@@ -1,12 +1,13 @@
 import math
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from feedrank.config import RunConfig
+from feedrank.config import MAX_RELEVANCE_CAP, RunConfig
 from feedrank.errors import ConfigError, DataError
 from feedrank.events import ItemTable, build_timelines, hour_of_minute, parse_event_log
 from feedrank.evaluation import (
@@ -158,7 +159,7 @@ def test_attention_relevance_slots_and_cap():
     events += [line("favorite", "a", f"a-f{k}", 65) for k in range(2)]
     table = build_timelines(parse_event_log(events))
     # Entries of item a at minutes 1 and 2: all engagement falls in minute 1.
-    _, counts, _ = rank_window(table, make_space(), None, config((1, 3)))
+    _, counts, _ = rank_window(table, make_space().bins, None, config((1, 3)))
     assert attention_relevance(counts, "rt").tolist() == [30, 0]
     assert attention_relevance(counts, "rt", cap=100).tolist() == [40, 0]
     assert attention_relevance(counts, "rt_replies", cap=100).tolist() == [43, 0]
@@ -170,15 +171,15 @@ def test_attention_relevance_slots_and_cap():
 
 
 def test_utility_relevance_uses_next_minute_state():
-    space = make_space()
+    bins = make_space().bins
     events = [line("post", "a", "a", 0),
               line("retweet", "a", "a-r0", 70)]
     table = build_timelines(parse_event_log(events))
-    r, counts, _ = rank_window(table, space, None, config((1, 3)))
+    r, counts, _ = rank_window(table, bins, None, config((1, 3)))
     # At t = 1 the item is age 1 / 0 visible retweets; at t + 1 = 2 it is
     # age 2 with 1 visible retweet, i.e. state (2,2) = 4. At t = 2 the
     # next-minute state is out of window (age 3): reward 0.
-    assert utility_relevance(r, counts, table, space).tolist() == [4, 0]
+    assert utility_relevance(r, counts, table, bins).tolist() == [4, 0]
 
 
 def test_every_count_is_taken_once(monkeypatch):
@@ -319,13 +320,29 @@ def test_train_overlap_warning():
     assert clean.warnings == []
 
 
+def test_saturated_minute_at_the_largest_cap_scores_finite():
+    # Three items get at least 1,023 retweets in minute 1, where three gains
+    # 2**1023 - 1 would overflow a DCG; d, the newest, gets none and ranks
+    # first, so neither ordering is ideal.
+    events = [line("post", k, k, ts) for k, ts in zip("abcd", (0, 1, 2, 30))]
+    events += [line("retweet", k, f"{k}-r{j}", 60 + j % 60)
+               for k, n in zip("abc", (1023, 1024, 1100)) for j in range(n)]
+    table = build_timelines(parse_event_log(events))
+    cfg = config((1, 2), ("novelty", "popularity"), ("rt",), relevance_cap=MAX_RELEVANCE_CAP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = evaluate_run(table, make_space(), None, cfg).scores
+    assert scores.shape == (2, 1, 1)
+    assert ((0 < scores) & (scores < 1)).all()
+
+
 def test_evaluate_run_validation():
     timelines = eval_corpus()
     space = make_space()
     # Out-of-range values are refused when the config is built.
     for bad in ({"policies": ("chrono",)}, {"signals": ("likes",)}, {"window": (710, 700)},
                 {"decision_interval": 0}, {"peak_hours": (25,)}, {"horizon": 0},
-                {"policies": ()}, {"relevance_cap": 0}, {"relevance_cap": 1024}):
+                {"policies": ()}, {"relevance_cap": 0}, {"relevance_cap": 999}):
         with pytest.raises(ConfigError):
             config(**{"window": (700, 710), **bad})
     with pytest.raises(ConfigError):

@@ -77,8 +77,7 @@ def test_occupancy_rejects_undiscounted_model():
     # occupancy needs beta < 1; no TransitionModel holds another beta.
     for beta in (1.0, 2.0, np.nan):
         with pytest.raises(DataError, match="beta"):
-            occupancy([0], TransitionModel(p1=TWO_STATE_P1, p0=TWO_STATE_P1,
-                                           epsilon=np.ones(2), beta=beta))
+            occupancy([0], TransitionModel(p1=TWO_STATE_P1, p0=TWO_STATE_P1, beta=beta))
 
 
 def test_occupancy_accepts_index_lists_and_masks():
@@ -197,7 +196,7 @@ def test_indexability_violation_raises():
     p0 = np.array([[1.0, 0.0, 0.0],
                    [1.0, 0.0, 0.0],
                    [0.0, 0.0, 1.0]])
-    model = TransitionModel(p1=p1, p0=p0, epsilon=np.full(3, 0.5), beta=0.9)
+    model = TransitionModel(p1=p1, p0=p0, beta=0.9)
     with pytest.raises(IndexabilityError) as exc_info:
         compute_indices(model, [1.0, 0.5, 0.0])
     err = exc_info.value
@@ -311,7 +310,7 @@ def test_sweep_reports_the_smallest_constant():
     p0 = np.array([[1.0, 0.0, 0.0],
                    [0.01, 0.99, 0.0],
                    [0.0, 0.0, 1.0]])
-    model = TransitionModel(p1=p1, p0=p0, epsilon=np.full(3, 0.5), beta=0.9)
+    model = TransitionModel(p1=p1, p0=p0, beta=0.9)
     sweep = compute_indices(model, [1.0, 0.5, 0.0]).sweep
     assert sweep.min_a == pytest.approx(19 / 109, abs=1e-12)
     assert sweep.min_a == pytest.approx(constants_a([1, 2], model)[1], abs=1e-12)
@@ -390,5 +389,5 @@ def test_undiscounted_model_is_rejected_before_any_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", no_solve)
     monkeypatch.setattr(np.linalg, "solve", no_solve)
     with pytest.raises(DataError, match=r"beta must lie in \(0, 1\)"):
-        compute_indices(TransitionModel(p1=TWO_STATE_P1, p0=TWO_STATE_P1,
-                                        epsilon=np.ones(2), beta=1.0), [1.0, 0.5])
+        compute_indices(TransitionModel(p1=TWO_STATE_P1, p0=TWO_STATE_P1, beta=1.0),
+                        [1.0, 0.5])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,30 +6,26 @@ import numpy as np
 import pytest
 
 from feedrank.errors import DataError
-from feedrank.indices import compute_indices
+from feedrank.indices import IndexTable, compute_indices
 from feedrank.model_io import ModelBundle, read_model, write_model
 from feedrank.states import BinSpec
-from feedrank.transitions import build_model
 
 
 def make_bundle(with_index=False):
     bins = BinSpec((1, 2, 3), (0.0, 2.0, math.inf))
     rng = np.random.default_rng(77)
     n = bins.n_states
-    p1 = rng.dirichlet(np.ones(n), size=n)
-    model = build_model(p1, epsilon=0.1, beta=0.9)
     bundle = ModelBundle(
         bins=bins,
         r_n=(1.0, 0.25),
         r_p=(0.125, 1.0),
-        epsilon=model.epsilon,
+        epsilon=0.1,
         beta=0.9,
-        p1=model.p1,
+        p1=rng.dirichlet(np.ones(n), size=n),
         meta={"train_window": "[0, 100)", "items_used": "42"},
     )
     if with_index:
-        space = bundle.state_space()
-        bundle.index = compute_indices(model, space.reward)
+        bundle.index = compute_indices(bundle.transition_model(), bundle.state_space().reward)
     return bundle
 
 
@@ -41,7 +38,7 @@ def test_round_trip_preserves_everything(tmp_path):
     assert back.r_n == bundle.r_n
     assert back.r_p == bundle.r_p
     assert back.beta == bundle.beta
-    assert np.array_equal(back.epsilon, bundle.epsilon)
+    assert back.epsilon == bundle.epsilon
     assert np.array_equal(back.p1, bundle.p1)
     assert np.array_equal(back.transition_model().p0,
                           bundle.transition_model().p0)
@@ -50,11 +47,14 @@ def test_round_trip_preserves_everything(tmp_path):
     assert back.index.sweep is None
 
 
-def test_file_is_format_v3_and_stores_only_g(tmp_path):
+def test_file_is_format_v4_and_stores_only_g(tmp_path):
     path = tmp_path / "model.txt"
     write_model(make_bundle(with_index=True), path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "# feedrank model, format v3"
+    assert lines[0] == "# feedrank model, format v4"
+    # One slowdown factor for every state, written once.
+    assert [line for line in lines if line.startswith("epsilon")] == [
+        "epsilon = 0.10000000000000001"]
     assert [line.split(" = ")[0] for line in lines[lines.index("[indices]") + 1:]] == ["g"]
 
 
@@ -99,11 +99,11 @@ def test_earlier_or_missing_header_is_refused(tmp_path):
     write_model(make_bundle(with_index=True), path)
     body = path.read_text().split("\n", 1)[1]
     for header in ("# feedrank model, format v1", "# feedrank model, format v2",
-                   "# feedrank model, format v9", ""):
+                   "# feedrank model, format v3", "# feedrank model, format v9", ""):
         path.write_text(f"{header}\n{body}" if header else body)
         first = header or "[meta]"
         with pytest.raises(DataError, match=re.escape(
-                f"starts with '{first}', not '# feedrank model, format v3'; rerun fit")):
+                f"starts with '{first}', not '# feedrank model, format v4'; rerun fit")):
             read_model(path)
 
 
@@ -141,7 +141,8 @@ def test_short_p1_row_rejected(tmp_path):
     ("beta = ", "beta = 1", "beta"),
     ("beta = ", "beta = nan", "beta"),
     ("epsilon = ", "epsilon = 2", "epsilon"),
-    ("epsilon = ", "epsilon = nan,0.1,0.1,0.1,0.1", "epsilon"),
+    ("epsilon = ", "epsilon = nan", "epsilon"),
+    ("epsilon = ", "epsilon = 0.1,0.1,0.1,0.1,0.1", "unparseable"),
     ("r_n = ", "r_n = nan,0.25", "reward"),
     ("row_2 = ", "row_2 = nan,0,1,0,0", "p1"),
     ("g = ", "g = 0.5,0.5,inf,0.5,0.5", "finite"),
@@ -149,11 +150,27 @@ def test_short_p1_row_rejected(tmp_path):
     ("g = ", "g = 0.5,0.5,0.5,0.5", "finite"),
     ("train_window = ", "train_window = [a, b)", "meta"),
     ("train_window = ", "train_window = [100, 0)", "meta"),
-], ids=["beta-1", "beta-nan", "epsilon-2", "epsilon-nan", "r_n-nan", "p1-nan",
-        "g-inf", "g-nan", "g-short", "meta-window", "meta-window-empty"])
+], ids=["beta-1", "beta-nan", "epsilon-2", "epsilon-nan", "epsilon-per-state", "r_n-nan",
+        "p1-nan", "g-inf", "g-nan", "g-short", "meta-window", "meta-window-empty"])
 def test_out_of_range_value_rejected_on_load(tmp_path, prefix, replacement, message):
     with pytest.raises(DataError, match=message):
         read_model(tampered(tmp_path, prefix, replacement))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("r_n", (1.5, 0.25), "reward"),
+    ("r_n", (-0.5, 0.25), "reward"),
+    ("beta", 1.0, "beta"),
+    ("epsilon", 2.0, "epsilon"),
+    ("epsilon", np.full(5, 0.1), "one number"),
+    ("meta", {"train_window": "[100, 0)"}, "meta"),
+    ("index", IndexTable(np.array([0.5, np.nan])), "finite"),
+], ids=["r_n-above-1", "r_n-negative", "beta-1", "epsilon-2", "epsilon-per-state",
+        "meta-window-empty", "g-nan"])
+def test_bundle_checks_itself_when_built(field, value, message):
+    # A fitted bundle meets the checks a read one does, when it is built.
+    with pytest.raises(DataError, match=message):
+        dataclasses.replace(make_bundle(), **{field: value})
 
 
 def test_duplicate_section_rejected(tmp_path):

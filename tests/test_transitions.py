@@ -182,9 +182,12 @@ def test_transition_model_validation():
     with pytest.raises(DataError):
         build_model(np.array([[0.5, 0.6], [0.2, 0.8]]))
     with pytest.raises(DataError):
-        TransitionModel(p1=p1, p0=np.eye(3), epsilon=np.full(2, 0.1))
-    with pytest.raises(DataError):
-        TransitionModel(p1=p1, p0=np.eye(2), epsilon=np.full(2, 1.4))
+        TransitionModel(p1=p1, p0=np.eye(3))
+    # The model holds no epsilon: it lives only where p0 is derived.
+    with pytest.raises(TypeError):
+        TransitionModel(p1=p1, p0=np.eye(2), epsilon=0.1)
+    with pytest.raises(DataError, match="epsilon"):
+        build_model(p1, epsilon=np.full(2, 1.4))
     # NaN fails every range check: entries, epsilon and beta.
     with pytest.raises(DataError, match="p1 entries"):
         build_model(np.array([[np.nan, 0.5], [0.2, 0.8]]))
