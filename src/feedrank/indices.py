@@ -26,15 +26,18 @@ row of the system (a ``p0`` row becomes a ``p1`` row) and one entry of
 its right-hand side. So ``compute_indices`` factors the system once and
 follows every step with a Sherman-Morrison rank-one update of the
 inverse, the fast-pivoting scheme of Nino-Mora (INFORMS J. Computing,
-2007): O(n^2) a step and O(n^3) in all, with the occupancy residual
-checked at every step. ``occupancy`` and ``constants_a`` solve for one
-given set directly.
+2007), with the occupancy residual checked at every step. The updates
+are delayed: the inverse is held as ``base - C @ W`` with at most
+``_BLOCK`` pending rank-one terms, which a step applies with two thin
+products, and every ``_BLOCK`` updates one matrix product folds them
+into ``base``. ``occupancy`` and ``constants_a`` solve for one given set
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +46,8 @@ from .transitions import TransitionModel
 
 RESIDUAL_TOL_FACTOR = 1e-10
 _MAX_REFINEMENTS = 2
+# Pending rank-one terms of the sweep's inverse before one product folds them in.
+_BLOCK = 32
 
 
 def _as_mask(active: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
@@ -65,18 +70,57 @@ def _inverse(m: np.ndarray) -> np.ndarray:
         raise NumericalError(f"occupancy solve failed: {exc}") from exc
 
 
-def _refine(m: np.ndarray, m_inv: np.ndarray, b: np.ndarray,
+class _DelayedInverse:
+    """The inverse of ``M`` as ``base - cols[:k].T @ rows[:k]``, ``k`` pending terms.
+
+    Each Sherman-Morrison update appends one term; every ``_BLOCK``
+    updates one matrix product folds the terms into ``base``.
+    """
+
+    def __init__(self, m: np.ndarray):
+        n = len(m)
+        self.cols = np.empty((_BLOCK, n))
+        self.rows = np.empty((_BLOCK, n))
+        self.reset(m)
+
+    def reset(self, m: np.ndarray) -> None:
+        """Factor ``m`` afresh and drop the pending terms."""
+        self.base = _inverse(m)
+        self.pending = 0
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``inv(M) @ x``."""
+        k = self.pending
+        return self.base @ x - self.cols[:k].T @ (self.rows[:k] @ x)
+
+    def update(self, s: int, u: np.ndarray) -> float:
+        """Follow ``M[s] += u`` and return the pivot ``1 + (u @ inv(M))[s]``."""
+        k = self.pending
+        cols, rows = self.cols[:k], self.rows[:k]
+        w = u @ self.base - (cols @ u) @ rows
+        pivot = 1.0 + w[s]
+        self.cols[k] = (self.base[:, s] - rows[:, s] @ cols) / pivot
+        self.rows[k] = w
+        self.pending = k + 1
+        if self.pending == _BLOCK:
+            self.base -= self.cols.T @ self.rows
+            self.pending = 0
+        return pivot
+
+
+def _refine(m: np.ndarray, solve: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             tol: float) -> tuple[np.ndarray, int, float]:
-    """Solve ``m v = b`` with ``m_inv``, refining while the residual exceeds ``tol``.
+    """Solve ``m v = b`` with ``solve(x) = inv(m) @ x``, refining while the
+    residual exceeds ``tol``.
 
     Returns ``v``, the refinements applied (at most ``_MAX_REFINEMENTS``)
     and the residual ``||b - m v||_inf`` of the returned ``v``.
     """
-    v = m_inv @ b
+    v = solve(b)
     residual = b - m @ v
     k = 0
     while not np.abs(residual).max() <= tol and k < _MAX_REFINEMENTS:
-        v = v + m_inv @ residual
+        v = v + solve(residual)
         residual = b - m @ v
         k += 1
     return v, k, float(np.abs(residual).max())
@@ -98,7 +142,7 @@ def occupancy(active: Iterable[int] | np.ndarray, model: TransitionModel) -> np.
     mask = _as_mask(active, n)
     m = np.eye(n) - model.beta * np.where(mask[:, None], model.p1, model.p0)
     tol = RESIDUAL_TOL_FACTOR / (1.0 - model.beta)
-    v, _, residual = _refine(m, _inverse(m), mask.astype(float), tol)
+    v, _, residual = _refine(m, _inverse(m).dot, mask.astype(float), tol)
     if not residual <= tol:  # a nan residual fails too
         raise _residual_error(residual, tol)
     return v
@@ -173,14 +217,17 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
     states extracted so far: ``M = I - beta * p0`` and ``b = 0`` at the
     start, factored once. Extracting a state turns its row of ``M`` into
     the ``p1`` row ``e_s - beta * p1[s]`` and sets ``b[s] = 1``, so the
-    inverse follows by one Sherman-Morrison rank-one update: O(n^2) a
-    step, O(n^3) in all. The residual ``||b - M v||_inf`` is checked at
-    every step against ``1e-10 / (1 - beta)``; past it, up to
-    ``_MAX_REFINEMENTS`` refinements run with the current inverse, then
-    ``M`` is factored afresh, and if that also fails ``NumericalError``
-    is raised. The maximization breaks exact ties by lowest state index.
-    Raises ``IndexabilityError`` if a normalizing constant is not
-    strictly positive when it is needed.
+    inverse follows by one Sherman-Morrison rank-one update. The update
+    is delayed: it stays a pending term, the step applies the inverse
+    with two thin products, and every ``_BLOCK`` updates one matrix
+    product folds the pending terms into the factored inverse. The
+    residual ``||b - M v||_inf`` is checked at every step against
+    ``1e-10 / (1 - beta)``; past it, up to ``_MAX_REFINEMENTS``
+    refinements run with the current inverse, then ``M`` is factored
+    afresh, dropping the pending terms, and if that also fails
+    ``NumericalError`` is raised. The maximization breaks exact ties by
+    lowest state index. Raises ``IndexabilityError`` if a normalizing
+    constant is not strictly positive when it is needed.
     """
     r = np.asarray(rewards, dtype=float)
     n = model.n_states
@@ -192,7 +239,7 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
     diff = model.p1 - model.p0
     identity = np.eye(n)
     m = identity - beta * model.p0  # occupancy's system with no state extracted
-    m_inv = _inverse(m)
+    m_inv = _DelayedInverse(m)
     v = np.zeros(n)
     remaining = np.ones(n, dtype=bool)
     adjust = np.zeros(n)
@@ -235,16 +282,13 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
         # Equal p1 and p0 rows (absorbing state, or epsilon 1) leave M and its inverse as is.
         if u.any():
             m[state] = row
-            w = u @ m_inv
-            pivot = 1.0 + w[state]
-            min_pivot = min(min_pivot, abs(pivot))
-            m_inv -= np.outer(m_inv[:, state] / pivot, w)
-        v, k, residual = _refine(m, m_inv, b, tol)
+            min_pivot = min(min_pivot, abs(m_inv.update(state, u)))
+        v, k, residual = _refine(m, m_inv.apply, b, tol)
         refinements += k
         if not residual <= tol:  # a nan residual fails too
-            m_inv = _inverse(m)
+            m_inv.reset(m)
             refactorizations += 1
-            v, k, residual = _refine(m, m_inv, b, tol)
+            v, k, residual = _refine(m, m_inv.apply, b, tol)
             refinements += k
             if not residual <= tol:
                 raise _residual_error(residual, tol)

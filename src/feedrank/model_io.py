@@ -42,7 +42,9 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_list(values) -> str:
-    return ",".join(_fmt(v) for v in values)
+    """Comma-joined ``_fmt`` values, formatted by one ``%`` call."""
+    row = tuple(np.asarray(values, dtype=float).tolist())
+    return ",".join(["%.17g"] * len(row)) % row
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -79,6 +81,8 @@ class ModelBundle:
         if np.ndim(self.epsilon) != 0:
             raise DataError("model epsilon must be one number")
         n = self.bins.n_states
+        if np.shape(self.p1) != (n, n):
+            raise DataError(f"[p1] has shape {np.shape(self.p1)}, expected ({n}, {n})")
         if self.index is not None and not (
                 self.index.g.shape == (n,) and np.isfinite(self.index.g).all()):
             raise DataError(f"[indices] g must hold {n} finite values")

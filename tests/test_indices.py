@@ -359,6 +359,64 @@ def test_absorbing_rows_skip_the_update_and_its_pivot():
     assert "smallest pivot = inf" in sweep.describe()
 
 
+BLOCK = indices._BLOCK
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("absorbing", [False, True], ids=["moving", "absorbing"])
+def test_blocked_sweep_matches_reference_across_block_boundaries(n, sparse, absorbing):
+    # The pending updates fold into the inverse every BLOCK steps; absorbing
+    # rows make no update, so they shift the fold to a later step.
+    rng = np.random.default_rng([n, sparse, absorbing])
+    p1 = rng.dirichlet(np.ones(n), size=n)
+    if sparse:
+        for row in p1:
+            row[rng.permutation(n)[int(rng.integers(1, 4)):]] = 0.0
+        p1 /= p1.sum(axis=1, keepdims=True)
+    if absorbing:
+        rows = rng.choice(n, size=n // 6, replace=False)
+        p1[rows] = np.eye(n)[rows]
+    model = build_model(p1, epsilon=0.2, beta=0.9)
+    rewards = rng.uniform(0, 1, size=n)
+    table = compute_indices(model, rewards)
+    g, pi_order, _ = greedy_indices_reference(model.p1, model.p0, model.beta, rewards)
+    assert np.array_equal(table.sweep.pi_order, pi_order)
+    assert np.abs(table.g - g).max() <= 1e-10
+    assert (table.sweep.refinements, table.sweep.refactorizations) == (0, 0)
+
+
+def test_refactorization_drops_the_pending_terms(monkeypatch):
+    # Fail one step's residual three updates past a fold: the sweep factors
+    # afresh with three terms pending, and must solve the later steps with
+    # the fresh inverse alone.
+    n = BLOCK + 8
+    rng = np.random.default_rng(4)
+    model = random_model(rng, n)
+    rewards = rng.uniform(0, 1, size=n)
+    refine, reset = indices._refine, indices._DelayedInverse.reset
+    calls, pending = [], []
+
+    def fail_once(*args):
+        calls.append(refine(*args))
+        v, k, residual = calls[-1]
+        return (v, k, np.inf) if len(calls) == BLOCK + 3 else (v, k, residual)
+
+    def counted_reset(self, m):
+        before = getattr(self, "pending", None)
+        reset(self, m)
+        pending.append((before, self.pending))
+
+    monkeypatch.setattr(indices, "_refine", fail_once)
+    monkeypatch.setattr(indices._DelayedInverse, "reset", counted_reset)
+    table = compute_indices(model, rewards)
+    assert pending == [(None, 0), (3, 0)]
+    assert (table.sweep.refinements, table.sweep.refactorizations) == (0, 1)
+    g, pi_order, _ = greedy_indices_reference(model.p1, model.p0, model.beta, rewards)
+    assert np.array_equal(table.sweep.pi_order, pi_order)
+    assert np.abs(table.g - g).max() <= 1e-10
+
+
 def test_failed_residual_refines_refactors_then_raises(monkeypatch):
     refines, inverses = [], []
     refine, inverse = indices._refine, indices._inverse

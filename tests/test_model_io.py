@@ -7,7 +7,7 @@ import pytest
 
 from feedrank.errors import DataError
 from feedrank.indices import IndexTable, compute_indices
-from feedrank.model_io import ModelBundle, read_model, write_model
+from feedrank.model_io import ModelBundle, _fmt_list, read_model, write_model
 from feedrank.states import BinSpec
 
 
@@ -165,12 +165,35 @@ def test_out_of_range_value_rejected_on_load(tmp_path, prefix, replacement, mess
     ("epsilon", np.full(5, 0.1), "one number"),
     ("meta", {"train_window": "[100, 0)"}, "meta"),
     ("index", IndexTable(np.array([0.5, np.nan])), "finite"),
+    ("p1", np.full((3, 3), 1 / 3), r"\[p1\] has shape \(3, 3\), expected \(5, 5\)"),
 ], ids=["r_n-above-1", "r_n-negative", "beta-1", "epsilon-2", "epsilon-per-state",
-        "meta-window-empty", "g-nan"])
+        "meta-window-empty", "g-nan", "p1-3x3"])
 def test_bundle_checks_itself_when_built(field, value, message):
     # A fitted bundle meets the checks a read one does, when it is built.
     with pytest.raises(DataError, match=message):
         dataclasses.replace(make_bundle(), **{field: value})
+
+
+def test_fmt_list_formats_like_format_per_value():
+    values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1 / 3, math.inf, -math.inf]
+    expected = ",".join(format(v, ".17g") for v in values)
+    assert _fmt_list(values) == expected
+    assert _fmt_list(np.array(values)) == expected
+    assert _fmt_list([]) == ""
+
+
+def test_401_state_p1_round_trips_bit_for_bit(tmp_path):
+    # The fine-grid size: 40 novelty bins by 10 popularity bins, plus state 0.
+    bins = BinSpec(tuple(range(1, 42)), (*range(10), math.inf))
+    rng = np.random.default_rng(401)
+    p1 = rng.dirichlet(np.ones(bins.n_states), size=bins.n_states)
+    p1[rng.random(p1.shape) < 0.5] = 0.0
+    p1 /= p1.sum(axis=1, keepdims=True)
+    bundle = ModelBundle(bins=bins, r_n=tuple(np.linspace(1, 0, 40)),
+                         r_p=tuple(np.linspace(0, 1, 10)), epsilon=0.1, beta=0.9, p1=p1)
+    path = tmp_path / "model.txt"
+    write_model(bundle, path)
+    assert read_model(path).p1.tobytes() == p1.tobytes()
 
 
 def test_duplicate_section_rejected(tmp_path):
