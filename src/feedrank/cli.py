@@ -58,9 +58,9 @@ def cmd_indices(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .model_io import read_model, write_model
 
     bundle = read_model(cfg.model_path)
-    bundle.index = compute_indices(bundle.transition_model(), bundle.state_space().reward)
+    bundle.index = compute_indices(bundle.model, bundle.space.reward)
     write_model(bundle, cfg.model_path)
-    print(format_rank_grid(bundle.index, bundle.bins))
+    print(format_rank_grid(bundle.index, bundle.space.bins))
     print(bundle.index.sweep.describe())
     print(f"index table written to {cfg.model_path}")
     return 0
@@ -77,15 +77,17 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ConfigError("model has no index table; run the indices subcommand first")
     if cfg.train_window is None:
         cfg = dataclasses.replace(cfg, train_window=bundle.train_window())
-    table = build_timelines(load_event_log(cfg.events_path))
-    report = evaluate_run(table, bundle.state_space(), bundle.index, cfg)
-    os.makedirs(cfg.report_dir, exist_ok=True)
+    space, index = bundle.space, bundle.index
     extra = {
         "beta": format(bundle.beta, ".17g"),
         "epsilon": format(bundle.epsilon, ".17g"),
-        "novelty_limits": format_limits(bundle.bins.novelty_limits),
-        "popularity_limits": format_limits(bundle.bins.popularity_limits),
+        "novelty_limits": format_limits(space.bins.novelty_limits),
+        "popularity_limits": format_limits(space.bins.popularity_limits),
     }
+    del bundle  # evaluate needs neither chain: free p1 and p0 before the events load
+    table = build_timelines(load_event_log(cfg.events_path))
+    report = evaluate_run(table, space, index, cfg)
+    os.makedirs(cfg.report_dir, exist_ok=True)
     write_series_csv(report, os.path.join(cfg.report_dir, "series.csv"))
     write_summary_csv(report, os.path.join(cfg.report_dir, "summary.csv"))
     write_header_text(report, os.path.join(cfg.report_dir, "header.txt"), extra)

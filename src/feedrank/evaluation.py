@@ -193,7 +193,7 @@ def rank_window(table: ItemTable, bins: BinSpec, index_table: IndexTable | None,
     return Rankings(minutes, which, rows, states, orders), counts, n_decision
 
 
-@dataclass
+@dataclass(eq=False)
 class EvaluationReport:
     """The ranking batch and its nDCG scores.
 

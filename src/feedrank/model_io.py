@@ -15,9 +15,9 @@ written with 17 significant digits so every value round-trips exactly.
 
 ``read_model`` reads this format only; a file without its header line,
 such as one in format v1, v2 or v3, is refused and must be written again
-by ``feedrank fit``. A ``ModelBundle`` range-checks every value when it
-is built, fitted or read, by the ``BinSpec``, ``StateSpace`` and
-``TransitionModel`` checks.
+by ``feedrank fit``. A ``ModelBundle`` holds one checked ``StateSpace``
+and derives one checked ``TransitionModel`` when it is built, fitted or
+read.
 """
 
 from __future__ import annotations
@@ -60,41 +60,36 @@ def _parse_limits(text: str) -> tuple:
     return tuple(math.inf if tok == "inf" else int(tok) for tok in text.split(","))
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelBundle:
     """Everything the CLI persists between fit, indices, and evaluate.
 
-    Building one runs the checks every model passes, so that a fitted
-    model and a read one meet the same ranges.
+    ``model`` is derived from ``p1``, ``epsilon`` and ``beta`` when the
+    bundle is built, as ``StateSpace`` derives ``reward``.
     """
 
-    bins: BinSpec
-    r_n: tuple[float, ...]
-    r_p: tuple[float, ...]
+    space: StateSpace
+    p1: np.ndarray
     epsilon: float
     beta: float
-    p1: np.ndarray
     meta: dict[str, str] = field(default_factory=dict)
     index: IndexTable | None = None
+    model: TransitionModel = field(init=False)
 
     def __post_init__(self):
         if np.ndim(self.epsilon) != 0:
             raise DataError("model epsilon must be one number")
-        n = self.bins.n_states
+        n = self.space.bins.n_states
         if np.shape(self.p1) != (n, n):
             raise DataError(f"[p1] has shape {np.shape(self.p1)}, expected ({n}, {n})")
         if self.index is not None and not (
                 self.index.g.shape == (n,) and np.isfinite(self.index.g).all()):
             raise DataError(f"[indices] g must hold {n} finite values")
-        self.state_space()
-        self.transition_model()
+        self.model = build_model(self.p1, self.epsilon, self.beta)
         self.train_window()
 
-    def state_space(self) -> StateSpace:
-        return StateSpace(self.bins, self.r_n, self.r_p)
-
-    def transition_model(self) -> TransitionModel:
-        return build_model(self.p1, self.epsilon, self.beta)
+    def state_space(self) -> StateSpace:  # bench/run.py reads the space by this name
+        return self.space
 
     def train_window(self) -> tuple[int, int] | None:
         """The window ``fit_model`` recorded in ``meta``, if any."""
@@ -128,7 +123,7 @@ def fit_model(table: ItemTable, cfg: RunConfig) -> ModelBundle:
             train.count("retweet", np.arange(len(train)), 0, train.stride),
             cfg.n_popularity_bins),
     )
-    r_n, r_p = fit_rewards(train, bins)
+    space = StateSpace(bins, *fit_rewards(train, bins))
     p1 = estimate_p1(train, bins, cfg.train_window, smoothing=cfg.smoothing)
 
     meta = {
@@ -140,12 +135,11 @@ def fit_model(table: ItemTable, cfg: RunConfig) -> ModelBundle:
                        if cfg.peak_hours else "none"),
         "smoothing": format(cfg.smoothing, ".17g"),
     }
-    return ModelBundle(bins=bins, r_n=r_n, r_p=r_p, epsilon=cfg.epsilon,
-                       beta=cfg.beta, p1=p1, meta=meta)
+    return ModelBundle(space=space, p1=p1, epsilon=cfg.epsilon, beta=cfg.beta, meta=meta)
 
 
 def write_model(bundle: ModelBundle, path) -> None:
-    n = bundle.bins.n_states
+    space = bundle.space
     lines = [FORMAT_HEADER, "[meta]"]
     for key, value in bundle.meta.items():
         lines.append(f"{key} = {value}")
@@ -153,14 +147,14 @@ def write_model(bundle: ModelBundle, path) -> None:
     lines.append(f"beta = {_fmt(bundle.beta)}")
     lines.append(f"epsilon = {_fmt(bundle.epsilon)}")
     lines.append("[bins]")
-    lines.append(f"novelty_limits = {format_limits(bundle.bins.novelty_limits)}")
-    lines.append(f"popularity_limits = {format_limits(bundle.bins.popularity_limits)}")
+    lines.append(f"novelty_limits = {format_limits(space.bins.novelty_limits)}")
+    lines.append(f"popularity_limits = {format_limits(space.bins.popularity_limits)}")
     lines.append("[rewards]")
-    lines.append(f"r_n = {_fmt_list(bundle.r_n)}")
-    lines.append(f"r_p = {_fmt_list(bundle.r_p)}")
+    lines.append(f"r_n = {_fmt_list(space.r_n)}")
+    lines.append(f"r_p = {_fmt_list(space.r_p)}")
     lines.append("[p1]")
-    for i in range(n):
-        lines.append(f"row_{i} = {_fmt_list(bundle.p1[i])}")
+    for i, row in enumerate(bundle.p1):
+        lines.append(f"row_{i} = {_fmt_list(row)}")
     if bundle.index is not None:
         lines.append("[indices]")
         lines.append(f"g = {_fmt_list(bundle.index.g)}")
@@ -236,6 +230,6 @@ def read_model(path) -> ModelBundle:
     except ValueError as exc:
         raise DataError(f"model file holds an unparseable value: {exc}") from exc
     return ModelBundle(
-        bins=bins, r_n=r_n, r_p=r_p, epsilon=epsilon, beta=beta, p1=p1,
+        space=StateSpace(bins, r_n, r_p), p1=p1, epsilon=epsilon, beta=beta,
         meta=dict(sections.get("meta", {})), index=None if g is None else IndexTable(g),
     )

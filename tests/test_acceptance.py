@@ -229,7 +229,7 @@ def month():
 
     t0 = time.perf_counter()
     bundle = fit_model(timelines, RunConfig(train_window=TRAIN_WINDOW))
-    space, model = bundle.state_space(), bundle.transition_model()
+    space, model = bundle.space, bundle.model
     data["fit_seconds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -291,8 +291,8 @@ def test_criterion_08_peak_hours_changes_fit(month):
     full_space = month["space"]
     peak = fit_model(timelines, RunConfig(train_window=TRAIN_WINDOW,
                                           peak_hours=PEAK_HOURS))
-    peak_space = peak.state_space()
-    peak_table = compute_indices(peak.transition_model(), peak_space.reward)
+    peak_space = peak.space
+    peak_table = compute_indices(peak.model, peak_space.reward)
     peak_report = evaluate_run(timelines, peak_space, peak_table,
                                RunConfig(eval_window=EVAL_WINDOW, peak_hours=PEAK_HOURS))
     ok = (peak_space.bins.popularity_limits

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feedrank import evaluation, indices
+from feedrank import evaluation, indices, model_io, transitions
 from feedrank.cli import build_parser, main
 from feedrank.config import MAX_MINUTES, RunConfig, parse_field
 from feedrank.errors import ConfigError
 from feedrank.events import build_timelines, load_event_log
 from feedrank.model_io import fit_model, read_model
+from feedrank.states import StateSpace
 from feedrank.synth import PEAK_HOURS, GeneratorConfig
 from oracles import greedy_indices_reference
 
@@ -56,7 +57,7 @@ def test_fit_records_metadata(pipeline):
     bundle = read_model(pipeline["model"])
     assert bundle.meta["train_window"] == "[0, 2880)"
     assert int(bundle.meta["items_used"]) > 0
-    assert bundle.bins.n_states == 101
+    assert bundle.space.bins.n_states == 101
 
 
 def test_indices_stores_table_and_prints_grid(pipeline, capsys):
@@ -70,7 +71,7 @@ def test_indices_stores_table_and_prints_grid(pipeline, capsys):
 
 def test_indices_match_the_reference_sweep(pipeline):
     bundle = read_model(pipeline["model"])
-    model, reward = bundle.transition_model(), bundle.state_space().reward
+    model, reward = bundle.model, bundle.space.reward
     g, _, y_values = greedy_indices_reference(model.p1, model.p0, model.beta, reward)
     table = indices.compute_indices(model, reward)
     assert np.abs(table.g - g).max() <= 1e-10
@@ -95,6 +96,33 @@ def test_indices_prints_sweep_diagnostics_but_does_not_store_them(pipeline, tmp_
     assert text.startswith("# feedrank model, format v4\n")
     assert "sweep" not in text and "refine" not in text
     assert read_model(str(model)).index.sweep is None
+
+
+def test_indices_and_evaluate_build_each_model_part_once(pipeline, tmp_path, monkeypatch):
+    built = collections.Counter()
+
+    def build_model(*args):
+        built["model"] += 1
+        return transitions.build_model(*args)
+
+    def post_init(self, _original=StateSpace.__post_init__):
+        built["space"] += 1
+        _original(self)
+
+    monkeypatch.setattr(model_io, "build_model", build_model)
+    monkeypatch.setattr(StateSpace, "__post_init__", post_init)
+    model = tmp_path / "model.txt"
+    shutil.copy(pipeline["model"], model)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["indices", "--model", str(model)]) == 0
+        assert built == {"model": 1, "space": 1}
+        built.clear()
+        assert main(["evaluate", "--events", pipeline["events"], "--model", str(model),
+                     "--report-dir", str(tmp_path / "report"),
+                     "--eval-window", "2880:3240"]) == 0
+    assert built == {"model": 1, "space": 1}
+    bundle = read_model(model)
+    assert bundle.state_space() is bundle.space
 
 
 def test_indices_exits_3_when_the_residual_cannot_be_met(pipeline, tmp_path, monkeypatch):

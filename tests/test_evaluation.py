@@ -236,6 +236,13 @@ def test_evaluate_run_skips_empty_minutes():
     assert report.minutes == list(range(691, 700))
 
 
+def test_reports_of_one_run_compare_without_raising():
+    timelines, space = eval_corpus(), make_space()
+    first, second = (evaluate_run(timelines, space, None, config((690, 700))) for _ in range(2))
+    assert first == first
+    assert first != second
+
+
 def spread_corpus():
     """Posts over three days with gaps of hours between bursts, two in one minute."""
     minutes = [5, 7, 300, 300, 301, 900, 1439, 1500, 2000, 2003, 2950, 4000, 4300]

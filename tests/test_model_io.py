@@ -8,7 +8,7 @@ import pytest
 from feedrank.errors import DataError
 from feedrank.indices import IndexTable, compute_indices
 from feedrank.model_io import ModelBundle, _fmt_list, read_model, write_model
-from feedrank.states import BinSpec
+from feedrank.states import BinSpec, StateSpace
 
 
 def make_bundle(with_index=False):
@@ -16,16 +16,14 @@ def make_bundle(with_index=False):
     rng = np.random.default_rng(77)
     n = bins.n_states
     bundle = ModelBundle(
-        bins=bins,
-        r_n=(1.0, 0.25),
-        r_p=(0.125, 1.0),
+        space=StateSpace(bins, r_n=(1.0, 0.25), r_p=(0.125, 1.0)),
         epsilon=0.1,
         beta=0.9,
         p1=rng.dirichlet(np.ones(n), size=n),
         meta={"train_window": "[0, 100)", "items_used": "42"},
     )
     if with_index:
-        bundle.index = compute_indices(bundle.transition_model(), bundle.state_space().reward)
+        bundle.index = compute_indices(bundle.model, bundle.space.reward)
     return bundle
 
 
@@ -34,17 +32,24 @@ def test_round_trip_preserves_everything(tmp_path):
     path = tmp_path / "model.txt"
     write_model(bundle, path)
     back = read_model(path)
-    assert back.bins == bundle.bins
-    assert back.r_n == bundle.r_n
-    assert back.r_p == bundle.r_p
+    assert back.space.bins == bundle.space.bins
+    assert back.space.r_n == bundle.space.r_n
+    assert back.space.r_p == bundle.space.r_p
     assert back.beta == bundle.beta
     assert back.epsilon == bundle.epsilon
     assert np.array_equal(back.p1, bundle.p1)
-    assert np.array_equal(back.transition_model().p0,
-                          bundle.transition_model().p0)
+    assert np.array_equal(back.model.p0, bundle.model.p0)
     assert back.meta == bundle.meta
     assert np.array_equal(back.index.g, bundle.index.g)
     assert back.index.sweep is None
+
+
+def test_bundles_read_from_one_file_compare_without_raising(tmp_path):
+    path = tmp_path / "model.txt"
+    write_model(make_bundle(with_index=True), path)
+    first, second = read_model(path), read_model(path)
+    assert first == first
+    assert first != second
 
 
 def test_file_is_format_v4_and_stores_only_g(tmp_path):
@@ -158,15 +163,15 @@ def test_out_of_range_value_rejected_on_load(tmp_path, prefix, replacement, mess
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("r_n", (1.5, 0.25), "reward"),
-    ("r_n", (-0.5, 0.25), "reward"),
+    ("space", StateSpace(BinSpec((1, 2), (0.0, math.inf)), (1.0,), (1.0,)),
+     r"\[p1\] has shape \(5, 5\), expected \(2, 2\)"),
     ("beta", 1.0, "beta"),
     ("epsilon", 2.0, "epsilon"),
     ("epsilon", np.full(5, 0.1), "one number"),
     ("meta", {"train_window": "[100, 0)"}, "meta"),
     ("index", IndexTable(np.array([0.5, np.nan])), "finite"),
     ("p1", np.full((3, 3), 1 / 3), r"\[p1\] has shape \(3, 3\), expected \(5, 5\)"),
-], ids=["r_n-above-1", "r_n-negative", "beta-1", "epsilon-2", "epsilon-per-state",
+], ids=["space-other-grid", "beta-1", "epsilon-2", "epsilon-per-state",
         "meta-window-empty", "g-nan", "p1-3x3"])
 def test_bundle_checks_itself_when_built(field, value, message):
     # A fitted bundle meets the checks a read one does, when it is built.
@@ -189,8 +194,8 @@ def test_401_state_p1_round_trips_bit_for_bit(tmp_path):
     p1 = rng.dirichlet(np.ones(bins.n_states), size=bins.n_states)
     p1[rng.random(p1.shape) < 0.5] = 0.0
     p1 /= p1.sum(axis=1, keepdims=True)
-    bundle = ModelBundle(bins=bins, r_n=tuple(np.linspace(1, 0, 40)),
-                         r_p=tuple(np.linspace(0, 1, 10)), epsilon=0.1, beta=0.9, p1=p1)
+    space = StateSpace(bins, tuple(np.linspace(1, 0, 40)), tuple(np.linspace(0, 1, 10)))
+    bundle = ModelBundle(space=space, epsilon=0.1, beta=0.9, p1=p1)
     path = tmp_path / "model.txt"
     write_model(bundle, path)
     assert read_model(path).p1.tobytes() == p1.tobytes()
