@@ -18,7 +18,8 @@ import sys
 # numpy reads this when it loads, in a subcommand's first import. The only
 # BLAS work is the indices sweep, a sequential pass over at most MAX_STATES
 # states: more threads only add start-up cost to every process, and its
-# inverse rounds differently on more threads, so one thread, whatever the
+# inverse and its larger matrix products (the fold of the pending updates)
+# round differently on more threads, so one thread, whatever the
 # environment says, also keeps the model file independent of the host.
 # Library callers keep their own threading.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import DEFAULT_RELEVANCE_CAP, MAX_ENTRIES, MAX_RELEVANCE_CAP, BinSpec, RunConfig
 from .errors import ConfigError, DataError
-from .events import ENGAGEMENT_KINDS, ItemTable
+from .events import ENGAGEMENT_KINDS, ItemTable, hour_of_minute
 from .indices import IndexTable
 from .ranking import Rankings, rank_items
 from .states import StateSpace, classify
@@ -146,9 +146,10 @@ def rank_window(table: ItemTable, bins: BinSpec, index_table: IndexTable | None,
         raise ConfigError("evaluation needs an eval window")
     (start, end), interval, hour_set = cfg.eval_window, cfg.decision_interval, cfg.peak_hours
     # The hour filter repeats every period steps: the count of decision
-    # minutes is whole periods plus a remainder.
+    # minutes is whole periods plus a remainder. Reducing start and
+    # interval mod 1440 first keeps the minutes small enough for int64.
     period = 1440 // math.gcd(interval, 1440)
-    hours = (start % 1440 + interval % 1440 * np.arange(period)) % 1440 // 60
+    hours = hour_of_minute(start % 1440 + interval % 1440 * np.arange(period))
     passes = np.ones(period, dtype=bool) if hour_set is None else np.isin(hours, hour_set)
     full, rest = divmod(-(-(end - start) // interval), period)
     n_decision = full * int(passes.sum()) + int(passes[:rest].sum())

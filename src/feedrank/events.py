@@ -326,6 +326,6 @@ def build_timelines(batch: EventBatch) -> ItemTable:
     return ItemTable(ids=tuple(ids), post_ts=post_ts, keys=keys, stride=stride)
 
 
-def hour_of_minute(t: int) -> int:
-    """UTC hour of day for a minute index."""
+def hour_of_minute(t: int | np.ndarray) -> int | np.ndarray:
+    """UTC hour of day for a minute index, or for an int array of them."""
     return (t % 1440) // 60

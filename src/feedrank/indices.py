@@ -19,25 +19,15 @@ normalizing constants for a set S are
 with V_comp the occupancy of the complement of S. The greedy sweep
 starts from the full state set (where A is identically 1), extracts the
 maximizer of (adjusted reward) / A, and accumulates G as partial sums
-of the extracted ratios.
-
-Each extraction moves one state into the complement, which changes one
-row of the system (a ``p0`` row becomes a ``p1`` row) and one entry of
-its right-hand side. So ``compute_indices`` factors the system once and
-follows every step with a Sherman-Morrison rank-one update of the
-inverse, the fast-pivoting scheme of Nino-Mora (INFORMS J. Computing,
-2007), with the occupancy residual checked at every step. The updates
-are delayed: the inverse is held as ``base - C @ W`` with at most
-``_BLOCK`` pending rank-one terms, which a step applies with two thin
-products, and every ``_BLOCK`` updates one matrix product folds them
-into ``base``. ``occupancy`` and ``constants_a`` solve for one given set
-directly.
+of the extracted ratios. Both ``occupancy`` and the sweep solve the
+system through ``_OccupancySystem``, which the sweep keeps solved from
+one extraction to the next by rank-one updates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,89 +53,111 @@ def _as_mask(active: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
     return mask
 
 
-def _inverse(m: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"occupancy solve failed: {exc}") from exc
+class _OccupancySystem:
+    """The occupancy system ``M v = b``, ``M = I - beta * P``, kept solved.
 
+    Row ``s`` of the chain ``P`` is ``p1[s]`` for a state in the
+    occupancy set and ``p0[s]`` for one outside it. ``M`` is inverted
+    once; ``set_row`` changes one row of ``P`` and follows it with a
+    Sherman-Morrison rank-one update of the inverse, the fast-pivoting
+    scheme of Nino-Mora (INFORMS J. Computing, 2007). The updates are
+    delayed: the inverse is held as ``base - cols[:k].T @ rows[:k]``
+    with ``k < _BLOCK`` pending terms, which ``solve`` applies with two
+    thin products, and every ``_BLOCK`` updates one matrix product folds
+    them into ``base``. ``solve`` checks the residual ``||b - M v||_inf``
+    against ``RESIDUAL_TOL_FACTOR / (1 - beta)``; past it, up to
+    ``_MAX_REFINEMENTS`` refinements run with the current inverse, then
+    ``M`` is inverted afresh, dropping the pending terms, and if that
+    also fails ``NumericalError`` is raised.
 
-class _DelayedInverse:
-    """The inverse of ``M`` as ``base - cols[:k].T @ rows[:k]``, ``k`` pending terms.
-
-    Each Sherman-Morrison update appends one term; every ``_BLOCK``
-    updates one matrix product folds the terms into ``base``.
+    The system keeps its own health record: ``min_pivot`` is the
+    smallest pivot ``|1 + w[s]|`` of an update (inf if none; near 0 an
+    update loses accuracy), ``max_residual`` the largest residual a
+    solve accepted, ``refinements`` the refinement passes and
+    ``refactorizations`` the inversions after the first.
     """
 
-    def __init__(self, m: np.ndarray):
-        n = len(m)
+    def __init__(self, p: np.ndarray, beta: float):
+        n = len(p)
+        self.identity = np.eye(n)
+        self.beta = beta
+        self.tol = RESIDUAL_TOL_FACTOR / (1.0 - beta)
+        self.m = self.identity - beta * p
         self.cols = np.empty((_BLOCK, n))
         self.rows = np.empty((_BLOCK, n))
-        self.reset(m)
+        self.min_pivot, self.max_residual = np.inf, 0.0
+        self.refinements = self.refactorizations = 0
+        self._factor()
 
-    def reset(self, m: np.ndarray) -> None:
-        """Factor ``m`` afresh and drop the pending terms."""
-        self.base = _inverse(m)
+    def _factor(self) -> None:
+        """Invert ``M`` afresh and drop the pending terms."""
+        try:
+            self.base = np.linalg.inv(self.m)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"occupancy solve failed: {exc}") from exc
         self.pending = 0
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def _apply(self, x: np.ndarray) -> np.ndarray:
         """``inv(M) @ x``."""
         k = self.pending
         return self.base @ x - self.cols[:k].T @ (self.rows[:k] @ x)
 
-    def update(self, s: int, u: np.ndarray) -> float:
-        """Follow ``M[s] += u`` and return the pivot ``1 + (u @ inv(M))[s]``."""
+    def set_row(self, s: int, p_row: np.ndarray) -> None:
+        """Make ``p_row`` row ``s`` of ``P``, so ``M[s] = e_s - beta * p_row``."""
+        row = self.identity[s] - self.beta * p_row
+        u = row - self.m[s]
+        # Equal p1 and p0 rows (absorbing state, or epsilon 1) leave M and its inverse as is.
+        if not u.any():
+            return
+        self.m[s] = row
         k = self.pending
         cols, rows = self.cols[:k], self.rows[:k]
         w = u @ self.base - (cols @ u) @ rows
         pivot = 1.0 + w[s]
+        self.min_pivot = min(self.min_pivot, abs(float(pivot)))
         self.cols[k] = (self.base[:, s] - rows[:, s] @ cols) / pivot
         self.rows[k] = w
         self.pending = k + 1
         if self.pending == _BLOCK:
             self.base -= self.cols.T @ self.rows
             self.pending = 0
-        return pivot
 
+    def _refine(self, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """``v`` with the current inverse, refined while its residual
+        exceeds the tolerance, and the residual of the returned ``v``."""
+        v = self._apply(b)
+        residual = b - self.m @ v
+        for _ in range(_MAX_REFINEMENTS):
+            if np.abs(residual).max() <= self.tol:
+                break
+            v = v + self._apply(residual)
+            residual = b - self.m @ v
+            self.refinements += 1
+        return v, float(np.abs(residual).max())
 
-def _refine(m: np.ndarray, solve: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-            tol: float) -> tuple[np.ndarray, int, float]:
-    """Solve ``m v = b`` with ``solve(x) = inv(m) @ x``, refining while the
-    residual exceeds ``tol``.
-
-    Returns ``v``, the refinements applied (at most ``_MAX_REFINEMENTS``)
-    and the residual ``||b - m v||_inf`` of the returned ``v``.
-    """
-    v = solve(b)
-    residual = b - m @ v
-    k = 0
-    while not np.abs(residual).max() <= tol and k < _MAX_REFINEMENTS:
-        v = v + solve(residual)
-        residual = b - m @ v
-        k += 1
-    return v, k, float(np.abs(residual).max())
-
-
-def _residual_error(residual: float, tol: float) -> NumericalError:
-    return NumericalError(f"occupancy residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``v`` with ``M v = b`` within the tolerance, or ``NumericalError``."""
+        v, residual = self._refine(b)
+        if not residual <= self.tol:  # a nan residual fails too
+            self._factor()
+            self.refactorizations += 1
+            v, residual = self._refine(b)
+            if not residual <= self.tol:
+                raise NumericalError(
+                    f"occupancy residual {residual:.3e} exceeds tolerance {self.tol:.3e}")
+        self.max_residual = max(self.max_residual, residual)
+        return v
 
 
 def occupancy(active: Iterable[int] | np.ndarray, model: TransitionModel) -> np.ndarray:
     """Discounted occupancy times of ``active`` from every start state.
 
-    Solves the defining linear system with a dense inverse and checks
-    the residual against ``1e-10 / (1 - beta)`` in max norm, refining as
-    ``compute_indices`` does; raises ``NumericalError`` if the residual
-    still exceeds it.
+    Raises ``NumericalError`` if the residual stays above
+    ``1e-10 / (1 - beta)`` (see ``_OccupancySystem``).
     """
-    n = model.n_states
-    mask = _as_mask(active, n)
-    m = np.eye(n) - model.beta * np.where(mask[:, None], model.p1, model.p0)
-    tol = RESIDUAL_TOL_FACTOR / (1.0 - model.beta)
-    v, _, residual = _refine(m, _inverse(m).dot, mask.astype(float), tol)
-    if not residual <= tol:  # a nan residual fails too
-        raise _residual_error(residual, tol)
-    return v
+    mask = _as_mask(active, model.n_states)
+    system = _OccupancySystem(np.where(mask[:, None], model.p1, model.p0), model.beta)
+    return system.solve(mask.astype(float))
 
 
 def _constants(diff: np.ndarray, beta: float, v_comp: np.ndarray) -> np.ndarray:
@@ -173,11 +185,11 @@ class SweepStats:
     dual-speed ``p0`` every such A is at least 1 up to rounding (the
     slowed chain keeps ``V[i] <= p1[i] . V`` outside the occupancy set),
     so ``min_a`` falls clearly below 1 only for other models.
-    ``min_pivot`` is the smallest Sherman-Morrison pivot ``|1 + w[s]|`` of
-    a step that changes ``M`` (inf if none does; near 0 an update loses
-    accuracy), ``max_residual`` the largest occupancy residual accepted at
-    any step. ``refinements`` counts iterative-refinement passes and
-    ``refactorizations`` the fresh factorizations after the first one.
+    ``min_pivot``, ``max_residual``, ``refinements`` and
+    ``refactorizations`` are the health record of the sweep's occupancy
+    system: the smallest Sherman-Morrison pivot of an extraction that
+    changes it (inf if none does), the largest residual accepted at any
+    step, the refinement passes and the inversions after the first.
     """
 
     pi_order: np.ndarray
@@ -213,41 +225,28 @@ class IndexTable:
 def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTable:
     """Run the adaptive-greedy sweep and return the index table.
 
-    The sweep owns one occupancy system ``M v = b`` for the set of
-    states extracted so far: ``M = I - beta * p0`` and ``b = 0`` at the
-    start, factored once. Extracting a state turns its row of ``M`` into
-    the ``p1`` row ``e_s - beta * p1[s]`` and sets ``b[s] = 1``, so the
-    inverse follows by one Sherman-Morrison rank-one update. The update
-    is delayed: it stays a pending term, the step applies the inverse
-    with two thin products, and every ``_BLOCK`` updates one matrix
-    product folds the pending terms into the factored inverse. The
-    residual ``||b - M v||_inf`` is checked at every step against
-    ``1e-10 / (1 - beta)``; past it, up to ``_MAX_REFINEMENTS``
-    refinements run with the current inverse, then ``M`` is factored
-    afresh, dropping the pending terms, and if that also fails
-    ``NumericalError`` is raised. The maximization breaks exact ties by
-    lowest state index. Raises ``IndexabilityError`` if a normalizing
-    constant is not strictly positive when it is needed.
+    The sweep owns one ``_OccupancySystem`` for the set of states
+    extracted so far, which starts empty (``P = p0``, ``b = 0``).
+    Extracting a state makes its row of ``P`` the ``p1`` row and sets
+    ``b[s] = 1``: one ``set_row`` and one ``solve`` per step. The
+    maximization breaks exact ties by lowest state index. Raises
+    ``IndexabilityError`` if a normalizing constant is not strictly
+    positive when it is needed, and ``NumericalError`` if a solve fails.
     """
     r = np.asarray(rewards, dtype=float)
     n = model.n_states
     if r.shape != (n,):
         raise ValueError(f"rewards must have length {n}")
     beta = model.beta
-    tol = RESIDUAL_TOL_FACTOR / (1.0 - beta)
 
     diff = model.p1 - model.p0
-    identity = np.eye(n)
-    m = identity - beta * model.p0  # occupancy's system with no state extracted
-    m_inv = _DelayedInverse(m)
+    system = _OccupancySystem(model.p0, beta)  # no state extracted yet
     v = np.zeros(n)
     remaining = np.ones(n, dtype=bool)
     adjust = np.zeros(n)
     pi_order = np.empty(n, dtype=int)
     y_values = np.empty(n)
     min_a = (np.inf, 0, 0)
-    min_pivot, max_residual = np.inf, 0.0
-    refinements = refactorizations = 0
 
     for step in range(n):
         a = _constants(diff, beta, v)
@@ -273,31 +272,14 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
         remaining[state] = False
         if step == n - 1:
             break
-
-        # The extracted state enters the occupancy set: its row of M
-        # becomes the p1 row, built as ``occupancy`` builds it.
-        row = identity[state] - beta * model.p1[state]
-        u = row - m[state]
-        b = (~remaining).astype(float)  # the extracted set
-        # Equal p1 and p0 rows (absorbing state, or epsilon 1) leave M and its inverse as is.
-        if u.any():
-            m[state] = row
-            min_pivot = min(min_pivot, abs(m_inv.update(state, u)))
-        v, k, residual = _refine(m, m_inv.apply, b, tol)
-        refinements += k
-        if not residual <= tol:  # a nan residual fails too
-            m_inv.reset(m)
-            refactorizations += 1
-            v, k, residual = _refine(m, m_inv.apply, b, tol)
-            refinements += k
-            if not residual <= tol:
-                raise _residual_error(residual, tol)
-        max_residual = max(max_residual, residual)
+        system.set_row(state, model.p1[state])
+        v = system.solve((~remaining).astype(float))  # b: the extracted set
 
     g = np.empty(n)
     g[pi_order] = np.cumsum(y_values)
-    return IndexTable(g=g, sweep=SweepStats(pi_order, y_values, *min_a, float(min_pivot),
-                                            max_residual, refinements, refactorizations))
+    return IndexTable(g=g, sweep=SweepStats(
+        pi_order, y_values, *min_a, system.min_pivot, system.max_residual,
+        system.refinements, system.refactorizations))
 
 
 def rank_states(table: IndexTable) -> list[int]:

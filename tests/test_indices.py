@@ -394,21 +394,22 @@ def test_refactorization_drops_the_pending_terms(monkeypatch):
     rng = np.random.default_rng(4)
     model = random_model(rng, n)
     rewards = rng.uniform(0, 1, size=n)
-    refine, reset = indices._refine, indices._DelayedInverse.reset
+    system = indices._OccupancySystem
+    refine, factor = system._refine, system._factor
     calls, pending = [], []
 
-    def fail_once(*args):
-        calls.append(refine(*args))
-        v, k, residual = calls[-1]
-        return (v, k, np.inf) if len(calls) == BLOCK + 3 else (v, k, residual)
+    def fail_once(self, b):
+        calls.append(refine(self, b))
+        v, residual = calls[-1]
+        return (v, np.inf) if len(calls) == BLOCK + 3 else (v, residual)
 
-    def counted_reset(self, m):
+    def counted_factor(self):
         before = getattr(self, "pending", None)
-        reset(self, m)
+        factor(self)
         pending.append((before, self.pending))
 
-    monkeypatch.setattr(indices, "_refine", fail_once)
-    monkeypatch.setattr(indices._DelayedInverse, "reset", counted_reset)
+    monkeypatch.setattr(system, "_refine", fail_once)
+    monkeypatch.setattr(system, "_factor", counted_factor)
     table = compute_indices(model, rewards)
     assert pending == [(None, 0), (3, 0)]
     assert (table.sweep.refinements, table.sweep.refactorizations) == (0, 1)
@@ -418,26 +419,40 @@ def test_refactorization_drops_the_pending_terms(monkeypatch):
 
 
 def test_failed_residual_refines_refactors_then_raises(monkeypatch):
-    refines, inverses = [], []
-    refine, inverse = indices._refine, indices._inverse
+    refines, factors = [], []
+    system = indices._OccupancySystem
+    refine, factor = system._refine, system._factor
 
-    def counted_refine(*args):
-        refines.append(refine(*args))
-        return refines[-1]
+    def counted_refine(self, b):
+        before = self.refinements
+        result = refine(self, b)
+        refines.append(self.refinements - before)
+        return result
 
-    def counted_inverse(m):
-        inverses.append(m)
-        return inverse(m)
+    def counted_factor(self):
+        factors.append(self.m.copy())
+        factor(self)
 
     monkeypatch.setattr(indices, "RESIDUAL_TOL_FACTOR", 0.0)
-    monkeypatch.setattr(indices, "_refine", counted_refine)
-    monkeypatch.setattr(indices, "_inverse", counted_inverse)
+    monkeypatch.setattr(system, "_refine", counted_refine)
+    monkeypatch.setattr(system, "_factor", counted_factor)
     model = random_model(np.random.default_rng(3), 6)
     with pytest.raises(NumericalError, match="exceeds tolerance"):
         compute_indices(model, np.linspace(0, 1, 6))
     # The set-up factorization, then one fresh one after the refinements failed.
-    assert len(inverses) == 2
-    assert [k for _, k, _ in refines] == [indices._MAX_REFINEMENTS] * 2
+    assert len(factors) == 2
+    assert refines == [indices._MAX_REFINEMENTS] * 2
+
+
+@pytest.mark.parametrize("solve", [
+    lambda model: occupancy([0, 2], model),
+    lambda model: compute_indices(model, np.linspace(0, 1, 6)),
+], ids=["occupancy", "compute_indices"])
+def test_unmet_residual_raises_the_same_error_from_both_entry_points(monkeypatch, solve):
+    monkeypatch.setattr(indices, "RESIDUAL_TOL_FACTOR", 0.0)
+    with pytest.raises(NumericalError, match=r"^occupancy residual \S+ exceeds tolerance "
+                                             r"0\.000e\+00$"):
+        solve(random_model(np.random.default_rng(3), 6))
 
 
 def test_undiscounted_model_is_rejected_before_any_solve(monkeypatch):
