@@ -61,7 +61,7 @@ def cmd_indices(args: argparse.Namespace, cfg: RunConfig) -> int:
     bundle = read_model(cfg.model_path)
     bundle.index = compute_indices(bundle.model, bundle.space.reward)
     write_model(bundle, cfg.model_path)
-    print(format_rank_grid(bundle.index, bundle.space.bins))
+    print(format_rank_grid(bundle.index.g, bundle.space.bins))
     print(bundle.index.sweep.describe())
     print(f"index table written to {cfg.model_path}")
     return 0
@@ -78,7 +78,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ConfigError("model has no index table; run the indices subcommand first")
     if cfg.train_window is None:
         cfg = dataclasses.replace(cfg, train_window=bundle.train_window())
-    space, index = bundle.space, bundle.index
+    space, g = bundle.space, None if bundle.index is None else bundle.index.g
     extra = {
         "beta": format(bundle.beta, ".17g"),
         "epsilon": format(bundle.epsilon, ".17g"),
@@ -87,7 +87,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     }
     del bundle  # evaluate needs neither chain: free p1 and p0 before the events load
     table = build_timelines(load_event_log(cfg.events_path))
-    report = evaluate_run(table, space, index, cfg)
+    report = evaluate_run(table, space, g, cfg)
     os.makedirs(cfg.report_dir, exist_ok=True)
     write_series_csv(report, os.path.join(cfg.report_dir, "series.csv"))
     write_summary_csv(report, os.path.join(cfg.report_dir, "summary.csv"))

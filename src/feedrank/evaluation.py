@@ -33,7 +33,6 @@ import numpy as np
 from .config import DEFAULT_RELEVANCE_CAP, MAX_ENTRIES, MAX_RELEVANCE_CAP, BinSpec, RunConfig
 from .errors import ConfigError, DataError
 from .events import ENGAGEMENT_KINDS, ItemTable, hour_of_minute
-from .indices import IndexTable
 from .ranking import Rankings, rank_items
 from .states import StateSpace, classify
 
@@ -88,10 +87,10 @@ def ndcg(gains, which: np.ndarray | None = None):
     discount = np.array([math.log2(p + 2) for p in range(sizes.max(initial=0))])
     discount = discount[np.arange(len(which)) - np.repeat(np.cumsum(sizes) - sizes, sizes)]
     ideal = gains[0][np.lexsort((-gains[0], which))]
-    # ``ufunc.at`` adds entries one by one, in order, as Python's sum does: every bit is kept.
-    dcg = np.zeros((len(gains) + 1, len(sizes)))
-    for row, ranked in zip(dcg, [*gains, ideal]):
-        np.add.at(row, which, ranked / discount)
+    # ``bincount`` adds entries one by one, in order from 0, as Python's sum does:
+    # every bit is kept. Its sums of an empty ``which`` are integers, hence the dtype.
+    dcg = np.array([np.bincount(which, ranked / discount, len(sizes))
+                    for ranked in [*gains, ideal]], dtype=float)
     return np.divide(dcg[:-1], dcg[-1], out=np.ones_like(dcg[:-1]), where=dcg[-1] != 0.0)
 
 
@@ -131,7 +130,7 @@ def pearson(x, y) -> np.ndarray:
     return corr[()]
 
 
-def rank_window(table: ItemTable, bins: BinSpec, index_table: IndexTable | None,
+def rank_window(table: ItemTable, bins: BinSpec, g: np.ndarray | None,
                 cfg: RunConfig) -> tuple[Rankings, np.ndarray, int]:
     """Rank the active items of every decision minute under ``cfg.policies``.
 
@@ -190,7 +189,7 @@ def rank_window(table: ItemTable, bins: BinSpec, index_table: IndexTable | None,
     post_ts = table.post_ts[rows]
     orders = np.empty((len(cfg.policies), len(rows)), dtype=np.intp)
     for j, policy in enumerate(cfg.policies):
-        orders[j] = rank_items(policy, which, post_ts, states, counts[0], index_table)
+        orders[j] = rank_items(policy, which, post_ts, states, counts[0], g)
     return Rankings(minutes, which, rows, states, orders), counts, n_decision
 
 
@@ -220,7 +219,7 @@ class EvaluationReport:
         return np.bincount(self.rankings.which, minlength=len(self.rankings.minutes))
 
 
-def evaluate_run(table: ItemTable, state_space: StateSpace, index_table: IndexTable | None,
+def evaluate_run(table: ItemTable, state_space: StateSpace, g: np.ndarray | None,
                  cfg: RunConfig) -> EvaluationReport:
     """Score every policy/signal pair of ``cfg`` over its decision minutes.
 
@@ -230,7 +229,7 @@ def evaluate_run(table: ItemTable, state_space: StateSpace, index_table: IndexTa
     filter. An overlapping ``cfg.train_window`` produces a warning, not
     an error.
     """
-    rankings, counts, n_decision = rank_window(table, state_space.bins, index_table, cfg)
+    rankings, counts, n_decision = rank_window(table, state_space.bins, g, cfg)
     policies, signals = tuple(cfg.policies), tuple(cfg.signals)
     (start, end), train_window, cap = cfg.eval_window, cfg.train_window, cfg.relevance_cap
 

@@ -282,12 +282,12 @@ def compute_indices(model: TransitionModel, rewards: Sequence[float]) -> IndexTa
         system.refinements, system.refactorizations))
 
 
-def rank_states(table: IndexTable) -> list[int]:
-    """States sorted by descending G, ties broken by lowest index."""
-    return np.argsort(-table.g, kind="stable").tolist()
+def rank_states(g: np.ndarray) -> list[int]:
+    """States sorted by descending index ``g``, ties broken by lowest index."""
+    return np.argsort(-g, kind="stable").tolist()
 
 
-def format_rank_grid(table: IndexTable, bins) -> str:
+def format_rank_grid(g: np.ndarray, bins) -> str:
     """Human-readable grid of state ranks (1 = highest priority).
 
     Rows are popularity bins from highest to lowest, columns novelty
@@ -295,7 +295,7 @@ def format_rank_grid(table: IndexTable, bins) -> str:
     separately.
     """
     rank = np.empty(bins.n_states, dtype=int)
-    rank[rank_states(table)] = np.arange(1, bins.n_states + 1)
+    rank[rank_states(g)] = np.arange(1, bins.n_states + 1)
     # In classify's numbering, row n - 1 holds novelty bin n and column p - 1 popularity bin p.
     grid = rank[1:].reshape(bins.n_novelty_bins, bins.n_popularity_bins)
     width = max(4, len(str(bins.n_states)) + 1)

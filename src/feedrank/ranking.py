@@ -20,7 +20,6 @@ import numpy as np
 from .config import POLICIES
 from .errors import ConfigError
 from .events import ItemTable
-from .indices import IndexTable
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 # Snapshot rows formatted per write, so a month's rows are never all held as strings.
@@ -38,19 +37,20 @@ class Rankings(NamedTuple):
 
 
 def rank_items(policy: str, which: np.ndarray, post_ts: np.ndarray, states: np.ndarray,
-               retweets: np.ndarray, index_table: IndexTable | None) -> np.ndarray:
+               retweets: np.ndarray, g: np.ndarray | None) -> np.ndarray:
     """Order every minute's entries under one policy, minute by minute.
 
-    The arrays describe the entries as ``Rankings`` lists them; the result
-    lists their positions best first within each minute. ``np.lexsort`` is
-    stable, so entries equal on every key keep item-id order.
+    The arrays describe the entries as ``Rankings`` lists them and ``g``
+    each state's priority index; the result lists their positions best
+    first within each minute. ``np.lexsort`` is stable, so entries equal
+    on every key keep item-id order.
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if policy == "index":
-        if index_table is None:
+        if g is None:
             raise ConfigError("the index policy needs a computed index table")
-        return np.lexsort((-post_ts, -index_table.g[states], which))
+        return np.lexsort((-post_ts, -g[states], which))
     if policy == "novelty":
         return np.lexsort((-post_ts, which))
     return np.lexsort((-post_ts, -retweets, which))

@@ -60,16 +60,15 @@ def estimate_p1(table: ItemTable, bins: BinSpec, window: tuple[int, int], *,
     lo = np.maximum(post, min(max(start, floor), ceil))
     hi = np.minimum(post + max_age, min(max(end, floor), ceil) - 2)
     steps = np.maximum(hi - lo + 1, 0)
-    # One entry per transition: item ``rows[k]`` moves from minute
-    # ``t[k]`` to ``t[k] + 1``, with t running lo..hi in each item's block.
-    rows = np.repeat(np.arange(len(table)), steps)
-    t = np.arange(rows.size) - np.repeat(np.cumsum(steps) - steps - lo, steps)
-    pairs = t[:, None] + (0, 1)
-    states = classify(pairs - post[rows, None],
-                      table.count("retweet", rows[:, None], 0, pairs), bins)
+    # One entry per item-minute, t running lo..hi + 1 in each item's
+    # block: two consecutive entries of one item are one transition.
+    spans = steps + (steps > 0)
+    rows = np.repeat(np.arange(len(table)), spans)
+    t = np.arange(rows.size) - np.repeat(np.cumsum(spans) - spans - lo, spans)
+    states = classify(t - post[rows], table.count("retweet", rows, 0, t), bins)
     n = bins.n_states
-    counts = np.zeros((n, n))
-    np.add.at(counts, (states[:, 0], states[:, 1]), 1.0)
+    moves = (states[:-1] * n + states[1:])[rows[1:] == rows[:-1]]  # from * n + to
+    counts = np.bincount(moves, minlength=n * n).reshape(n, n).astype(float)
     counts[0, 0] += len(table) * (end - start - 1) - int(steps.sum())
 
     if smoothing > 0:

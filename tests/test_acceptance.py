@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,7 +238,7 @@ def month():
     data["indices_seconds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = evaluate_run(timelines, space, table,
+    report = evaluate_run(timelines, space, table.g,
                           RunConfig(eval_window=EVAL_WINDOW, train_window=TRAIN_WINDOW))
     data["evaluate_seconds"] = time.perf_counter() - t0
 
@@ -293,7 +294,7 @@ def test_criterion_08_peak_hours_changes_fit(month):
                                           peak_hours=PEAK_HOURS))
     peak_space = peak.space
     peak_table = compute_indices(peak.model, peak_space.reward)
-    peak_report = evaluate_run(timelines, peak_space, peak_table,
+    peak_report = evaluate_run(timelines, peak_space, peak_table.g,
                                RunConfig(eval_window=EVAL_WINDOW, peak_hours=PEAK_HOURS))
     ok = (peak_space.bins.popularity_limits
           != full_space.bins.popularity_limits)
@@ -365,7 +366,7 @@ def test_criterion_10_byte_identical_cli_runs(tmp_path):
         outputs = {}
         for cmd in commands:
             stdout = _run_cli(cmd)
-            artifacts = tuple(open(p, "rb").read() for p in tracked[cmd[0]])
+            artifacts = tuple(Path(p).read_bytes() for p in tracked[cmd[0]])
             outputs[cmd[0]] = (stdout, artifacts)
         return outputs
 

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_indices_exits_3_when_the_residual_cannot_be_met(pipeline, tmp_path, mon
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: occupancy residual"), err.getvalue()
     assert "Traceback" not in err.getvalue()
-    assert model.read_bytes() == open(pipeline["model"], "rb").read()
+    assert model.read_bytes() == Path(pipeline["model"]).read_bytes()
 
 
 def test_evaluate_on_a_huge_window_lists_only_minutes_with_posts(pipeline, tmp_path):
@@ -165,6 +166,17 @@ def test_evaluate_accepts_values_at_the_minute_bound(pipeline, tmp_path):
                          "--horizon", bound, "--interval", bound])
         assert code == 0 and err.getvalue() == "", err.getvalue()
         assert out.getvalue().startswith(f"evaluated {evaluated} minutes"), out.getvalue()
+
+
+def test_fit_takes_a_negative_window_start_joined_to_its_flag(pipeline, tmp_path, capsys):
+    model = str(tmp_path / "m.txt")
+    # Apart from its flag, argparse reads "-100:2880" as a flag of its own.
+    assert main(["fit", "--events", pipeline["events"], "--model", model,
+                 "--train-window", "-100:2880"]) == 1
+    assert capsys.readouterr().err == "error: argument --train-window: expected one argument\n"
+    assert main(["fit", "--events", pipeline["events"], "--model", model,
+                 "--train-window=-100:2880"]) == 0
+    assert read_model(model).meta["train_window"] == "[-100, 2880)"
 
 
 def _limit_address_space():
@@ -202,9 +214,9 @@ def test_simulate_refuses_a_generator_key_that_is_a_constant(tmp_path):
 
 def test_evaluate_writes_reports(pipeline):
     report = pipeline["report"]
-    series = open(f"{report}/series.csv").read()
-    summary = open(f"{report}/summary.csv").read()
-    header = open(f"{report}/header.txt").read()
+    series = Path(f"{report}/series.csv").read_text()
+    summary = Path(f"{report}/summary.csv").read_text()
+    header = Path(f"{report}/header.txt").read_text()
     assert series.startswith("minute,policy,signal,ndcg,active_count")
     assert summary.splitlines()[0] == (
         "signal,index_mean,index_std,novelty_mean,novelty_std,"
@@ -256,17 +268,17 @@ def test_outputs_are_byte_identical_across_runs(pipeline, tmp_path):
     assert main(["simulate", "--events", events2, "--seed", "11",
                  "--days", "3", "--accounts", "2",
                  "--posts-per-day", "25"]) == 0
-    assert open(events2, "rb").read() == open(pipeline["events"], "rb").read()
+    assert Path(events2).read_bytes() == Path(pipeline["events"]).read_bytes()
     assert main(["fit", "--events", events2, "--model", model2,
                  "--train-window", "0:2880"]) == 0
     assert main(["indices", "--model", model2]) == 0
-    assert open(model2, "rb").read() == open(pipeline["model"], "rb").read()
+    assert Path(model2).read_bytes() == Path(pipeline["model"]).read_bytes()
     assert main(["evaluate", "--events", events2, "--model", model2,
                  "--report-dir", report2, "--eval-window", "2880:3240",
                  "--train-window", "0:2880"]) == 0
     for name in ("series.csv", "summary.csv", "header.txt"):
-        assert open(f"{report2}/{name}", "rb").read() == \
-            open(f"{pipeline['report']}/{name}", "rb").read()
+        assert Path(f"{report2}/{name}").read_bytes() == \
+            Path(f"{pipeline['report']}/{name}").read_bytes()
 
 
 def test_config_file_drives_a_run(tmp_path, pipeline):
@@ -404,7 +416,7 @@ def test_evaluate_warns_on_overlap(tmp_path, pipeline):
     assert main(["evaluate", "--events", pipeline["events"],
                  "--model", pipeline["model"], "--report-dir", report,
                  "--eval-window", "2000:2100"]) == 0
-    header = open(f"{report}/header.txt").read()
+    header = Path(f"{report}/header.txt").read_text()
     # The train window is recovered from the model metadata.
     assert "warning: train window [0, 2880) overlaps" in header
 
@@ -417,7 +429,7 @@ def test_dump_snapshots(tmp_path, pipeline, monkeypatch):
     assert main(["evaluate", "--events", pipeline["events"],
                  "--model", pipeline["model"], "--report-dir", report,
                  "--eval-window", "2880:2900", "--dump-snapshots"]) == 0
-    lines = open(f"{report}/snapshots.csv").read().splitlines()
+    lines = Path(f"{report}/snapshots.csv").read_text().splitlines()
     assert lines[0] == "minute,policy,rank,item_id,state_index"
     assert len(lines) > 1
     # One row per active item, for every evaluated minute and policy.
@@ -561,7 +573,7 @@ _JOINED_ONLY = (b'{"kind":"post","item_id":"a","event_id":"a","ts":0,"account":"
 def test_bad_input_exits_with_one_error_line(case, expected, tmp_path, pipeline):
     def edited(name, src, edit):
         path = tmp_path / name
-        path.write_bytes(edit(open(src, "rb").read()))
+        path.write_bytes(edit(Path(src).read_bytes()))
         return str(path)
 
     events = pipeline["events"]
@@ -629,7 +641,7 @@ def test_corrupted_inputs_end_in_one_error_line(pipeline, target, data):
     work = pipeline["root"] / "corrupted"
     work.mkdir(exist_ok=True)
     bad = work / target
-    bad.write_bytes(_corrupt(open(pipeline[target], "rb").read(), data.draw))
+    bad.write_bytes(_corrupt(Path(pipeline[target]).read_bytes(), data.draw))
 
     def run(*args):
         err = io.StringIO()

@@ -14,7 +14,6 @@ from feedrank.evaluation import (
     attention_relevance, evaluate_run, mean_std, ndcg, pearson, rank_window,
     utility_relevance, write_header_text, write_series_csv, write_summary_csv,
 )
-from feedrank.indices import IndexTable
 from feedrank.ranking import POLICIES, write_snapshots_csv
 from feedrank.states import BinSpec, StateSpace
 from eventlog import line
@@ -26,8 +25,8 @@ def make_space():
     return StateSpace(bins, (1.0, 0.5), (0.2, 1.0))
 
 
-def make_table(space):
-    return IndexTable(g=np.linspace(1.0, 0.1, space.bins.n_states))
+def make_g(space):
+    return np.linspace(1.0, 0.1, space.bins.n_states)
 
 
 def config(window, policies=("novelty",), signals=("rt",), **fields):
@@ -187,7 +186,7 @@ def test_every_count_is_taken_once(monkeypatch):
     monkeypatch.setattr(ItemTable, "count", lambda self, *args, _orig=ItemTable.count:
                         calls.append(args[0]) or _orig(self, *args))
     space = make_space()
-    evaluate_run(eval_corpus(), space, make_table(space),
+    evaluate_run(eval_corpus(), space, make_g(space),
                  config((700, 750), POLICIES, ("utility", "rt", "rt_replies", "rt_replies_favs")))
     # Retweets before the minute, and each engagement kind during it.
     assert calls == ["retweet", "retweet", "reply", "favorite"]
@@ -213,8 +212,7 @@ def eval_corpus():
 def test_evaluate_run_counts_and_series_shapes():
     timelines = eval_corpus()
     space = make_space()
-    table = make_table(space)
-    report = evaluate_run(timelines, space, table,
+    report = evaluate_run(timelines, space, make_g(space),
                           config((700, 750), POLICIES, ("utility", "rt")))
     assert report.minutes == list(range(700, 750))
     assert all(c > 0 for c in report.active_counts)
@@ -271,7 +269,7 @@ def test_window_with_no_active_entry(tmp_path):
     timelines = eval_corpus()
     space = make_space()
     # Items are active from minute 691 to 910 (11:31 to 15:10).
-    report = evaluate_run(timelines, space, make_table(space),
+    report = evaluate_run(timelines, space, make_g(space),
                           config((600, 1000), POLICIES, ("utility", "rt"), decision_interval=7,
                                  peak_hours=(3, 16)))
     assert report.minutes == [] and report.active_counts.tolist() == []
@@ -289,9 +287,9 @@ def test_window_with_no_active_entry(tmp_path):
 def test_peak_hours_filter_is_subset_of_full_run():
     timelines = eval_corpus()
     space = make_space()
-    table = make_table(space)
-    full = evaluate_run(timelines, space, table, config((700, 850), ("index",), ("utility",)))
-    peak = evaluate_run(timelines, space, table,
+    g = make_g(space)
+    full = evaluate_run(timelines, space, g, config((700, 850), ("index",), ("utility",)))
+    peak = evaluate_run(timelines, space, g,
                         config((700, 850), ("index",), ("utility",), peak_hours=(12, 13)))
     assert peak.minutes == [t for t in full.minutes
                             if hour_of_minute(t) in (12, 13)]
@@ -361,8 +359,7 @@ def test_evaluate_run_validation():
 def test_report_writers_round_trip(tmp_path):
     timelines = eval_corpus()
     space = make_space()
-    table = make_table(space)
-    report = evaluate_run(timelines, space, table,
+    report = evaluate_run(timelines, space, make_g(space),
                           config((700, 760), ("index", "novelty"), ("utility", "rt")))
     series_path = tmp_path / "series.csv"
     summary_path = tmp_path / "summary.csv"
@@ -435,7 +432,7 @@ def test_batch_evaluation_matches_the_per_minute_reference(inputs, tmp_path_fact
     cfg = config(run["window"], policies, signals, horizon=run["horizon"],
                  decision_interval=run["interval"], peak_hours=run["peak_hours"],
                  relevance_cap=run["cap"])
-    report = evaluate_run(table, space, IndexTable(g=np.array(g)), cfg)
+    report = evaluate_run(table, space, np.array(g), cfg)
     minutes, counts, series, skipped, rows = evaluate_reference(
         posts, engagement, space.bins.novelty_limits, space.bins.popularity_limits,
         space.reward.tolist(), g, policies, signals, **run)

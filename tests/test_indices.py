@@ -4,10 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from feedrank import indices
 from feedrank.errors import DataError, IndexabilityError, NumericalError
-from feedrank.indices import (
-    IndexTable, compute_indices, constants_a, format_rank_grid, occupancy,
-    rank_states,
-)
+from feedrank.indices import compute_indices, constants_a, format_rank_grid, occupancy, rank_states
 from feedrank.states import BinSpec
 from feedrank.transitions import TransitionModel, build_model
 from oracles import gittins_restart, greedy_indices_reference
@@ -217,10 +214,9 @@ def test_dual_speed_models_are_indexable():
 
 
 def test_rank_states_breaks_ties_by_state_index():
-    table = IndexTable(g=np.array([0.5, 0.9, 0.5, 1.0]))
-    assert rank_states(table) == [3, 1, 0, 2]
+    assert rank_states(np.array([0.5, 0.9, 0.5, 1.0])) == [3, 1, 0, 2]
     g = np.random.default_rng(43).choice([0.0, 0.25, 1.0], size=401)  # long runs of ties
-    assert rank_states(IndexTable(g=g)) == sorted(range(401), key=lambda i: (-g[i], i))
+    assert rank_states(g) == sorted(range(401), key=lambda i: (-g[i], i))
 
 
 def test_format_rank_grid_mentions_every_state():
@@ -228,7 +224,7 @@ def test_format_rank_grid_mentions_every_state():
     rng = np.random.default_rng(41)
     model = random_model(rng, bins.n_states)
     table = compute_indices(model, rng.uniform(0, 1, size=bins.n_states))
-    text = format_rank_grid(table, bins)
+    text = format_rank_grid(table.g, bins)
     assert "state 0 rank:" in text
     assert text.count("\n") >= bins.n_popularity_bins + 1
 
@@ -236,8 +232,8 @@ def test_format_rank_grid_mentions_every_state():
 def test_format_rank_grid_text_with_ties():
     # States 1..4 are (1,1), (1,2), (2,1), (2,2); tied g values rank by lowest state.
     bins = BinSpec((1, 2, 3), (0.0, 1.0, float("inf")))
-    table = IndexTable(g=np.array([0.5, 0.9, 0.5, 1.0, 0.9]))
-    assert format_rank_grid(table, bins) == "\n".join([
+    g = np.array([0.5, 0.9, 0.5, 1.0, 0.9])
+    assert format_rank_grid(g, bins) == "\n".join([
         "state ranks by priority index (1 = ranked first)",
         "pop\\nov   1   2",
         "      2   5   3",

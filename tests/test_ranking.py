@@ -11,7 +11,6 @@ from feedrank.config import RunConfig
 from feedrank.errors import ConfigError
 from feedrank.evaluation import rank_window
 from feedrank.events import build_timelines, parse_event_log
-from feedrank.indices import IndexTable
 from feedrank.ranking import POLICIES, rank_items, write_snapshots_csv
 from feedrank.states import BinSpec
 from eventlog import line
@@ -21,8 +20,8 @@ def make_bins():
     return BinSpec((1, 2, 3), (0.0, 1.0, 3.0, math.inf))
 
 
-def make_table():
-    return IndexTable(g=np.array([0.0, 0.1, 0.7, 0.2, 0.3, 0.4, 0.6]))
+def make_g():
+    return np.array([0.0, 0.1, 0.7, 0.2, 0.3, 0.4, 0.6])
 
 
 def corpus():
@@ -37,10 +36,10 @@ def corpus():
     return build_timelines(parse_event_log(events))
 
 
-def rank_at(t, table, bins, index_table, policy, horizon=60):
+def rank_at(t, table, bins, g, policy, horizon=60):
     """(ids, states) of one policy at one minute, from a one-minute window."""
     cfg = RunConfig(eval_window=(t, t + 1), horizon=horizon, policies=(policy,))
-    r = rank_window(table, bins, index_table, cfg)[0]
+    r = rank_window(table, bins, g, cfg)[0]
     if not len(r.minutes):
         return None
     order = r.orders[0]
@@ -50,7 +49,7 @@ def rank_at(t, table, bins, index_table, policy, horizon=60):
 def test_states_at_decision_minute():
     table = corpus()
     bins = make_bins()
-    ids, snap_states = rank_at(2, table, bins, make_table(), "novelty")
+    ids, snap_states = rank_at(2, table, bins, make_g(), "novelty")
     # At t = 2: a is age 2 with 5 visible retweets, b age 2 with 1,
     # c age 1 with 2.
     assert dict(zip(ids, snap_states)) == {"a": 6, "b": 5, "c": 2}
@@ -59,9 +58,9 @@ def test_states_at_decision_minute():
 def test_policy_orderings_differ():
     table = corpus()
     bins = make_bins()
-    index_table = make_table()
-    assert rank_at(2, table, bins, index_table, "index")[0] == ("c", "a", "b")
-    assert rank_at(2, table, bins, index_table, "novelty")[0] == ("c", "b", "a")
+    g = make_g()
+    assert rank_at(2, table, bins, g, "index")[0] == ("c", "a", "b")
+    assert rank_at(2, table, bins, g, "novelty")[0] == ("c", "b", "a")
     assert rank_at(2, table, bins, None, "popularity")[0] == ("a", "c", "b")
 
 
@@ -72,7 +71,7 @@ def test_policies_share_one_classification_per_item(monkeypatch):
     classify = evaluation.classify
     monkeypatch.setattr(evaluation, "classify",
                         lambda *args: calls.append(args) or classify(*args))
-    r, counts, _ = rank_window(table, bins, make_table(), RunConfig(eval_window=(0, 4)))
+    r, counts, _ = rank_window(table, bins, make_g(), RunConfig(eval_window=(0, 4)))
     # One call classifies every entry of every minute, shared by every policy.
     assert len(calls) == 1
     # Ages of a and b at 1; of a, b and c at 2 and at 3.
@@ -99,17 +98,16 @@ def test_index_ties_break_by_recency_then_id():
         line("post", "z", "z", 40),   # identical timestamp: id decides
     ]))
     bins = make_bins()
-    index_table = IndexTable(g=np.full(7, 0.5))
-    assert rank_at(1, table, bins, index_table, "index")[0] == ("y", "z", "x")
+    assert rank_at(1, table, bins, np.full(7, 0.5), "index")[0] == ("y", "z", "x")
 
 
 def test_empty_minute_gives_empty_snapshot():
-    assert rank_at(50, corpus(), make_bins(), make_table(), "novelty",
+    assert rank_at(50, corpus(), make_bins(), make_g(), "novelty",
                    horizon=5) is None
     # Windows before every post, after every active range, and with no
     # minute in the hour set while items are active.
     for window, hours in (((-90, 0), None), ((50, 52), None), ((0, 60), (3,))):
-        r, counts, n_decision = rank_window(corpus(), make_bins(), make_table(),
+        r, counts, n_decision = rank_window(corpus(), make_bins(), make_g(),
                                             RunConfig(eval_window=window, horizon=5,
                                                       peak_hours=hours))
         assert r.minutes.size == r.which.size == r.rows.size == r.states.size == 0
@@ -155,7 +153,7 @@ def test_active_set_window_boundaries():
 def test_unknown_policy_and_missing_table():
     empty = np.array([], dtype=np.int64)
     with pytest.raises(ConfigError):
-        rank_items("chronological", empty, empty, empty, empty, make_table())
+        rank_items("chronological", empty, empty, empty, empty, make_g())
     with pytest.raises(ConfigError):
         rank_items("index", empty, empty, empty, empty, None)
 
@@ -164,7 +162,7 @@ def test_snapshot_csv_layout(tmp_path):
     table = corpus()
     bins = make_bins()
     policies = ("index", "novelty")
-    rankings = rank_window(table, bins, make_table(),
+    rankings = rank_window(table, bins, make_g(),
                            RunConfig(eval_window=(2, 4), policies=policies))[0]
     out = tmp_path / "snaps.csv"
     write_snapshots_csv(table, policies, rankings, out)
@@ -201,7 +199,7 @@ def snapshots_reference(table, policies, rankings):
 def test_snapshot_ids_are_quoted_as_csv_writer_quotes_them(posts, tmp_path_factory):
     table = build_timelines(parse_event_log(
         [line("post", iid, iid, minute * 60) for iid, minute in posts.items()]))
-    rankings = rank_window(table, make_bins(), make_table(),
+    rankings = rank_window(table, make_bins(), make_g(),
                            RunConfig(eval_window=(0, 8), horizon=3))[0]
     out = tmp_path_factory.mktemp("snaps") / "snaps.csv"
     write_snapshots_csv(table, POLICIES, rankings, out)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from feedrank import transitions
 from feedrank.errors import DataError
 from feedrank.events import build_timelines, parse_event_log
 from feedrank.states import BinSpec, classify
@@ -109,6 +110,38 @@ def test_estimator_matches_bruteforce_counts():
         assert counts.sum() == len(oracle_items) * (window[1] - window[0] - 1)
         expected = rows_to_probabilities(counts)
         assert np.allclose(p1, expected, atol=1e-14)
+
+
+def test_estimate_p1_classifies_each_item_minute_once(monkeypatch):
+    bins = small_bins()
+    max_age = SMALL_NOV[-1] - 1
+    events, _ = random_corpus(np.random.default_rng(44))
+    timelines = build_timelines(parse_event_log(events))
+    start, end = window = (10, 40)
+    calls = []
+
+    def counting_classify(ages, counts, grid):
+        calls.append(np.size(ages))
+        return classify(ages, counts, grid)
+
+    monkeypatch.setattr(transitions, "classify", counting_classify)
+    estimate_p1(timelines, bins, window)
+    # The transitions that can touch a non-zero state start at minutes
+    # post..post + max_age; each item-minute they cover is classified once.
+    item_minutes = {(row, m) for row, p in enumerate(timelines.post_minute.tolist())
+                    for t in range(max(p, start), min(p + max_age, end - 2) + 1)
+                    for m in (t, t + 1)}
+    assert calls == [len(item_minutes)]
+
+
+def test_all_idle_window_is_one_self_loop_per_row():
+    bins = small_bins()
+    # The only post falls in the window's last minute: no item ever
+    # leaves state 0 inside it, so every counted transition is 0 -> 0.
+    timelines = build_timelines(parse_event_log([post("t1", 11)]))
+    p1 = estimate_p1(timelines, bins, (5, 12))
+    assert p1[0, 0] == 1.0
+    assert np.array_equal(p1, np.eye(bins.n_states))
 
 
 def test_estimator_errors():
