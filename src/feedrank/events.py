@@ -10,7 +10,8 @@ parsed or generated log is one ``EventBatch``, a column per key, and
 block whose every line has the writer's own form with unescaped strings
 is decoded by one regex split; any other block by ``json.loads`` line by
 line, which also words the errors. Duplicate event ids are checked once,
-over the whole log, after the last block.
+over the whole log, after the last block. Equal item ids and equal
+accounts of a parsed log are one shared string.
 
 Time is discretized to minutes: an event with timestamp ``ts`` belongs to
 minute ``ts // 60``. Events inside minute ``t`` count toward the interval
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import ne, not_
+from operator import ne
 from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -116,6 +117,8 @@ def _record(rec) -> tuple | str:
 def _decode_block(block: list[str], start: int):
     """The columns of the good lines of ``block``, numbered from ``start``,
     their line numbers, and the line-numbered errors of the bad ones.
+    The kind codes and stamps are int8 and int64 arrays, the other
+    columns lists of strings.
 
     A block of canonical lines is decoded by one regex split and its line
     numbers are a range; any other block goes line by line. Neither path
@@ -126,11 +129,11 @@ def _decode_block(block: list[str], start: int):
     parts = _CANONICAL.split("\x00".join(block + [""]))
     if len(parts) == 6 * len(block) + 1 and not any(parts[::6]):
         item_ids, event_ids, accounts = parts[2::6], parts[3::6], parts[5::6]
-        codes = list(map(_KIND_CODES.__getitem__, parts[1::6]))
-        ts = list(map(int, parts[4::6]))
-        posts = list(map(not_, codes))  # posts have kind code 0
-        if max(ts) <= MAX_TS and not any(map(ne, compress(item_ids, posts),
-                                             compress(event_ids, posts))):
+        codes = np.fromiter(map(_KIND_CODES.__getitem__, parts[1::6]), np.int8, len(block))
+        ts = np.fromiter(map(int, parts[4::6]), np.int64, len(block))
+        posts = (codes == 0).tolist()
+        if ts.max() <= MAX_TS and not any(map(ne, compress(item_ids, posts),
+                                              compress(event_ids, posts))):
             return (codes, item_ids, event_ids, ts, accounts), range(start, start + len(block)), []
     return _decode_lines(block, start)
 
@@ -156,7 +159,11 @@ def _decode_lines(block: list[str], start: int):
         else:
             rows.append(found)
             numbers.append(lineno)
-    return tuple(map(list, zip(*rows))), numbers, errors
+    if not rows:
+        return (), numbers, errors
+    codes, item_ids, event_ids, ts, accounts = map(list, zip(*rows))
+    return ((np.array(codes, np.int8), item_ids, event_ids, np.array(ts, np.int64), accounts),
+            numbers, errors)
 
 
 def _duplicates(event_ids: Iterable[str], numbers: Iterable[int]) -> list[tuple[int, str]]:
@@ -169,6 +176,14 @@ def _duplicates(event_ids: Iterable[str], numbers: Iterable[int]) -> list[tuple[
         if prev != lineno:
             errors.append((lineno, f"duplicate event_id {event_id!r} (first at line {prev})"))
     return errors
+
+
+def _repeats(event_ids: Sequence[str]) -> bool:
+    """Whether two of ``event_ids`` may be equal: whether two of their
+    hashes are. A sorted array of hashes takes less memory than a set."""
+    hashes = np.fromiter(map(hash, event_ids), dtype=np.int64, count=len(event_ids))
+    hashes.sort()
+    return bool((hashes[1:] == hashes[:-1]).any())
 
 
 def parse_event_log(source: str | bytes | Iterable[str]) -> EventBatch:
@@ -189,24 +204,35 @@ def parse_event_log(source: str | bytes | Iterable[str]) -> EventBatch:
     else:
         lines = iter(source)
 
-    columns: tuple[list, ...] = ([], [], [], [], [])
+    # Equal item ids and accounts share one string through ``memo``, so a
+    # log of n events on k items holds k item-id strings, not n. Kinds and
+    # stamps become arrays a block at a time.
+    memo: dict[str, str] = {}
+    kind, ts = [np.empty(0, np.int8)], [np.empty(0, np.int64)]
+    item_id: list[str] = []
+    event_id: list[str] = []
+    account: list[str] = []
     numbers: list[Sequence[int]] = []
     errors: list[tuple[int, str]] = []
     start = 1
     while block := list(islice(lines, _BLOCK_LINES)):
         decoded, block_numbers, bad = _decode_block(block, start)
-        for column, values in zip(columns, decoded):
-            column.extend(values)
+        if decoded:
+            codes, items, ids, stamps, accounts = decoded
+            kind.append(codes)
+            item_id.extend(map(memo.setdefault, items, items))
+            event_id.extend(ids)
+            ts.append(stamps)
+            account.extend(map(memo.setdefault, accounts, accounts))
         numbers.append(block_numbers)
         errors += bad
         start += len(block)
-    kind, item_id, event_id, ts, account = columns
-    if len(set(event_id)) < len(event_id):
+    del memo
+    if _repeats(event_id):
         errors = sorted(errors + _duplicates(event_id, chain.from_iterable(numbers)))
     if errors:
         raise EventLogError(errors)
-    return EventBatch(np.array(kind, dtype=np.int8), item_id, event_id,
-                      np.array(ts, dtype=np.int64), account)
+    return EventBatch(np.concatenate(kind), item_id, event_id, np.concatenate(ts), account)
 
 
 def serialize_event_log(batch: EventBatch, fh: TextIO) -> None:
@@ -216,10 +242,12 @@ def serialize_event_log(batch: EventBatch, fh: TextIO) -> None:
     ``(",", ":")``, written a block of lines at a time.
     """
     enc = encode_basestring_ascii
-    rows = zip(map(EVENT_KINDS.__getitem__, batch.kind.tolist()), map(enc, batch.item_id),
-               map(enc, batch.event_id), batch.ts.tolist(), map(enc, batch.account))
-    while block := list(islice(rows, _BLOCK_LINES)):
-        fh.write("".join([_LINE % row for row in block]))
+    for lo in range(0, len(batch), _BLOCK_LINES):
+        hi = lo + _BLOCK_LINES
+        rows = zip(map(EVENT_KINDS.__getitem__, batch.kind[lo:hi].tolist()),
+                   map(enc, batch.item_id[lo:hi]), map(enc, batch.event_id[lo:hi]),
+                   batch.ts[lo:hi].tolist(), map(enc, batch.account[lo:hi]))
+        fh.write("".join([_LINE % row for row in rows]))
 
 
 def load_event_log(path) -> EventBatch:

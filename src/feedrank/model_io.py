@@ -24,15 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import BinSpec, RunConfig, parse_window
 from .errors import ConfigError, DataError
-from .events import ItemTable, hour_of_minute
 from .indices import IndexTable
 from .states import StateSpace, fit_popularity_bins, fit_rewards
 from .transitions import TransitionModel, build_model, estimate_p1
+
+if TYPE_CHECKING:
+    from .events import ItemTable
 
 FORMAT_HEADER = "# feedrank model, format v4"
 
@@ -42,13 +45,15 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_list(values) -> str:
-    """Comma-joined ``_fmt`` values, formatted by one ``%`` call."""
-    row = tuple(np.asarray(values, dtype=float).tolist())
-    return ",".join(["%.17g"] * len(row)) % row
+    """Comma-joined ``_fmt`` values. Each exact +0.0 is written as "0"
+    without a format call, and the other values by one ``%`` call."""
+    row = np.asarray(values, dtype=float)
+    zero = (row == 0) & ~np.signbit(row)
+    return ",".join([("%.17g", "0")[z] for z in zero.tolist()]) % tuple(row[~zero].tolist())
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",")]
+    return list(map(float, text.split(",")))
 
 
 def format_limits(limits) -> str:
@@ -106,6 +111,8 @@ class ModelBundle:
 def fit_model(table: ItemTable, cfg: RunConfig) -> ModelBundle:
     """Fit bins, rewards and ``p1`` on the items posted inside
     ``cfg.train_window`` (and, when set, during ``cfg.peak_hours``)."""
+    from .events import hour_of_minute
+
     if cfg.train_window is None:
         raise ConfigError("fit needs a train window")
     start, end = cfg.train_window

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_POPULARITY_BINS, BinSpec
 from .errors import DataError
-from .events import ItemTable
+
+if TYPE_CHECKING:
+    from .events import ItemTable
 
 
 def novelty_bin(ages, bins: BinSpec) -> np.ndarray:

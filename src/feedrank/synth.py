@@ -8,6 +8,8 @@ window (within an hour of the post).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .config import GeneratorConfig
@@ -27,6 +29,8 @@ DIURNAL_WEIGHTS = (
 WEEKDAY_FACTORS = (1.0, 1.0, 1.0, 1.0, 1.0, 0.8, 0.65)
 
 _SECONDS_PER_DAY = 86400
+# Events whose id and account strings ``_sorted_batch`` builds together.
+_CHUNK = 1 << 14
 
 
 def _power_law_cdf(alpha: float, x_min: int, cap: int) -> np.ndarray:
@@ -110,18 +114,22 @@ def generate_stream(config: GeneratorConfig) -> EventBatch:
                                            np.concatenate(first_users), decay.size, post_ts)
     # The retweets come in the order of the loop that drew their seconds.
     stamps[code == 0] += np.asarray(seconds, dtype=np.int64)
-    names = [f"t{i:06d}" for i in range(n_items)]
-    owners = [f"acct{a:02d}" for a in range(config.n_accounts)]
+    del cells, sizes, first_users, seconds
+    # Every event as indices into the lists of item names, event-id
+    # suffixes and accounts: the posts first, then the engagement.
     n_users = int(user.max(initial=-1)) + 1
-    users = [f"user{u}" for u in range(n_users)]
-    suffixes = [f"-{tag}{u}" for tag in "rpf" for u in range(n_users)]
-    item_ids = list(map(names.__getitem__, item.tolist()))
-    event_ids = map(str.__add__, item_ids,
-                    map(suffixes.__getitem__, (code * n_users + user).tolist()))
-    return _sorted_batch(np.append(np.zeros(n_items, np.int64), code + 1), names + item_ids,
-                         names + list(event_ids), np.append(post_ts, stamps),
-                         list(map(owners.__getitem__, post_account))
-                         + list(map(users.__getitem__, user.tolist())))
+    name_of = np.append(np.arange(n_items, dtype=np.int32), item.astype(np.int32))
+    suffix_of = np.append(np.zeros(n_items, np.int32),
+                          (1 + code * n_users + user).astype(np.int32))
+    account_of = np.append(post_account, config.n_accounts + user).astype(np.int32)
+    kinds = np.append(np.zeros(n_items, np.int8), (code + 1).astype(np.int8))
+    stamps = np.append(post_ts, stamps)
+    del code, item, user
+    return _sorted_batch(
+        kinds, stamps, [f"t{i:06d}" for i in range(n_items)], name_of,
+        [""] + [f"-{tag}{u}" for tag in "rpf" for u in range(n_users)], suffix_of,
+        [f"acct{a:02d}" for a in range(config.n_accounts)] + [f"user{u}" for u in range(n_users)],
+        account_of)
 
 
 def _engagement(cells, sizes, first_users, n_offsets, post_ts):
@@ -138,15 +146,37 @@ def _engagement(cells, sizes, first_users, n_offsets, post_ts):
     return code, item, user, (post_ts[item] // 60 + off + 1) * 60
 
 
-def _sorted_batch(kinds, item_ids, event_ids, stamps, accounts) -> EventBatch:
-    """The batch of these columns, sorted by (ts, post first, item_id, event_id).
+def _rank(strings: Sequence[str]) -> np.ndarray:
+    """The place of each of the distinct ``strings`` in their sorted order."""
+    rank = np.empty(len(strings), dtype=np.int32)
+    rank[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))
+    return rank
 
-    The ids are compared as numpy strings, which ignore trailing NULs;
-    no generated id holds one.
+
+def _sorted_batch(kinds, stamps, names: Sequence[str], name_of, suffixes: Sequence[str],
+                  suffix_of, accounts: Sequence[str], account_of) -> EventBatch:
+    """The batch of these events sorted by (ts, post first, item_id, event_id).
+
+    Event ``i`` has item id ``names[name_of[i]]``, event id
+    ``names[name_of[i]] + suffixes[suffix_of[i]]`` and account
+    ``accounts[account_of[i]]``, from lists of distinct strings. The sort
+    compares the names' and suffixes' ranks in Python string order, and
+    sorts arrays already of the column dtypes in place, holding no second
+    copy. The strings are joined after the sort, a chunk at a time.
     """
     kinds = np.asarray(kinds, dtype=np.int8)
     stamps = np.asarray(stamps, dtype=np.int64)
-    order = np.lexsort((np.array(event_ids), np.array(item_ids), kinds != 0, stamps))
-    column = [np.array(ids, dtype=object)[order].tolist()
-              for ids in (item_ids, event_ids, accounts)]
-    return EventBatch(kinds[order], column[0], column[1], stamps[order], column[2])
+    name_of, suffix_of, account_of = (np.asarray(a, dtype=np.int32)
+                                      for a in (name_of, suffix_of, account_of))
+    order = np.lexsort((_rank(suffixes)[suffix_of], _rank(names)[name_of], kinds != 0, stamps))
+    for column in (kinds, stamps, name_of, suffix_of, account_of):
+        column[:] = column[order]
+    del order
+    n = kinds.size
+    item_id, event_id, account = [""] * n, [""] * n, [""] * n
+    for lo in range(0, n, _CHUNK):
+        at = slice(lo, lo + _CHUNK)
+        item_id[at] = chunk = list(map(names.__getitem__, name_of[at].tolist()))
+        event_id[at] = map(str.__add__, chunk, map(suffixes.__getitem__, suffix_of[at].tolist()))
+        account[at] = map(accounts.__getitem__, account_of[at].tolist())
+    return EventBatch(kinds, item_id, event_id, stamps, account)

@@ -16,13 +16,16 @@ identical and ``epsilon = 0`` freezes non-displayed items.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import DEFAULT_BETA, DEFAULT_EPSILON, MAX_SMOOTHING, BinSpec
 from .errors import DataError
-from .events import ItemTable
 from .states import classify
+
+if TYPE_CHECKING:
+    from .events import ItemTable
 
 ROW_SUM_TOL = 1e-12
 

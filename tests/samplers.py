@@ -127,9 +127,9 @@ def generate_markov_stream(state_space: StateSpace, p1: np.ndarray, n_items: int
     item = np.repeat(np.repeat(np.arange(n_items), n_nov), emitted.T.ravel())
     minute = post_minute[item] + np.repeat(np.tile(np.arange(n_nov), n_items), emitted.T.ravel())
     ordinal = np.arange(item.size) - np.repeat(np.cumsum(held[-1]) - held[-1], held[-1])
-    items = [f"m{i:06d}" for i in range(n_items)]
-    retweeted = [items[i] for i in item.tolist()]
-    return _sorted_batch([0] * n_items + [1] * item.size, items + retweeted,
-                         items + [f"{i}-r{k}" for i, k in zip(retweeted, ordinal.tolist())],
+    return _sorted_batch([0] * n_items + [1] * item.size,
                          (np.append(post_minute, minute) * 60).tolist(),
-                         ["markov"] * (n_items + item.size))
+                         [f"m{i:06d}" for i in range(n_items)], np.append(np.arange(n_items), item),
+                         [""] + [f"-r{k}" for k in range(ordinal.max(initial=-1) + 1)],
+                         np.append(np.zeros(n_items, int), ordinal + 1),
+                         ["markov"], np.zeros(n_items + item.size, int))

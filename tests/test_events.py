@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import tracemalloc
 from json.encoder import encode_basestring_ascii
 from unittest import mock
 
@@ -9,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from eventlog import line as make_line, rows
 from feedrank import events
+from feedrank.config import GeneratorConfig
 from feedrank.errors import DataError, EventLogError
 from feedrank.events import (
     MAX_TS, EventBatch, build_timelines, parse_event_log, serialize_event_log,
 )
+from feedrank.synth import generate_stream
 from oracles import parse_reference
 
 
@@ -91,6 +95,49 @@ def test_ids_that_differ_by_a_trailing_nul_are_two_items():
                       make_line("retweet", "a\u0000", "r", 120)])
     assert table.ids == ("a", "a\u0000")
     assert table.count("retweet", [0, 1], 0, table.stride).tolist() == [0, 1]
+
+
+_KEYS = ("kind", "item_id", "event_id", "ts", "account")
+
+
+@pytest.mark.parametrize("block", [4, events._BLOCK_LINES])
+def test_parse_holds_one_string_per_distinct_item_id_and_account(block):
+    records = [("post", f"t{i}", f"t{i}", 60 * i, f"acct{i % 2}") for i in range(3)] + \
+        [("retweet", f"t{i % 3}", f"t{i % 3}-r{i}", 200 + i, f"user{i % 4}") for i in range(12)]
+    # The writer's own lines go through the regex split, never line by line;
+    # spaced ones through json.loads.
+    canonical = "".join(json.dumps(dict(zip(_KEYS, r)), separators=(",", ":")) + "\n"
+                        for r in records)
+    spaced = "".join(json.dumps(dict(zip(_KEYS, r))) + "\n" for r in records)
+    for text, decode_lines in ((canonical, AssertionError), (spaced, events._decode_lines)):
+        with mock.patch.object(events, "_BLOCK_LINES", block), \
+                mock.patch.object(events, "_decode_lines", side_effect=decode_lines):
+            batch = parse_event_log(text)
+        assert rows(batch) == [tuple(json.loads(line).values()) for line in text.splitlines()]
+        for column, distinct in ((batch.item_id, 3), (batch.account, 2 + 4)):
+            first: dict[str, str] = {}
+            assert all(first.setdefault(value, value) is value for value in column)
+            assert len(first) == distinct
+
+
+def test_parse_peak_memory_per_event_is_bounded():
+    # About 19k generated events. A string per event for the item id and the
+    # account, kind and ts as Python ints and a set entry per event for the
+    # duplicate check peak at about 280-380 bytes per event on logs this
+    # size; one string per distinct value and array columns at about 150.
+    batch = generate_stream(GeneratorConfig(seed=3, n_accounts=55, days=1, posts_per_day=40.0,
+                                            x_min=3, magnitude_cap=200, zero_fraction=0.35))
+    lines = serialized(batch).splitlines(keepends=True)
+    del batch
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parse_event_log(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lines) > 15_000
+    assert peak / len(lines) < 200
 
 
 def test_parse_rejects_float_timestamps():

@@ -180,10 +180,14 @@ def test_bundle_checks_itself_when_built(field, value, message):
 
 
 def test_fmt_list_formats_like_format_per_value():
-    values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1 / 3, math.inf, -math.inf]
-    expected = ",".join(format(v, ".17g") for v in values)
-    assert _fmt_list(values) == expected
-    assert _fmt_list(np.array(values)) == expected
+    values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1 / 3, math.inf, -math.inf,
+              0.0, math.nan]
+    # A p1 row: mostly +0.0, written without a format call, and one -0.0, which is not.
+    row = [0.0] * 7 + [0.25, 0.0, -0.0, 0.75, 0.0]
+    for case in (values, row, [0.0], [-0.0]):
+        expected = ",".join(format(v, ".17g") for v in case)
+        assert _fmt_list(case) == expected
+        assert _fmt_list(np.array(case)) == expected
     assert _fmt_list([]) == ""
 
 

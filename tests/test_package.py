@@ -35,6 +35,13 @@ def test_import_loads_no_numpy():
     assert _python("import sys, feedrank; print('numpy' in sys.modules)") == "False\n"
 
 
+def test_indices_step_loads_no_event_code():
+    # The model and the sweep name ItemTable only in annotations.
+    code = ("import sys, feedrank.cli, feedrank.model_io, feedrank.indices; "
+            "print('feedrank.events' in sys.modules)")
+    assert _python(code) == "False\n"
+
+
 def test_cli_always_gives_numpy_one_blas_thread():
     code = "import os, feedrank.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _python(code) == "1\n"

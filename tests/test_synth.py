@@ -205,11 +205,29 @@ def test_sorted_batch_orders_as_the_tuple_sort(drawn):
     event_ids = list(map(str.__add__, items, suffixes))
     keys = list(zip(stamps, map(bool, kinds), items, event_ids))
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    batch = synth._sorted_batch(kinds, items, event_ids, stamps, accounts)
+    names, tails, owners = (list(dict.fromkeys(col)) for col in (items, suffixes, accounts))
+    batch = synth._sorted_batch(kinds, stamps, names, list(map(names.index, items)),
+                                tails, list(map(tails.index, suffixes)),
+                                owners, list(map(owners.index, accounts)))
     assert batch.kind.dtype == np.int8 and batch.ts.dtype == np.int64
     assert list(zip(batch.kind.tolist(), batch.item_id, batch.event_id, batch.ts.tolist(),
                     batch.account)) == \
         [(kinds[i], items[i], event_ids[i], stamps[i], accounts[i]) for i in order]
+
+
+def test_sorted_batch_ranks_keep_string_order_across_widths():
+    # Item 1,000,000 has a 7-digit name that sorts before item 999,999, and
+    # the suffix "-r10" sorts before "-r2", as the strings do.
+    names = ["t999999", "t1000000", "t999998", "t1000001"]
+    suffixes = ["", "-r2", "-r10"]
+    pairs = [(n, s) for s in (2, 1, 0) for n in (3, 2, 1, 0)]
+    batch = synth._sorted_batch([int(s > 0) for _, s in pairs], [60] * len(pairs), names,
+                                [n for n, _ in pairs], suffixes, [s for _, s in pairs],
+                                ["a"], [0] * len(pairs))
+    posts = ["t1000000", "t1000001", "t999998", "t999999"]
+    assert batch.event_id == posts + [p + s for p in posts for s in ("-r10", "-r2")]
+    assert batch.item_id == posts + [p for p in posts for _ in range(2)]
+    assert batch.kind.tolist() == [0] * 4 + [1] * 8
 
 
 def test_generator_validation():
