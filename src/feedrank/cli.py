@@ -16,12 +16,9 @@ import os
 import sys
 
 # numpy reads this when it loads, in a subcommand's first import. The only
-# BLAS work is the indices sweep, a sequential pass over at most MAX_STATES
-# states: more threads only add start-up cost to every process, and its
-# inverse and its larger matrix products (the fold of the pending updates)
-# round differently on more threads, so one thread, whatever the
-# environment says, also keeps the model file independent of the host.
-# Library callers keep their own threading.
+# BLAS work is the indices sweep's matrix-vector products, a sequential pass
+# over at most MAX_STATES states: more threads only add start-up cost to
+# every process.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .config import _GENERATOR_FIELDS, GeneratorConfig, RunConfig, load_config, with_overrides

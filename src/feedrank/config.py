@@ -49,7 +49,7 @@ MAX_ENTRIES = 2**25
 # 2**cap * MAX_ENTRIES <= 2**1023 every DCG stays below the largest float.
 MAX_RELEVANCE_CAP = 1023 - (MAX_ENTRIES.bit_length() - 1)
 
-# The most states a bin grid may give: fit, sweep and model file are dense n x n.
+# The most states a bin grid may give: it limits dense n x n arrays; sweep time grows as n**3.
 MAX_STATES = 4096
 
 # The largest smoothing: a row of MAX_STATES smoothed cells still sums to a finite total.

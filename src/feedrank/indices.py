@@ -36,7 +36,7 @@ from .transitions import TransitionModel
 
 RESIDUAL_TOL_FACTOR = 1e-10
 _MAX_REFINEMENTS = 2
-# Pending rank-one terms of the sweep's inverse before one product folds them in.
+# Pending rank-one terms of the sweep's inverse before one einsum folds them in.
 _BLOCK = 32
 
 
@@ -57,70 +57,73 @@ class _OccupancySystem:
     """The occupancy system ``M v = b``, ``M = I - beta * P``, kept solved.
 
     Row ``s`` of the chain ``P`` is ``p1[s]`` for a state in the
-    occupancy set and ``p0[s]`` for one outside it. ``M`` is inverted
-    once; ``set_row`` changes one row of ``P`` and follows it with a
-    Sherman-Morrison rank-one update of the inverse, the fast-pivoting
-    scheme of Nino-Mora (INFORMS J. Computing, 2007). The updates are
-    delayed: the inverse is held as ``base - cols[:k].T @ rows[:k]``
+    occupancy set and ``p0[s]`` for one outside it. ``set_row`` changes
+    one row and follows it with a Sherman-Morrison rank-one update of
+    the inverse, the fast-pivoting scheme of Nino-Mora (INFORMS J.
+    Computing, 2007); ``_factor`` builds the inverse from ``I``'s by the
+    same update, one row of ``M`` at a time. Every matrix on the way is
+    strictly diagonally dominant by rows (margin ``1 - beta``), so no
+    pivot is zero. The inverse is held as ``base - cols[:k].T @ rows[:k]``
     with ``k < _BLOCK`` pending terms, which ``solve`` applies with two
-    thin products, and every ``_BLOCK`` updates one matrix product folds
-    them into ``base``. ``solve`` checks the residual ``||b - M v||_inf``
-    against ``RESIDUAL_TOL_FACTOR / (1 - beta)``; past it, up to
-    ``_MAX_REFINEMENTS`` refinements run with the current inverse, then
-    ``M`` is inverted afresh, dropping the pending terms, and if that
-    also fails ``NumericalError`` is raised.
+    thin products; every ``_BLOCK`` updates an ``einsum`` (no BLAS) folds
+    them into ``base``, so the inverse has the same bits on any BLAS
+    thread count. ``solve`` checks ``||b - M v||_inf`` against
+    ``RESIDUAL_TOL_FACTOR / (1 - beta)``; past it, up to
+    ``_MAX_REFINEMENTS`` refinements run, then ``_factor`` rebuilds the
+    inverse, and if that also fails ``NumericalError`` is raised.
 
-    The system keeps its own health record: ``min_pivot`` is the
-    smallest pivot ``|1 + w[s]|`` of an update (inf if none; near 0 an
-    update loses accuracy), ``max_residual`` the largest residual a
-    solve accepted, ``refinements`` the refinement passes and
-    ``refactorizations`` the inversions after the first.
+    Its health record is that of ``SweepStats``, with ``min_pivot`` taken
+    over the ``set_row`` updates only.
     """
 
     def __init__(self, p: np.ndarray, beta: float):
         n = len(p)
-        self.identity = np.eye(n)
         self.beta = beta
         self.tol = RESIDUAL_TOL_FACTOR / (1.0 - beta)
-        self.m = self.identity - beta * p
-        self.cols = np.empty((_BLOCK, n))
-        self.rows = np.empty((_BLOCK, n))
+        self.m = np.eye(n) - beta * p
+        self.cols, self.rows = np.empty((_BLOCK, n)), np.empty((_BLOCK, n))
         self.min_pivot, self.max_residual = np.inf, 0.0
         self.refinements = self.refactorizations = 0
         self._factor()
 
     def _factor(self) -> None:
-        """Invert ``M`` afresh and drop the pending terms."""
-        try:
-            self.base = np.linalg.inv(self.m)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"occupancy solve failed: {exc}") from exc
+        """Build the inverse of ``M`` from ``I``'s by one update per row, then fold it."""
+        target, n = self.m, len(self.m)
+        self.m, self.base, self.pending = np.eye(n), np.eye(n), 0
+        for s, row in enumerate(target):
+            self._replace(s, row)
+        self._fold()
+
+    def _fold(self) -> None:
+        self.base -= np.einsum("ki,kj->ij", self.cols[:self.pending], self.rows[:self.pending])
         self.pending = 0
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """``inv(M) @ x``."""
-        k = self.pending
-        return self.base @ x - self.cols[:k].T @ (self.rows[:k] @ x)
+        return self.base @ x - self.cols[:self.pending].T @ (self.rows[:self.pending] @ x)
 
-    def set_row(self, s: int, p_row: np.ndarray) -> None:
-        """Make ``p_row`` row ``s`` of ``P``, so ``M[s] = e_s - beta * p_row``."""
-        row = self.identity[s] - self.beta * p_row
+    def _replace(self, s: int, row: np.ndarray) -> float:
+        """Make ``row`` row ``s`` of ``M``, update the inverse and return ``|pivot|``."""
         u = row - self.m[s]
-        # Equal p1 and p0 rows (absorbing state, or epsilon 1) leave M and its inverse as is.
+        # An unchanged row (equal p1 and p0 rows: absorbing, or epsilon 1) needs no update.
         if not u.any():
-            return
+            return np.inf
         self.m[s] = row
         k = self.pending
         cols, rows = self.cols[:k], self.rows[:k]
         w = u @ self.base - (cols @ u) @ rows
         pivot = 1.0 + w[s]
-        self.min_pivot = min(self.min_pivot, abs(float(pivot)))
-        self.cols[k] = (self.base[:, s] - rows[:, s] @ cols) / pivot
-        self.rows[k] = w
+        self.cols[k], self.rows[k] = (self.base[:, s] - rows[:, s] @ cols) / pivot, w
         self.pending = k + 1
         if self.pending == _BLOCK:
-            self.base -= self.cols.T @ self.rows
-            self.pending = 0
+            self._fold()
+        return abs(float(pivot))
+
+    def set_row(self, s: int, p_row: np.ndarray) -> None:
+        """Make ``p_row`` row ``s`` of ``P``, so ``M[s] = e_s - beta * p_row``."""
+        row = -self.beta * p_row
+        row[s] += 1.0
+        self.min_pivot = min(self.min_pivot, self._replace(s, row))
 
     def _refine(self, b: np.ndarray) -> tuple[np.ndarray, float]:
         """``v`` with the current inverse, refined while its residual
@@ -189,7 +192,7 @@ class SweepStats:
     ``refactorizations`` are the health record of the sweep's occupancy
     system: the smallest Sherman-Morrison pivot of an extraction that
     changes it (inf if none does), the largest residual accepted at any
-    step, the refinement passes and the inversions after the first.
+    step, the refinement passes and the rebuilds after the first.
     """
 
     pi_order: np.ndarray

@@ -23,7 +23,7 @@ from .events import ItemTable
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 # Snapshot rows formatted per write, so a month's rows are never all held as strings.
-_ROWS_PER_WRITE = 2**16
+_ROWS_PER_WRITE = 2**12
 
 
 class Rankings(NamedTuple):

@@ -1,11 +1,22 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import feedrank
 from feedrank import indices
+from feedrank.config import GeneratorConfig, RunConfig
 from feedrank.errors import DataError, IndexabilityError, NumericalError
+from feedrank.events import build_timelines
 from feedrank.indices import compute_indices, constants_a, format_rank_grid, occupancy, rank_states
+from feedrank.model_io import fit_model
 from feedrank.states import BinSpec
+from feedrank.synth import generate_stream
 from feedrank.transitions import TransitionModel, build_model
 from oracles import gittins_restart, greedy_indices_reference
 
@@ -460,3 +471,70 @@ def test_undiscounted_model_is_rejected_before_any_solve(monkeypatch):
     with pytest.raises(DataError, match=r"beta must lie in \(0, 1\)"):
         compute_indices(TransitionModel(p1=TWO_STATE_P1, p0=TWO_STATE_P1, beta=1.0),
                         [1.0, 0.5])
+
+
+def test_sweep_runs_with_no_linear_algebra_routine(monkeypatch):
+    rng = np.random.default_rng(40)
+    model = random_model(rng, 40)
+    rewards = rng.uniform(0, 1, size=40)
+    mask = rng.random(40) < 0.5
+    g, pi_order, _ = greedy_indices_reference(model.p1, model.p0, model.beta, rewards)
+    p_mixed = np.where(mask[:, None], model.p1, model.p0)
+    v = np.linalg.solve(np.eye(40) - model.beta * p_mixed, mask.astype(float))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("called a LAPACK routine")
+
+    monkeypatch.setattr(np.linalg, "inv", no_solve)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    table = compute_indices(model, rewards)
+    assert np.array_equal(table.sweep.pi_order, pi_order)
+    assert np.abs(table.g - g).max() <= 1e-10
+    assert np.abs(occupancy(mask, model) - v).max() <= 1e-10
+
+
+# Runs the sweep on each saved model given on the command line and prints
+# the sha256 of its g.
+_HASH_G = """
+import hashlib, sys
+import numpy as np
+from feedrank.indices import compute_indices
+from feedrank.transitions import TransitionModel
+for path in sys.argv[1:]:
+    z = np.load(path)
+    model = TransitionModel(p1=z["p1"], p0=z["p0"], beta=float(z["beta"]))
+    print(hashlib.sha256(compute_indices(model, z["reward"]).g.tobytes()).hexdigest())
+"""
+
+
+def test_g_does_not_depend_on_the_blas_threads(tmp_path):
+    # The fixture model of the CLI tests and two seeded dense chains, fitted
+    # here once; each subprocess only runs the sweep, on 1, 2 or the
+    # default number of BLAS threads.
+    table = build_timelines(generate_stream(GeneratorConfig(
+        seed=5, days=3, n_accounts=6, posts_per_day=30)))
+    bundle = fit_model(table, RunConfig(train_window=(0, 2880)))
+    chains = {"fixture": (bundle.model, bundle.space.reward)}
+    for n in (101, 401):
+        rng = np.random.default_rng([20260815, n])
+        chains[n] = (build_model(rng.dirichlet(np.ones(n), size=n), epsilon=0.1, beta=0.9),
+                     rng.random(n))
+    paths = []
+    for name, (model, reward) in chains.items():
+        paths.append(str(tmp_path / f"{name}.npz"))
+        np.savez(paths[-1], p1=model.p1, p0=model.p0, beta=model.beta, reward=reward)
+    src = str(Path(feedrank.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    hashes = {}
+    for threads in (None, "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_G, *paths],
+            env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True, timeout=120)
+        hashes[threads] = proc.stdout.split()
+    assert len(hashes[None]) == len(chains)
+    assert hashes[None] == hashes["1"] == hashes["2"]
+    # The in-process sweep gives the same bits.
+    fixture = compute_indices(*chains["fixture"]).g
+    assert hashlib.sha256(fixture.tobytes()).hexdigest() == hashes[None][0]

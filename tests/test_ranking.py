@@ -1,12 +1,13 @@
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feedrank import evaluation
+from feedrank import evaluation, ranking
 from feedrank.config import RunConfig
 from feedrank.errors import ConfigError
 from feedrank.evaluation import rank_window
@@ -195,12 +196,16 @@ def snapshots_reference(table, policies, rankings):
 @given(posts=st.dictionaries(
     st.text(st.sampled_from(',"\r\n a') | st.characters(blacklist_categories=("Cs",)),
             min_size=1, max_size=6),
-    st.integers(0, 5), min_size=1, max_size=8))
-def test_snapshot_ids_are_quoted_as_csv_writer_quotes_them(posts, tmp_path_factory):
+    st.integers(0, 5), min_size=1, max_size=8),
+    rows_per_write=st.sampled_from([1, 3, ranking._ROWS_PER_WRITE]))
+def test_snapshot_ids_are_quoted_as_csv_writer_quotes_them(posts, rows_per_write,
+                                                          tmp_path_factory):
+    # Blocks of 1 and 3 rows end inside a minute, and inside one policy's ranking.
     table = build_timelines(parse_event_log(
         [line("post", iid, iid, minute * 60) for iid, minute in posts.items()]))
     rankings = rank_window(table, make_bins(), make_g(),
                            RunConfig(eval_window=(0, 8), horizon=3))[0]
     out = tmp_path_factory.mktemp("snaps") / "snaps.csv"
-    write_snapshots_csv(table, POLICIES, rankings, out)
+    with mock.patch.object(ranking, "_ROWS_PER_WRITE", rows_per_write):
+        write_snapshots_csv(table, POLICIES, rankings, out)
     assert out.read_bytes() == snapshots_reference(table, POLICIES, rankings)
